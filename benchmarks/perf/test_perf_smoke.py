@@ -1,53 +1,59 @@
-"""Perf smoke test: catch large kernel/scheduler slowdowns in CI.
+"""Perf smoke test: every benchmark workload runs correctly and in time.
 
-The 200-job SWIM run completes in ~0.35s on a 2026 dev box after the
-locality-index + kernel optimization pass (it took ~1.0s before it; see
-``BENCH_swim.json``).  The ceiling below leaves generous headroom for
-slower CI machines while still failing if the run regresses by more
-than ~2x on comparable hardware — e.g. if locality lookups fall back to
-per-heartbeat cache polling or the event queue loses its packed keys.
+Each workload of the benchmark harness (``perfbench/``, declared in
+``BENCHMARK.json``) runs once, one pass, in a fresh process::
+
+    python3 perfbench/run.py --workload W --seconds 1
+
+The run must report ``correct: true`` with no failed operations, and
+its ``run_s`` must stay under three times the median recorded in
+``perfbench/baseline-end_to_end.json`` — generous enough for a slower
+CI runner, tight enough to catch a lost fast path.  The harness's own
+unit checks (``perfbench/selftest.py``) run here too.  For a
+measurement rather than a tripwire use ``perfbench/sweep.py``.
 """
 
-import time
+import json
+import pathlib
+import subprocess
+import sys
 
-from repro.experiments.swim_runs import clear_cache, run_swim
-from repro.workloads.serve import ServeConfig, run_serve
+import pytest
 
-#: Generous wall-clock budget (seconds) for one 200-job Ignem SWIM run.
-SMOKE_CEILING_SECONDS = 1.5
+ROOT = pathlib.Path(__file__).resolve().parents[2]
+PERFBENCH = ROOT / "perfbench"
+BASELINE = json.loads((PERFBENCH / "baseline-end_to_end.json").read_text())["results"]
+WORKLOADS = [w["name"] for w in json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]]
 
-#: Budget for the 1200-request heat-policy serve run (~0.09s on a 2026
-#: dev box; see ``BENCH_serve.json``).  The heat path adds a read
-#: listener on every NameNode read and a migrator tick loop — this
-#: ceiling fails CI if either becomes a per-event hot spot.
-SERVE_CEILING_SECONDS = 1.0
+#: A run slower than this multiple of the baseline median fails.
+CEILING_FACTOR = 3.0
 
 
-def test_swim_200_jobs_within_wall_clock_budget():
-    best = float("inf")
-    # Best of two: the first run also pays one-time import/JIT-warmup
-    # costs that have nothing to do with simulator throughput.
-    for _ in range(2):
-        clear_cache()
-        start = time.perf_counter()
-        run_swim("ignem", num_jobs=200)
-        best = min(best, time.perf_counter() - start)
-    clear_cache()
-    assert best < SMOKE_CEILING_SECONDS, (
-        f"200-job SWIM run took {best:.2f}s (budget {SMOKE_CEILING_SECONDS}s); "
-        "see benchmarks/perf/bench_swim.py to measure properly"
+def _run(*args):
+    return subprocess.run(
+        [sys.executable, *args],
+        cwd=ROOT,
+        capture_output=True,
+        text=True,
+        timeout=300,
     )
 
 
-def test_serve_1200_requests_within_wall_clock_budget():
-    config = ServeConfig(policy="heat", seed=0)
-    best = float("inf")
-    for _ in range(2):
-        start = time.perf_counter()
-        run_serve(config)
-        best = min(best, time.perf_counter() - start)
-    assert best < SERVE_CEILING_SECONDS, (
-        f"1200-request serve run took {best:.2f}s (budget "
-        f"{SERVE_CEILING_SECONDS}s); see benchmarks/perf/bench_serve.py "
-        "to measure properly"
+@pytest.mark.parametrize("workload", WORKLOADS)
+def test_workload_correct_and_within_budget(workload):
+    proc = _run(str(PERFBENCH / "run.py"), "--workload", workload, "--seconds", "1")
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    report = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert report["correct"] is True, report
+    assert report["failed"] == 0, report
+    run_s = report["metrics"]["run_s"]["value"]
+    ceiling = CEILING_FACTOR * BASELINE[workload]["run_s"]["median"]
+    assert run_s < ceiling, (
+        f"{workload}: run_s {run_s:.3f}s is above {CEILING_FACTOR}x the "
+        f"baseline median ({ceiling:.3f}s); measure with perfbench/sweep.py"
     )
+
+
+def test_harness_selftest():
+    proc = _run(str(PERFBENCH / "selftest.py"))
+    assert proc.returncode == 0, proc.stdout + proc.stderr

@@ -125,9 +125,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="cProfile one SWIM run (the perf-tuning entry point)",
         description=(
             "Run run_swim() under cProfile and print the hottest functions. "
-            "Wall-clock comparisons against a baseline commit belong to "
-            "benchmarks/perf/bench_swim.py; this command answers the "
-            "follow-up question of *where* the time goes."
+            "Wall-clock measurements and comparisons against another "
+            "tree belong to perfbench/run.py and perfbench/sweep.py; this "
+            "command answers the follow-up question of *where* the time "
+            "goes."
         ),
     )
     profile.add_argument(

@@ -2,12 +2,13 @@
 
 Each endpoint is an ``asyncio`` TCP server on ``127.0.0.1`` with an
 OS-assigned port, found through an in-process directory (name →
-address).  Frames are 4-byte big-endian length prefixes followed by a
-JSON envelope::
+address).  Each frame is a 4-byte big-endian length prefix followed by
+a :mod:`~repro.transport.messages` frame: the JSON envelope, then the
+message's ``bytes`` payloads raw::
 
-    {"v": 1, "mid": 7, "rsvp": true, "kind": "MigrateMsg", "body": {...}}
+    {"v": 2, "mid": 7, "rsvp": true, "kind": "MigrateMsg", "body": {...}}
 
-Replies echo the message id: ``{"v": 1, "re": 7, "kind": ..., "body":
+Replies echo the message id: ``{"v": 2, "re": 7, "kind": ..., "body":
 ...}`` (or ``{"re": 7, "err": "..."}`` when the handler raised).
 Request/reply matching is by ``mid``, so one persistent connection per
 (caller, endpoint) pair multiplexes any number of in-flight requests.
@@ -21,8 +22,9 @@ Delivery guarantees:
 * **no cross-endpoint ordering** — messages to different endpoints
   race, exactly like independent sockets;
 * **errors surface as** :class:`~repro.net.network.NetworkError` — an
-  unknown endpoint, a refused/reset connection, a handler crash, or a
-  reply timeout all raise it, mirroring the sim's failure surface.
+  unknown endpoint, a refused/reset connection, a handler crash, a
+  malformed frame, or a reply timeout all raise it, mirroring the sim's
+  failure surface.  A malformed frame drops the connection it came on.
 
 Handlers may be plain functions or coroutines; replies are codec-encoded
 messages, so anything the wire format carries can cross the socket.
@@ -32,12 +34,11 @@ from __future__ import annotations
 
 import asyncio
 import itertools
-import json
 import struct
-from typing import Dict, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .base import NetworkError, Transport
-from .messages import decode_obj, encode_obj
+from .messages import CodecError, decode_obj, encode_obj, pack, unpack
 
 __all__ = ["AsyncioTransport", "NetworkError"]
 
@@ -47,7 +48,10 @@ _HEADER = struct.Struct(">I")
 MAX_FRAME = 64 * 1024 * 1024
 
 
-async def _read_frame(reader: asyncio.StreamReader) -> Optional[dict]:
+async def _read_frame(
+    reader: asyncio.StreamReader,
+) -> Optional[Tuple[dict, List[bytes]]]:
+    """Next ``(envelope, blobs)`` on the stream, or ``None`` at EOF."""
     try:
         header = await reader.readexactly(_HEADER.size)
     except (asyncio.IncompleteReadError, ConnectionError):
@@ -56,17 +60,20 @@ async def _read_frame(reader: asyncio.StreamReader) -> Optional[dict]:
     if length > MAX_FRAME:
         raise NetworkError(f"oversized frame ({length} bytes)")
     try:
-        payload = await reader.readexactly(length)
+        frame = await reader.readexactly(length)
     except (asyncio.IncompleteReadError, ConnectionError):
         return None
-    return json.loads(payload.decode("utf-8"))
+    try:
+        return unpack(frame)
+    except CodecError as exc:
+        raise NetworkError(f"malformed frame: {exc}") from exc
 
 
-def _write_frame(writer: asyncio.StreamWriter, envelope: dict) -> None:
-    payload = json.dumps(
-        envelope, sort_keys=True, separators=(",", ":")
-    ).encode("utf-8")
-    writer.write(_HEADER.pack(len(payload)) + payload)
+def _write_frame(
+    writer: asyncio.StreamWriter, envelope: dict, blobs: Sequence[bytes] = ()
+) -> None:
+    parts = pack(envelope, blobs)
+    writer.writelines([_HEADER.pack(sum(map(len, parts))), *parts])
 
 
 class _Peer:
@@ -133,12 +140,12 @@ class AsyncioTransport(Transport):
             self._conn_tasks.setdefault(name, set()).add(task)
         try:
             while True:
-                envelope = await _read_frame(reader)
-                if envelope is None:
+                frame = await _read_frame(reader)
+                if frame is None:
                     return
-                await self._handle_frame(name, envelope, writer)
+                await self._handle_frame(name, *frame, writer)
                 await writer.drain()
-        except (ConnectionError, asyncio.CancelledError):
+        except (ConnectionError, NetworkError, asyncio.CancelledError):
             return
         finally:
             if task is not None:
@@ -148,17 +155,13 @@ class AsyncioTransport(Transport):
             except RuntimeError:
                 pass  # event loop already torn down
 
-    async def _handle_frame(self, name: str, envelope: dict, writer) -> None:
+    async def _handle_frame(
+        self, name: str, envelope: dict, blobs: List[bytes], writer
+    ) -> None:
         mid = envelope.get("mid")
         rsvp = envelope.get("rsvp", False)
         try:
-            message = decode_obj(
-                {
-                    "v": envelope.get("v"),
-                    "kind": envelope.get("kind"),
-                    "body": envelope.get("body"),
-                }
-            )
+            message = decode_obj(envelope, blobs)
             handler = self._handler(name)
             reply = handler(message)
             if asyncio.iscoroutine(reply):
@@ -169,9 +172,10 @@ class AsyncioTransport(Transport):
             return
         if rsvp:
             out = {"re": mid}
+            reply_blobs: List[bytes] = []
             if reply is not None:
-                out.update(encode_obj(reply))
-            _write_frame(writer, out)
+                out.update(encode_obj(reply, reply_blobs))
+            _write_frame(writer, out, reply_blobs)
 
     # -- calling -----------------------------------------------------------------
 
@@ -201,9 +205,10 @@ class AsyncioTransport(Transport):
     async def _consume_replies(self, endpoint: str, peer: _Peer) -> None:
         try:
             while True:
-                envelope = await _read_frame(peer.reader)
-                if envelope is None:
+                frame = await _read_frame(peer.reader)
+                if frame is None:
                     break
+                envelope = frame[0]
                 future = peer.pending.pop(envelope.get("re"), None)
                 if future is None or future.done():
                     continue
@@ -214,8 +219,13 @@ class AsyncioTransport(Transport):
                         )
                     )
                 else:
-                    future.set_result(envelope)
+                    future.set_result(frame)
+        except NetworkError:
+            pass  # malformed reply: the stream is unusable
         finally:
+            # EOF, a malformed frame or cancellation: this connection is
+            # done (the next request reconnects), so release its socket.
+            peer.writer.close()
             failure = NetworkError(f"connection to {endpoint!r} lost")
             for future in peer.pending.values():
                 if not future.done():
@@ -223,17 +233,16 @@ class AsyncioTransport(Transport):
             peer.pending.clear()
 
     async def request(self, endpoint: str, message):
-        envelope = await self._roundtrip(endpoint, message, rsvp=True)
+        envelope, blobs = await self._roundtrip(endpoint, message, rsvp=True)
         if envelope.get("kind") is None:
             reply = None
         else:
-            reply = decode_obj(
-                {
-                    "v": envelope.get("v"),
-                    "kind": envelope.get("kind"),
-                    "body": envelope.get("body"),
-                }
-            )
+            try:
+                reply = decode_obj(envelope, blobs)
+            except CodecError as exc:
+                raise NetworkError(
+                    f"malformed reply from {endpoint!r}: {exc}"
+                ) from exc
         self._note(endpoint, message, reply)
         return reply
 
@@ -244,7 +253,8 @@ class AsyncioTransport(Transport):
     async def _roundtrip(self, endpoint: str, message, rsvp: bool):
         peer = await self._peer(endpoint)
         mid = next(self._mids)
-        envelope = encode_obj(message)
+        blobs: List[bytes] = []
+        envelope = encode_obj(message, blobs)
         envelope["mid"] = mid
         envelope["rsvp"] = rsvp
         future = None
@@ -252,7 +262,7 @@ class AsyncioTransport(Transport):
             future = asyncio.get_running_loop().create_future()
             peer.pending[mid] = future
         try:
-            _write_frame(peer.writer, envelope)
+            _write_frame(peer.writer, envelope, blobs)
             await peer.writer.drain()
         except (ConnectionError, OSError) as exc:
             peer.pending.pop(mid, None)

@@ -8,17 +8,23 @@ one of the dataclasses below.  The message set is derived from
 NameNode/DataNode call surface; a message is the unit a
 :class:`~repro.transport.base.Transport` carries.
 
-The codec serialises any message to a self-describing JSON document
-``{"v": 1, "kind": "<ClassName>", "body": {...}}`` and back.  Nested
-domain objects (:class:`~repro.dfs.blocks.Block`,
+The codec serialises any message to a binary *frame*: a 4-byte
+big-endian envelope length, a self-describing JSON envelope
+``{"v": 2, "kind": "<ClassName>", "body": {...}, "blobs": [n, ...]}``,
+then the raw ``bytes`` payloads ("blobs") back to back.  A ``bytes``
+field travels as a reference ``{"__b__": i}`` into the blob section and
+``"blobs"`` lists each blob's length (the key is omitted when there
+are none), so a 256 KiB block crosses the wire as itself and the JSON
+the receiver parses stays a few hundred bytes.  Nested domain objects
+(:class:`~repro.dfs.blocks.Block`,
 :class:`~repro.core.commands.MigrationWorkItem`,
 :class:`~repro.core.commands.MigrateCommand`,
 :class:`~repro.core.commands.EvictCommand`) travel as tagged dicts;
-``bytes`` payloads are base64; JSON lists decode back to tuples so a
-decoded message compares equal to the original.  ``MigrationWorkItem``
-is reconstructed with its ``seq`` and ``received_at`` passed explicitly
-— decoding must never consume the global sequence counter, or wire
-round-trips would perturb priority tie-breaks in the simulator.
+JSON lists decode back to tuples so a decoded message compares equal to
+the original.  ``MigrationWorkItem`` is reconstructed with its ``seq``
+and ``received_at`` passed explicitly — decoding must never consume the
+global sequence counter, or wire round-trips would perturb priority
+tie-breaks in the simulator.
 
 The ``SimTransport`` never serialises (it hands the original objects to
 the destination, preserving delivery identity); the codec is the wire
@@ -27,17 +33,19 @@ format of the asyncio backend and the round-trip property suite.
 
 from __future__ import annotations
 
-import base64
 import dataclasses
 import json
+import struct
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..core.commands import EvictCommand, MigrateCommand, MigrationWorkItem
 from ..dfs.blocks import Block
 
 #: Bumped on any incompatible change to the message set or encoding.
-PROTOCOL_VERSION = 1
+PROTOCOL_VERSION = 2
+
+_ENVELOPE_LEN = struct.Struct(">I")
 
 
 class CodecError(Exception):
@@ -260,38 +268,44 @@ _BY_KIND = {t.__name__: t for t in _WIRE_TYPES}
 # -- codec -------------------------------------------------------------------------
 
 
-def _to_jsonable(value):
+def _to_jsonable(value, blobs: List[bytes]):
     if isinstance(value, bytes):
-        return {"__b__": base64.b64encode(value).decode("ascii")}
+        blobs.append(value)
+        return {"__b__": len(blobs) - 1}
     if dataclasses.is_dataclass(value) and not isinstance(value, type):
         kind = type(value).__name__
         if kind not in _BY_KIND:
             raise CodecError(f"unregistered wire type {kind!r}")
         body = {
-            f.name: _to_jsonable(getattr(value, f.name))
+            f.name: _to_jsonable(getattr(value, f.name), blobs)
             for f in dataclasses.fields(value)
         }
         return {"__t__": kind, **body}
     if isinstance(value, (list, tuple)):
-        return [_to_jsonable(item) for item in value]
+        return [_to_jsonable(item, blobs) for item in value]
     if isinstance(value, dict):
-        return {key: _to_jsonable(item) for key, item in value.items()}
+        return {key: _to_jsonable(item, blobs) for key, item in value.items()}
     if value is None or isinstance(value, (str, int, float, bool)):
         return value
     raise CodecError(f"cannot encode {type(value).__name__}: {value!r}")
 
 
-def _from_jsonable(value):
+def _from_jsonable(value, blobs: Sequence[bytes]):
     if isinstance(value, dict):
         if "__b__" in value and len(value) == 1:
-            return base64.b64decode(value["__b__"])
+            index = value["__b__"]
+            if type(index) is not int or not 0 <= index < len(blobs):
+                raise CodecError(
+                    f"blob reference {index!r} out of range ({len(blobs)} blobs)"
+                )
+            return blobs[index]
         if "__t__" in value:
             kind = value["__t__"]
             cls = _BY_KIND.get(kind)
             if cls is None:
                 raise CodecError(f"unknown wire type {kind!r}")
             fields = {
-                key: _from_jsonable(item)
+                key: _from_jsonable(item, blobs)
                 for key, item in value.items()
                 if key != "__t__"
             }
@@ -299,24 +313,25 @@ def _from_jsonable(value):
                 return cls(**fields)
             except TypeError as exc:
                 raise CodecError(f"malformed {kind} body: {exc}") from exc
-        return {key: _from_jsonable(item) for key, item in value.items()}
+        return {key: _from_jsonable(item, blobs) for key, item in value.items()}
     if isinstance(value, list):
-        return tuple(_from_jsonable(item) for item in value)
+        return tuple(_from_jsonable(item, blobs) for item in value)
     return value
 
 
-def encode_obj(message) -> dict:
-    """Message → envelope dict ``{"v", "kind", "body"}``."""
+def encode_obj(message, blobs: List[bytes]) -> dict:
+    """Message → envelope dict ``{"v", "kind", "body"}``; every ``bytes``
+    field is appended to ``blobs`` and referenced by its index."""
     kind = type(message).__name__
     if kind not in _BY_KIND:
         raise CodecError(f"unknown message type {kind!r}")
-    wire = _to_jsonable(message)
+    wire = _to_jsonable(message, blobs)
     wire.pop("__t__")
     return {"v": PROTOCOL_VERSION, "kind": kind, "body": wire}
 
 
-def decode_obj(envelope: dict):
-    """Envelope dict → message (inverse of :func:`encode_obj`)."""
+def decode_obj(envelope: dict, blobs: Sequence[bytes]):
+    """Envelope dict plus its blobs → message (inverse of :func:`encode_obj`)."""
     if not isinstance(envelope, dict):
         raise CodecError(f"envelope must be a dict, got {type(envelope).__name__}")
     version = envelope.get("v")
@@ -329,20 +344,65 @@ def decode_obj(envelope: dict):
     body = envelope.get("body")
     if kind not in _BY_KIND or not isinstance(body, dict):
         raise CodecError(f"malformed envelope: kind={kind!r}")
-    return _from_jsonable({"__t__": kind, **body})
+    return _from_jsonable({"__t__": kind, **body}, blobs)
+
+
+def pack(envelope: dict, blobs: Sequence[bytes]) -> List[bytes]:
+    """Envelope plus blobs → the frame's parts, in wire order: envelope
+    length, canonical JSON envelope (sorted keys, compact separators),
+    then each blob.  The parts are returned unjoined so a socket can
+    write a block payload without copying it into a second buffer."""
+    if blobs:
+        envelope = {**envelope, "blobs": [len(blob) for blob in blobs]}
+    head = json.dumps(envelope, sort_keys=True, separators=(",", ":")).encode(
+        "utf-8"
+    )
+    return [_ENVELOPE_LEN.pack(len(head)), head, *blobs]
+
+
+def unpack(frame: bytes) -> Tuple[dict, List[bytes]]:
+    """Frame → ``(envelope, blobs)`` (inverse of :func:`pack`).  Raises
+    :class:`CodecError` unless the envelope and the blob lengths it lists
+    fill the frame exactly."""
+    if len(frame) < _ENVELOPE_LEN.size:
+        raise CodecError(f"frame too short ({len(frame)} bytes)")
+    (head_len,) = _ENVELOPE_LEN.unpack_from(frame)
+    start = _ENVELOPE_LEN.size + head_len
+    if start > len(frame):
+        raise CodecError(
+            f"envelope length {head_len} larger than the frame ({len(frame)} bytes)"
+        )
+    try:
+        envelope = json.loads(frame[_ENVELOPE_LEN.size : start].decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise CodecError(f"undecodable envelope: {exc}") from exc
+    if not isinstance(envelope, dict):
+        raise CodecError(f"envelope must be a dict, got {type(envelope).__name__}")
+    sizes = envelope.pop("blobs", [])
+    if not isinstance(sizes, list) or not all(
+        type(size) is int and size >= 0 for size in sizes
+    ):
+        raise CodecError(f"malformed blob lengths {sizes!r}")
+    if start + sum(sizes) != len(frame):
+        raise CodecError(
+            f"blob lengths {sizes} do not fill the {len(frame) - start} "
+            "bytes after the envelope"
+        )
+    view = memoryview(frame)
+    blobs = []
+    for size in sizes:
+        blobs.append(bytes(view[start : start + size]))
+        start += size
+    return envelope, blobs
 
 
 def encode(message) -> bytes:
-    """Message → canonical JSON bytes (sorted keys, compact separators)."""
-    return json.dumps(
-        encode_obj(message), sort_keys=True, separators=(",", ":")
-    ).encode("utf-8")
+    """Message → frame bytes (canonical: equal messages, equal bytes)."""
+    blobs: List[bytes] = []
+    return b"".join(pack(encode_obj(message, blobs), blobs))
 
 
-def decode(payload: bytes):
-    """JSON bytes → message (inverse of :func:`encode`)."""
-    try:
-        envelope = json.loads(payload.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise CodecError(f"undecodable payload: {exc}") from exc
-    return decode_obj(envelope)
+def decode(frame: bytes):
+    """Frame bytes → message (inverse of :func:`encode`)."""
+    envelope, blobs = unpack(frame)
+    return decode_obj(envelope, blobs)

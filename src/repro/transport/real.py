@@ -87,13 +87,14 @@ class DataNodeService:
         )
 
     async def stop(self) -> None:
-        if self._heartbeat_task is not None:
-            self._heartbeat_task.cancel()
-            try:
-                await self._heartbeat_task
-            except asyncio.CancelledError:
-                pass
-            self._heartbeat_task = None
+        task = self._heartbeat_task
+        # Python 3.11's asyncio.wait_for can drop a cancellation that
+        # arrives together with the heartbeat's reply, and the loop then
+        # beats on; cancel again until the task has really ended.
+        while task is not None and not task.done():
+            task.cancel()
+            await asyncio.wait({task}, timeout=0.1)
+        self._heartbeat_task = None
         await self.transport.stop(f"datanode/{self.name}")
 
     # -- protocol ---------------------------------------------------------------

@@ -9,6 +9,7 @@ tuples, nested commands carrying explicit ``seq`` values.
 
 import dataclasses
 import json
+import struct
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -43,6 +44,24 @@ from repro.transport.messages import (
     decode,
     encode,
 )
+
+_LEN = struct.Struct(">I")
+
+
+def _split(frame):
+    """Frame → (envelope dict, raw blob section), parsed by hand."""
+    (head_len,) = _LEN.unpack_from(frame)
+    head = frame[_LEN.size : _LEN.size + head_len]
+    return json.loads(head.decode("utf-8")), frame[_LEN.size + head_len :]
+
+
+def _frame(envelope, blob_section=b"", head_len=None):
+    """Hand-built frame; ``head_len`` overrides the envelope length."""
+    head = json.dumps(envelope).encode("utf-8")
+    if head_len is None:
+        head_len = len(head)
+    return _LEN.pack(head_len) + head + blob_section
+
 
 # -- strategies --------------------------------------------------------------------
 
@@ -219,12 +238,14 @@ def test_round_trip_identity(message):
 
 @given(any_message)
 def test_wire_form_is_canonical_json(message):
-    payload = encode(message)
-    envelope = json.loads(payload.decode("utf-8"))
+    frame = encode(message)
+    envelope, blob_section = _split(frame)
     assert envelope["v"] == PROTOCOL_VERSION
     assert envelope["kind"] == type(message).__name__
+    # The blob lengths listed in the envelope fill the rest of the frame.
+    assert sum(envelope.get("blobs", [])) == len(blob_section)
     # Canonical: re-encoding the decoded message reproduces the bytes.
-    assert encode(decode(payload)) == payload
+    assert encode(decode(frame)) == frame
 
 
 @given(work_items())
@@ -253,39 +274,94 @@ def test_binary_payloads_survive(data):
     assert isinstance(decoded.data, bytes)
 
 
+#: 0 B, 1 B, one byte past the asyncio ``StreamReader`` default limit,
+#: and a block sixteen times the real cluster's.
+_BLOCK_SIZES = [0, 1, 64 * 1024 + 1, 4 * 1024 * 1024]
+
+
+def _block(size):
+    return bytes(range(256)) * (size // 256) + bytes(size % 256)
+
+
+@pytest.mark.parametrize("size", _BLOCK_SIZES)
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda data: BlockReadReply(ok=True, tier="mem", nbytes=len(data), data=data),
+        lambda data: BlockWriteRequest(
+            block_id="b0", path="/f", index=0, data=data, pipeline=("n1", "n2")
+        ),
+    ],
+    ids=["BlockReadReply", "BlockWriteRequest"],
+)
+def test_block_payload_round_trip(make, size):
+    message = make(_block(size))
+    frame = encode(message)
+    assert decode(frame) == message
+    # The payload travels raw: the frame is the envelope plus the block.
+    envelope, blob_section = _split(frame)
+    assert envelope["blobs"] == [size]
+    assert blob_section == message.data
+
+
 # -- malformed input ---------------------------------------------------------------
 
 
 def test_wrong_protocol_version_rejected():
-    envelope = json.loads(encode(Ack()).decode())
+    envelope, _ = _split(encode(Ack()))
     envelope["v"] = PROTOCOL_VERSION + 1
     with pytest.raises(CodecError, match="protocol version"):
-        decode(json.dumps(envelope).encode())
+        decode(_frame(envelope))
 
 
 def test_unknown_kind_rejected():
-    payload = json.dumps(
-        {"v": PROTOCOL_VERSION, "kind": "NoSuchMessage", "body": {}}
-    ).encode()
+    frame = _frame({"v": PROTOCOL_VERSION, "kind": "NoSuchMessage", "body": {}})
     with pytest.raises(CodecError, match="malformed envelope"):
-        decode(payload)
+        decode(frame)
 
 
 def test_malformed_body_rejected():
-    payload = json.dumps(
+    frame = _frame(
         {
             "v": PROTOCOL_VERSION,
             "kind": "HeartbeatMsg",
             "body": {"node": "n1"},  # missing seq / tier_blocks
         }
-    ).encode()
+    )
     with pytest.raises(CodecError, match="malformed HeartbeatMsg"):
-        decode(payload)
+        decode(frame)
 
 
 def test_non_json_payload_rejected():
+    bad = b"\xff\xfe not json"
     with pytest.raises(CodecError, match="undecodable"):
-        decode(b"\xff\xfe not json")
+        decode(_LEN.pack(len(bad)) + bad)
+
+
+def malformed_frames(**extra):
+    """Frames that lie about their own layout, by name.  ``extra`` fields
+    join each envelope (the socket tests add a message id)."""
+    good, _ = _split(encode(BlockReadReply(ok=True, data=b"abcd")))
+    good.update(extra)
+    return {
+        "truncated-blob-section": _frame(good, b"abc"),
+        "blob-lengths-short-of-frame": _frame({**good, "blobs": [3]}, b"abcd"),
+        "blob-lengths-not-ints": _frame({**good, "blobs": ["4"]}, b"abcd"),
+        "blob-reference-out-of-range": _frame(
+            {**good, "body": {**good["body"], "data": {"__b__": 1}}}, b"abcd"
+        ),
+        "envelope-length-beyond-frame": _frame(good, b"abcd", head_len=10_000),
+        "shorter-than-envelope-length-field": b"\x00\x01",
+    }
+
+
+MALFORMED = sorted(malformed_frames())
+
+
+@pytest.mark.parametrize("name", MALFORMED)
+def test_malformed_frame_rejected(name):
+    with pytest.raises(CodecError):
+        decode(malformed_frames()[name])
 
 
 def test_unregistered_type_rejected():

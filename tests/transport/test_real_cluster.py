@@ -4,9 +4,18 @@ Small configs keep this in CI-smoke territory: three DataNodes, a few
 multi-block files, enough reads per phase to exercise the Zipf head.
 """
 
+import asyncio
+import threading
+
 import pytest
 
-from repro.transport.real import block_payload, run_real_demo
+from repro.transport import AsyncioTransport
+from repro.transport.real import (
+    DataNodeService,
+    NameNodeService,
+    block_payload,
+    run_real_demo,
+)
 
 
 class TestRealDemo:
@@ -46,6 +55,44 @@ class TestRealDemo:
     def test_fewer_than_three_nodes_rejected(self):
         with pytest.raises(ValueError, match="3"):
             run_real_demo(nodes=2)
+
+
+class TestDataNodeStop:
+    def test_stop_ends_a_fast_heartbeat_loop(self):
+        """``stop`` must end the heartbeat loop even when its cancellation
+        lands together with a heartbeat reply (Python 3.11's ``wait_for``
+        can swallow it).  Half-millisecond heartbeats keep a reply in
+        flight at almost every stop; one hang fails the hard deadline."""
+
+        async def cycles():
+            transport = AsyncioTransport(reply_timeout=5.0)
+            await NameNodeService(transport, ("node0",)).start()
+            try:
+                for i in range(300):
+                    datanode = DataNodeService("node0", transport)
+                    await datanode.start(heartbeat_interval=0.0005)
+                    await asyncio.sleep(0.0003 * (i % 7))
+                    await datanode.stop()
+                    assert datanode._heartbeat_task is None
+            finally:
+                await transport.close()
+
+        # A hung stop() also ignores asyncio's own timeouts, so the
+        # deadline is a thread join.
+        outcome = {}
+
+        def run():
+            try:
+                asyncio.run(cycles())
+            except BaseException as exc:
+                outcome["error"] = exc
+
+        worker = threading.Thread(target=run, daemon=True)
+        worker.start()
+        worker.join(30.0)
+        assert not worker.is_alive(), "DataNodeService.stop hung"
+        if "error" in outcome:
+            raise outcome["error"]
 
 
 class TestBlockPayload:
