@@ -137,11 +137,14 @@ class Cluster:
         from .scheduler.node_manager import NodeManager
         from .scheduler.resource_manager import ResourceManager
 
-        self.rm = ResourceManager(self.env, locality_wait=cfg.locality_wait)
         # Push-based memory-locality metadata: DataNode caches publish
         # residency deltas into the NameNode's index, and the scheduler's
         # per-node candidate buckets subscribe to the same feed.
-        self.rm.attach_locality_index(self.namenode.locality_index)
+        self.rm = ResourceManager(
+            self.env,
+            locality_wait=cfg.locality_wait,
+            locality_index=self.namenode.locality_index,
+        )
         self.datanodes: Dict[str, DataNode] = {}
         stagger = cfg.heartbeat_interval / max(1, cfg.num_nodes)
         for index in range(cfg.num_nodes):
@@ -292,30 +295,15 @@ class Cluster:
             self.ignem_slaves[name] = slave
             self.transport.register(f"slave/{name}", slave.handle_message)
         self.client.ignem_master = master
-        self.client.transport_master = master
         self.ignem_master = master
         # Per-destination-tier occupancy, visible in every metrics
         # snapshot (pull metrics: zero hot-path cost).
         registry = self.obs.registry
-        slaves = self.ignem_slaves
         totals = self.tier_totals
-
-        def _tier_pull(tier_name):
-            if len(slaves) > 64:
-                # Trace-scale clusters read the incremental accumulator;
-                # summing per-slave floats here would be O(nodes) and can
-                # differ from the accumulator by float ulps, so the
-                # small-cluster path keeps the historical summation order
-                # (golden snapshots stay bit-identical).
-                return lambda: totals.get(tier_name, 0.0)
-            return lambda: sum(
-                slave.tier_bytes.get(tier_name, 0.0)
-                for slave in slaves.values()
-            )
-
         for tier in ignem_config.destination_tiers():
             registry.register_pull(
-                f"ignem.slave.tier.{tier}.resident_bytes", _tier_pull(tier)
+                f"ignem.slave.tier.{tier}.resident_bytes",
+                lambda tier=tier: totals.get(tier, 0.0),
             )
         if self.obs.active:
             self.obs.attach_ignem(master, self.ignem_slaves)

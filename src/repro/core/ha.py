@@ -42,7 +42,8 @@ class HighAvailabilityMaster:
         config: Optional[IgnemConfig] = None,
         collector: Optional[MetricsCollector] = None,
         registry: Optional[MetricsRegistry] = None,
-        transport=None,
+        *,
+        transport,
     ):
         rng = rng or RandomSource(0)
         registry = registry or MetricsRegistry()
@@ -192,17 +193,11 @@ class HighAvailabilityMaster:
             return
         self.primary.fail()
         self._failovers += 1
-        if self.transport is not None:
-            # Announce the failover to every slave as a protocol message;
-            # the handler performs the same purge the direct call did.
-            announcement = FailoverMsg(
-                generation=self._failovers, active="standby"
-            )
-            for slave in self.standby.slaves():
-                self.transport.send(f"slave/{slave.name}", announcement)
-        else:
-            for slave in self.standby.slaves():
-                slave.purge_all(reason="failure")
+        # Announce the failover to every slave as a protocol message; the
+        # slave's handler purges its reference lists.
+        announcement = FailoverMsg(generation=self._failovers, active="standby")
+        for slave in self.standby.slaves():
+            self.transport.send(f"slave/{slave.name}", announcement)
 
     def recover_primary(self) -> None:
         """Bring the primary back as the new standby-turned-active pair.

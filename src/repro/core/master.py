@@ -77,7 +77,8 @@ class IgnemMaster:
         config: Optional[IgnemConfig] = None,
         collector: Optional[MetricsCollector] = None,
         registry: Optional[MetricsRegistry] = None,
-        transport=None,
+        *,
+        transport,
     ):
         self.env = env
         self.namenode = namenode
@@ -85,10 +86,8 @@ class IgnemMaster:
         self.config = config or IgnemConfig()
         self.collector = collector or MetricsCollector()
         self.metrics = registry or MetricsRegistry()
-        #: Message transport carrying master→slave commands.  ``None``
-        #: falls back to direct method calls (standalone masters in
-        #: tests); cluster-built masters always ship commands through
-        #: the transport's ``slave/<node>`` endpoints.
+        #: Message transport carrying master→slave commands through the
+        #: ``slave/<node>`` endpoints.
         self.transport = transport
         self.alive = True
 
@@ -334,13 +333,10 @@ class IgnemMaster:
         """A replacement master starts with empty state; slaves purge
         their reference lists to stay consistent with it (III-A5)."""
         self.alive = True
-        for name, slave in self._slaves.items():
-            if self.transport is not None:
-                self.transport.send(
-                    f"slave/{name}", FailoverMsg(generation=0, active="master")
-                )
-            else:
-                slave.purge_all(reason="failure")
+        for name in self._slaves:
+            self.transport.send(
+                f"slave/{name}", FailoverMsg(generation=0, active="master")
+            )
             if self.failure_tap is not None:
                 self.failure_tap(name)
 
@@ -391,20 +387,15 @@ class IgnemMaster:
 
     def _deliver(self, node: str, kind: str, command) -> bool:
         slave = self._slaves[node]
-        if self.transport is not None:
-            # The command ships as a protocol message through the slave's
-            # transport endpoint.  SimTransport delivers the original
-            # command object synchronously, so ordering, acknowledgement
-            # semantics, and the tap boundary are exactly the direct call.
-            msg = MigrateMsg(command) if kind == "migrate" else EvictMsg(command)
-            try:
-                accepted = self.transport.request(f"slave/{node}", msg).ok
-            except NetworkError:
-                accepted = False
-        elif kind == "migrate":
-            accepted = slave.receive_migrate(command)
-        else:
-            accepted = slave.receive_evict(command)
+        # The command ships as a protocol message through the slave's
+        # transport endpoint.  SimTransport delivers the original command
+        # object synchronously, so ordering, acknowledgement semantics,
+        # and the tap boundary are exactly those of a direct call.
+        msg = MigrateMsg(command) if kind == "migrate" else EvictMsg(command)
+        try:
+            accepted = self.transport.request(f"slave/{node}", msg).ok
+        except NetworkError:
+            accepted = False
         if accepted and self.command_tap is not None:
             self.command_tap(node, kind, command, slave)
         return accepted

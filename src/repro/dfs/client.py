@@ -56,17 +56,11 @@ class DFSClient:
         self.rng = rng or RandomSource(0)
         #: Set by the Ignem master when migration is enabled.
         self.ignem_master = None
-        #: Control-plane transport (set by the cluster); when present,
-        #: migrate/evict ship to the ``"master"`` endpoint as protocol
-        #: messages.  Data-plane reads stay direct: the replica-choice
-        #: hot path is performance-critical at trace scale.
+        #: Control-plane transport (set by the cluster): migrate/evict
+        #: ship to its ``"master"`` endpoint as protocol messages.
+        #: Data-plane reads stay direct: the replica-choice hot path is
+        #: performance-critical at trace scale.
         self.transport = None
-        #: The master object serving the transport's ``"master"``
-        #: endpoint.  Requests go over the wire only while
-        #: :attr:`ignem_master` *is* that object — experiments that swap
-        #: in a routing shim (e.g. the tier3 demo's size router) keep
-        #: getting direct calls to their shim.
-        self.transport_master = None
         #: Observability facade; ``None`` is the zero-overhead clean path.
         self.obs = None
 
@@ -223,35 +217,19 @@ class DFSClient:
         """
         if self.ignem_master is None:
             return
-        if (
-            self.transport is not None
-            and self.ignem_master is self.transport_master
-        ):
-            from ..transport.messages import MigrateFilesRequest
+        from ..transport.messages import MigrateFilesRequest
 
-            self.transport.request(
-                "master",
-                MigrateFilesRequest(
-                    tuple(paths), job_id, implicit_eviction=implicit_eviction
-                ),
-            )
-            return
-        self.ignem_master.request_migration(
-            paths, job_id, implicit_eviction=implicit_eviction
+        self.transport.request(
+            "master",
+            MigrateFilesRequest(
+                tuple(paths), job_id, implicit_eviction=implicit_eviction
+            ),
         )
 
     def evict(self, paths: Sequence[str], job_id: str) -> None:
         """Tell Ignem the job is done with these inputs (explicit evict)."""
         if self.ignem_master is None:
             return
-        if (
-            self.transport is not None
-            and self.ignem_master is self.transport_master
-        ):
-            from ..transport.messages import EvictFilesRequest
+        from ..transport.messages import EvictFilesRequest
 
-            self.transport.request(
-                "master", EvictFilesRequest(tuple(paths), job_id)
-            )
-            return
-        self.ignem_master.request_eviction(paths, job_id)
+        self.transport.request("master", EvictFilesRequest(tuple(paths), job_id))

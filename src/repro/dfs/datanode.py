@@ -343,22 +343,10 @@ class DataNode:
         done.callbacks.append(arrive)
         return done
 
-    def migrate_block_to_memory(
-        self, block: Block, rate_cap: Optional[float] = None
-    ) -> Event:
-        """Back-compat wrapper: migrate into the top (memory) tier."""
-        return self.migrate_block_to_tier(
-            block, self.tiers.top.spec.name, rate_cap=rate_cap
-        )
-
     def evict_block_from_tier(self, block_id: str, tier_name: str) -> bool:
         """munmap: release a pinned block from one upper tier (no
         write-back — input data is read-only, paper Section III-B1)."""
         return self._upper_tier(tier_name).cache.evict(block_id)
-
-    def evict_block_from_memory(self, block_id: str) -> bool:
-        """Back-compat wrapper: evict from the top (memory) tier."""
-        return self.cache.evict(block_id)
 
     def _upper_tier(self, tier_name: str) -> NodeTier:
         tier = self.tiers.get(tier_name)

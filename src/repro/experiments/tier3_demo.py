@@ -19,6 +19,7 @@ from typing import Dict, List, Optional, Sequence
 
 from ..cluster import build_paper_testbed
 from ..core.config import IgnemConfig
+from ..core.master import dispatch_master_message
 from ..metrics.stats import mean, speedup_factor
 from ..storage.device import GB, MB
 from ..workloads import swim
@@ -38,9 +39,9 @@ _NUM_NODES = 4
 class SizeRoutingMaster:
     """Client-facing shim that routes each migrate call by input size.
 
-    Sits where the :class:`~repro.dfs.client.DFSClient` expects the
-    Ignem master and forwards with an explicit ``dst_tier``: the demo's
-    policy layer, three lines on top of the tier-addressed master API.
+    Serves the transport's ``"master"`` endpoint in front of the Ignem
+    master and forwards with an explicit ``dst_tier``: the demo's policy
+    layer, three lines on top of the tier-addressed master API.
     """
 
     def __init__(self, master, threshold: float):
@@ -53,9 +54,12 @@ class SizeRoutingMaster:
         paths: Sequence[str],
         job_id: str,
         implicit_eviction: bool = False,
+        dst_tier: Optional[str] = None,
     ) -> None:
-        nbytes = self.master.namenode.total_bytes(paths)
-        tier = "ssd" if nbytes > self.threshold else "mem"
+        tier = dst_tier
+        if tier is None:
+            nbytes = self.master.namenode.total_bytes(paths)
+            tier = "ssd" if nbytes > self.threshold else "mem"
         self.routed[tier] = self.routed.get(tier, 0) + 1
         self.master.request_migration(
             paths, job_id, implicit_eviction=implicit_eviction, dst_tier=tier
@@ -63,6 +67,10 @@ class SizeRoutingMaster:
 
     def request_eviction(self, paths: Sequence[str], job_id: str) -> None:
         self.master.request_eviction(paths, job_id)
+
+    def handle_message(self, msg):
+        """The ``"master"`` transport endpoint, routed through the shim."""
+        return dispatch_master_message(self, msg)
 
 
 @dataclass
@@ -149,7 +157,7 @@ def _run_mode(mode: str, seed: int) -> TierRun:
     router: Optional[SizeRoutingMaster] = None
     if three_tier:
         router = SizeRoutingMaster(master, SIZE_THRESHOLD)
-        cluster.client.ignem_master = router
+        cluster.transport.register("master", router.handle_message)
 
     jobs = swim.SwimGenerator(seed=seed).generate(num_jobs=_NUM_JOBS)
     swim.materialize(cluster, jobs)

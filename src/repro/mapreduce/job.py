@@ -237,7 +237,6 @@ class MRJob:
             "map",
             execute,
             disk_nodes=disk_nodes,
-            memory_nodes_fn=lambda: self.client.memory_locations(block),
             input_block_id=block.block_id,
         )
         # Failure backstop: when the RM abandons the attempt after

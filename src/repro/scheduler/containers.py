@@ -8,10 +8,6 @@ from typing import Callable, FrozenSet, Generator, Iterable, Optional
 from ..sim.engine import Environment
 from ..sim.events import Event
 
-#: Shared empty result for tasks with no memory-locality source; avoids
-#: allocating a fresh frozenset on every scheduling probe.
-NO_MEMORY_NODES: FrozenSet[str] = frozenset()
-
 
 class TaskRequest:
     """One schedulable task.
@@ -27,17 +23,11 @@ class TaskRequest:
         task's work once a container on ``node_name`` starts it.
     disk_nodes:
         Nodes holding an on-disk replica of this task's input (static).
-    memory_nodes_fn:
-        Callable returning the nodes that currently hold the input in
-        memory — evaluated at scheduling time because migration state
-        changes while the task queues (paper Section III-A2's migrated-
-        locality preference).
     input_block_id:
-        The DFS block this task reads, when it reads exactly one.  Lets a
-        ResourceManager with an attached memory-locality index track the
-        task's memory locality via push deltas (O(1) per update) instead
-        of calling ``memory_nodes_fn`` per scheduling probe; the index
-        takes precedence over ``memory_nodes_fn`` when both are present.
+        The DFS block this task reads, when it reads exactly one.  The
+        ResourceManager's memory-locality index tracks which nodes hold
+        it in memory as migrations land and evictions happen while the
+        task queues (paper Section III-A2's migrated-locality preference).
     """
 
     _seq = itertools.count()
@@ -50,7 +40,6 @@ class TaskRequest:
         kind: str,
         execute: Callable[[str], Generator],
         disk_nodes: Iterable[str] = (),
-        memory_nodes_fn: Optional[Callable[[], Iterable[str]]] = None,
         input_block_id: Optional[str] = None,
     ):
         if kind not in ("map", "reduce"):
@@ -61,11 +50,7 @@ class TaskRequest:
         self.kind = kind
         self.execute = execute
         self.disk_nodes: FrozenSet[str] = frozenset(disk_nodes)
-        self.memory_nodes_fn = memory_nodes_fn
         self.input_block_id = input_block_id
-        #: Whether the owning ResourceManager tracks this task through its
-        #: locality-index candidate buckets (set at enqueue time).
-        self.rm_indexed = False
 
         #: Monotone sequence used for FIFO ordering across jobs.
         self.seq = next(TaskRequest._seq)
@@ -82,11 +67,6 @@ class TaskRequest:
         #: Triggers when the task finishes (fails after the scheduler
         #: gives up retrying).
         self.completed: Event = env.event()
-
-    def memory_nodes(self) -> FrozenSet[str]:
-        if self.memory_nodes_fn is None:
-            return NO_MEMORY_NODES
-        return frozenset(self.memory_nodes_fn())
 
     def __repr__(self) -> str:
         return f"<TaskRequest {self.task_id} ({self.kind}) of {self.job_id}>"

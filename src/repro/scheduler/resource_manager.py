@@ -3,14 +3,12 @@
 from __future__ import annotations
 
 from heapq import heappop, heappush
-from typing import TYPE_CHECKING, Dict, FrozenSet, List, Optional, Set
+from typing import Dict, List, Optional, Set
 
+from ..dfs.memory_index import MemoryLocalityIndex
 from ..sim.engine import Environment
 from .containers import TaskRequest
 from .node_manager import NodeManager
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type hints
-    from ..dfs.memory_index import MemoryLocalityIndex
 
 
 class _NodeBucket:
@@ -59,17 +57,16 @@ class ResourceManager:
     until it has waited at least that long, at the cost of slot idling.
     The default of 0 disables it (plain Hadoop FIFO behaviour).
 
-    **Fast path.**  With a memory-locality index attached (see
-    :meth:`attach_locality_index`), the RM maintains per-node candidate
-    buckets — one memory-local, one disk-local — updated on task
-    enqueue/dequeue and on index residency deltas.  Each pick then costs
-    O(candidates on this node) instead of three O(pending) scans with an
-    O(replicas) cache poll per task, while provably preserving the exact
-    pick order of the scan: every bucket lookup returns the minimum queue
-    position, which is the first match a FIFO scan would have found.
-    Tasks that carry a custom ``memory_nodes_fn`` without an
-    ``input_block_id`` fall back to the scan path (with one cached
-    ``memory_nodes()`` evaluation per task per scheduling round).
+    **Candidate buckets.**  A task's memory locality is the set of nodes
+    the memory-locality index reports for its ``input_block_id`` (a
+    cluster passes its NameNode's index; a standalone RM owns an empty
+    one).  The RM keeps per-node candidate buckets — one memory-local,
+    one disk-local — updated on task enqueue/dequeue and on the index's
+    residency deltas, so a pick costs O(candidates on this node) rather
+    than three O(pending) scans.  Every bucket lookup returns the minimum
+    queue position, which is the first match a FIFO scan of the queue
+    would find; ``tests/properties/test_scheduler_pick_properties.py``
+    checks the pick order against such a scan.
     """
 
     def __init__(
@@ -77,6 +74,7 @@ class ResourceManager:
         env: Environment,
         locality_wait: float = 0.0,
         max_task_attempts: int = 3,
+        locality_index: Optional[MemoryLocalityIndex] = None,
     ):
         if locality_wait < 0:
             raise ValueError("locality_wait must be non-negative")
@@ -100,18 +98,16 @@ class ResourceManager:
         self._pending: Dict[TaskRequest, int] = {}
         self._qpos = 0
         self._active_jobs: Set[str] = set()
-        #: Optional push-maintained block -> in-RAM-nodes index.
-        self._locality_index: Optional["MemoryLocalityIndex"] = None
-        #: Per-node candidate buckets (fast path).
+        #: Push-maintained block -> in-RAM-nodes index.
+        if locality_index is None:
+            locality_index = MemoryLocalityIndex()
+        self._locality_index = locality_index
+        locality_index.add_listener(self._on_memory_delta)
+        #: Per-node candidate buckets.
         self._mem_buckets: Dict[str, _NodeBucket] = {}
         self._disk_buckets: Dict[str, _NodeBucket] = {}
         #: Reverse map for translating index deltas into bucket updates.
         self._tasks_by_block: Dict[str, Dict[TaskRequest, None]] = {}
-        #: Pending tasks the buckets cannot represent (scan fallback).
-        self._unindexed = 0
-        #: memory_nodes() memoization for the scan path, valid for one
-        #: scheduling round (no simulation state changes mid-round).
-        self._round_mem_cache: Dict[TaskRequest, FrozenSet[str]] = {}
         self.tasks_launched = 0
         self.tasks_finished = 0
         self.tasks_retried = 0
@@ -148,19 +144,6 @@ class ResourceManager:
             return
         for index in sorted(parked):
             parked[index].notify_work()
-
-    def attach_locality_index(self, index: "MemoryLocalityIndex") -> None:
-        """Subscribe to a memory-locality index and enable the indexed
-        scheduler fast path.  Must happen before any task is submitted so
-        the candidate buckets never miss a delta."""
-        if self._locality_index is index:
-            return
-        if self._locality_index is not None:
-            raise ValueError("a locality index is already attached")
-        if self._pending:
-            raise ValueError("attach the locality index before submitting tasks")
-        self._locality_index = index
-        index.add_listener(self._on_memory_delta)
 
     # -- job lifecycle -------------------------------------------------------------
 
@@ -208,25 +191,15 @@ class ResourceManager:
         self._qpos += 1
         pos = self._qpos
         self._pending[task] = pos
-        index = self._locality_index
-        block_id = task.input_block_id
-        # Index-tracked unless the task's memory locality comes from an
-        # opaque callable the index knows nothing about.
-        indexed = index is not None and (
-            block_id is not None or task.memory_nodes_fn is None
-        )
-        task.rm_indexed = indexed
-        if not indexed:
-            self._unindexed += 1
-            return
         for node in task.disk_nodes:
             bucket = self._disk_buckets.get(node)
             if bucket is None:
                 bucket = self._disk_buckets[node] = _NodeBucket()
             bucket.add(task, pos)
+        block_id = task.input_block_id
         if block_id is not None:
             self._tasks_by_block.setdefault(block_id, {})[task] = None
-            for node in index.nodes(block_id):
+            for node in self._locality_index.nodes(block_id):
                 bucket = self._mem_buckets.get(node)
                 if bucket is None:
                     bucket = self._mem_buckets[node] = _NodeBucket()
@@ -234,9 +207,6 @@ class ResourceManager:
 
     def _dequeue(self, task: TaskRequest) -> None:
         del self._pending[task]
-        if not task.rm_indexed:
-            self._unindexed -= 1
-            return
         for node in task.disk_nodes:
             bucket = self._disk_buckets.get(node)
             if bucket is not None:
@@ -276,8 +246,6 @@ class ResourceManager:
     def on_heartbeat(self, node: NodeManager) -> None:
         if not node.alive:
             return
-        if self._round_mem_cache:
-            self._round_mem_cache = {}
         while node.free_slots > 0 and self._pending:
             task = self._pick_task(node.name)
             if task is None:
@@ -319,14 +287,7 @@ class ResourceManager:
     # -- task picking -------------------------------------------------------------------
 
     def _pick_task(self, node_name: str) -> Optional[TaskRequest]:
-        if not self._pending:
-            return None
-        if self._unindexed == 0 and self._locality_index is not None:
-            return self._pick_task_indexed(node_name)
-        return self._pick_task_scan(node_name)
-
-    def _pick_task_indexed(self, node_name: str) -> Optional[TaskRequest]:
-        """Bucket-backed pick: identical order to the scan, O(candidates)."""
+        """Bucket-backed pick: identical order to a FIFO scan, O(candidates)."""
         # Pass 1: memory locality (migrated replicas).
         task = self._bucket_min(self._mem_buckets.get(node_name), node_name)
         if task is not None:
@@ -381,51 +342,5 @@ class ResourceManager:
                 heappop(heap)
                 del members[task]
                 continue
-            return task
-        return None
-
-    def _pick_task_scan(self, node_name: str) -> Optional[TaskRequest]:
-        """Reference scan over the FIFO queue (fallback for tasks with
-        opaque ``memory_nodes_fn`` locality).  Memory locality is resolved
-        once per task per scheduling round via ``_round_mem_cache``."""
-        pending = self._pending
-        mem_cache = self._round_mem_cache
-        index = self._locality_index
-
-        def memory_nodes(task: TaskRequest) -> FrozenSet[str]:
-            nodes = mem_cache.get(task)
-            if nodes is None:
-                block_id = task.input_block_id
-                if task.rm_indexed and block_id is not None:
-                    nodes = index.nodes(block_id)
-                else:
-                    nodes = task.memory_nodes()
-                mem_cache[task] = nodes
-            return nodes
-
-        # Pass 1: memory locality (migrated replicas).
-        for task in pending:
-            if node_name in task.excluded_nodes:
-                continue
-            if node_name in memory_nodes(task):
-                return task
-        # Pass 2: disk locality.
-        for task in pending:
-            if node_name in task.excluded_nodes:
-                continue
-            if node_name in task.disk_nodes:
-                return task
-        # Pass 3: FIFO — but with delay scheduling enabled, a task that
-        # has locality somewhere keeps waiting for a local slot until its
-        # patience runs out.
-        now = self.env.now
-        for task in pending:
-            if node_name in task.excluded_nodes:
-                continue
-            if self.locality_wait > 0:
-                has_locality = bool(task.disk_nodes) or bool(memory_nodes(task))
-                waited = now - (task.submitted_at or now)
-                if has_locality and waited < self.locality_wait:
-                    continue
             return task
         return None

@@ -23,26 +23,12 @@ from __future__ import annotations
 import itertools
 from typing import Any, Callable, List, Optional
 
-try:  # pragma: no cover - numpy is present in the supported environment
-    import numpy as np
-except ImportError:  # pragma: no cover
-    np = None  # type: ignore[assignment]
-
 from ..sim.engine import Environment
 from ..sim.events import Event
 
 #: Tolerance (in bytes) below which a transfer counts as finished.
 #: Sub-byte remainders are float noise, never real data.
 _EPSILON_BYTES = 1e-2
-
-#: Above this many active streams the device switches to the vectorized
-#: resharing path (numpy water-fill over parallel arrays); below
-#: ``_VECTOR_EXIT`` it switches back.  The hysteresis band keeps a device
-#: hovering around the threshold from paying the sync cost every event.
-#: Default-config runs never reach 65 concurrent streams on one device,
-#: so the scalar arithmetic — and the golden outputs — are untouched.
-_VECTOR_THRESHOLD = 64
-_VECTOR_EXIT = 48
 
 MB = 1024 * 1024
 GB = 1024 * MB
@@ -170,15 +156,6 @@ class TransferDevice:
         self._expected_finisher: Optional[Transfer] = None
         self._pending_wakeup = None
         self._last_update = env.now
-        # Vectorized resharing state (engaged above _VECTOR_THRESHOLD
-        # streams): parallel numpy arrays indexed like _active.  While
-        # engaged, per-record ``remaining``/``rate`` are stale — the
-        # arrays are authoritative — and are synced back on exit.
-        self._vec_rem = None
-        self._vec_caps = None
-        self._vec_rates = None
-        self._vec_rate_sum = 0.0
-        self._expected_idx = -1
         # Instrumentation integrals.
         self._busy_time = 0.0
         self._bytes_moved = 0.0
@@ -247,8 +224,6 @@ class TransferDevice:
         if not self._active:
             return 0
         self._settle()
-        if self._vec_rem is not None:
-            self._vec_sync_out()
         failed = self._active
         self._active = []
         self._reschedule()
@@ -267,11 +242,6 @@ class TransferDevice:
             if record.done is done_event:
                 self._settle()
                 self._active.pop(index)
-                if self._vec_rem is not None:
-                    record.remaining = float(self._vec_rem[index])
-                    self._vec_rem = np.delete(self._vec_rem, index)
-                    self._vec_caps = np.delete(self._vec_caps, index)
-                    self._vec_rates = np.delete(self._vec_rates, index)
                 self._reschedule()
                 return True
         return False
@@ -302,8 +272,6 @@ class TransferDevice:
         """Bytes/second of the slowest active stream (0 when idle)."""
         if not self._active:
             return 0.0
-        if self._vec_rates is not None:
-            return float(self._vec_rates.min())
         granted = self._recompute_rates()
         return min(record.rate for record in granted)
 
@@ -311,8 +279,6 @@ class TransferDevice:
         """Total bytes/second across all active streams right now."""
         if not self._active:
             return 0.0
-        if self._vec_rates is not None:
-            return float(self._vec_rate_sum)
         return sum(record.rate for record in self._recompute_rates())
 
     def estimate_time(self, nbytes: float, extra_streams: int = 0) -> float:
@@ -336,13 +302,6 @@ class TransferDevice:
                 self.on_complete(record)
             return
         self._active.append(record)
-        if self._vec_rem is not None:
-            self._vec_rem = np.append(self._vec_rem, record.remaining)
-            cap = record.rate_cap
-            self._vec_caps = np.append(
-                self._vec_caps, float("inf") if cap is None else cap
-            )
-            self._vec_rates = np.append(self._vec_rates, 0.0)
         self._reschedule()
 
     def _recompute_rates(self) -> List[Transfer]:
@@ -416,11 +375,6 @@ class TransferDevice:
         self._last_update = now
         if elapsed <= 0 or not self._active:
             return
-        if self._vec_rem is not None:
-            self._vec_rem -= self._vec_rates * elapsed
-            self._busy_time += elapsed
-            self._bytes_moved += self._vec_rate_sum * elapsed
-            return
         moved = 0.0
         for record in self._active:
             delta = record.rate * elapsed
@@ -433,7 +387,6 @@ class TransferDevice:
         """Fix rates for the active set and schedule the next completion."""
         self._epoch += 1
         self._expected_finisher = None
-        self._expected_idx = -1
         pending = self._pending_wakeup
         if pending is not None:
             # Retract the superseded wakeup so the dispatch loop recycles
@@ -442,15 +395,6 @@ class TransferDevice:
             self._pending_wakeup = None
         active = self._active
         if not active:
-            self._vec_rem = self._vec_caps = self._vec_rates = None
-            return
-        if self._vec_rem is not None:
-            if len(active) < _VECTOR_EXIT:
-                self._vec_sync_out()
-        elif np is not None and len(active) > _VECTOR_THRESHOLD:
-            self._vec_enter()
-        if self._vec_rem is not None:
-            self._vec_reschedule()
             return
         epoch = self._epoch
         self._recompute_rates()
@@ -480,106 +424,12 @@ class TransferDevice:
         wakeup.callbacks.append(self._wakeup)
         self._pending_wakeup = wakeup
 
-    # -- vectorized resharing (>_VECTOR_THRESHOLD streams) --------------------
-
-    def _vec_enter(self) -> None:
-        """Lift record state into parallel numpy arrays."""
-        active = self._active
-        count = len(active)
-        self._vec_rem = np.fromiter(
-            (r.remaining for r in active), dtype=float, count=count
-        )
-        inf = float("inf")
-        self._vec_caps = np.fromiter(
-            (inf if r.rate_cap is None else r.rate_cap for r in active),
-            dtype=float,
-            count=count,
-        )
-        self._vec_rates = np.zeros(count)
-
-    def _vec_sync_out(self) -> None:
-        """Copy array state back into the records and leave vector mode."""
-        rem = self._vec_rem
-        rates = self._vec_rates
-        for index, record in enumerate(self._active):
-            record.remaining = float(rem[index])
-            record.rate = float(rates[index])
-        self._vec_rem = self._vec_caps = self._vec_rates = None
-
-    def _vec_water_fill(self):
-        """Closed-form max-min water-fill over the cap array.
-
-        Same allocation the sequential loop computes, evaluated level-wise:
-        sort caps ascending, find the first stream whose cap exceeds its
-        fair share of the then-remaining budget, and give it and everyone
-        after it that level.  May differ from the scalar loop by float
-        ulps — acceptable because this path only engages above
-        ``_VECTOR_THRESHOLD`` streams, a regime the golden runs never
-        enter — but is fully deterministic for a given active set.
-        """
-        caps = self._vec_caps
-        count = len(caps)
-        budget = self.bandwidth * self.penalty(count)
-        order = np.argsort(caps, kind="stable")
-        sorted_caps = caps[order]
-        spent_before = np.empty(count)
-        spent_before[0] = 0.0
-        np.cumsum(sorted_caps[:-1], out=spent_before[1:])
-        fair = (budget - spent_before) / np.arange(count, 0, -1, dtype=float)
-        unbound = sorted_caps >= fair
-        if unbound.any():
-            level_index = int(np.argmax(unbound))
-            sorted_rates = np.minimum(sorted_caps, fair[level_index])
-        else:
-            # Every cap binds: the budget is not even exhausted.
-            sorted_rates = sorted_caps.copy()
-        rates = np.empty(count)
-        rates[order] = sorted_rates
-        return rates
-
-    def _vec_reschedule(self) -> None:
-        rates = self._vec_water_fill()
-        self._vec_rates = rates
-        self._vec_rate_sum = float(rates.sum())
-        finish = self._vec_rem / rates
-        index = int(np.argmin(finish))
-        best = float(finish[index])
-        self._expected_idx = index
-        self._expected_finisher = self._active[index]
-        wakeup = self.env.pooled_timeout(max(0.0, best), value=self._epoch)
-        wakeup.callbacks.append(self._wakeup)
-        self._pending_wakeup = wakeup
-
     def _wakeup(self, event: Event) -> None:
         self._pending_wakeup = None
         epoch = event._value
         if epoch != self._epoch:
             return  # superseded by a newer reschedule
         self._settle()
-        if self._vec_rem is not None:
-            rem = self._vec_rem
-            if self._expected_idx >= 0:
-                rem[self._expected_idx] = 0.0
-            done_mask = rem <= _EPSILON_BYTES
-            indices = np.nonzero(done_mask)[0]
-            active = self._active
-            finished = [active[i] for i in indices]
-            if finished:
-                keep = ~done_mask
-                self._vec_rem = rem[keep]
-                self._vec_caps = self._vec_caps[keep]
-                self._vec_rates = self._vec_rates[keep]
-                self._active = [
-                    active[i] for i in np.nonzero(keep)[0]
-                ]
-            self._reschedule()
-            hook = self.on_complete
-            for record in finished:
-                record.remaining = 0.0
-                record.done.succeed(record)
-                if hook is not None:
-                    hook(record)
-            return
         if self._expected_finisher is not None:
             self._expected_finisher.remaining = 0.0
         finished = [r for r in self._active if r.remaining <= _EPSILON_BYTES]

@@ -8,10 +8,12 @@ disk-read time, an Ignem migrate call at submission, a read wave after
 the row's queueing delay, and an evict call at completion (the paper's
 Section III client protocol, replayed at Google-trace scale).
 
-The harness opts into the scale-only fast paths (sampled replica
-placement, parked heartbeat loops, pooled timeouts, vectorized device
-resharing above 64 streams); the paper-testbed experiments never enable
-these, so their golden outputs are unaffected.
+The harness opts into sampled replica placement (``fast_placement``),
+which draws from a different RNG stream than the paper testbed's
+placement scan, so the paper-testbed goldens never see it.  Everything
+else the replay runs on (pooled timeouts, parked heartbeat loops,
+scheduler candidate buckets, the scalar device water-fill) is the code
+every experiment runs.
 """
 
 from __future__ import annotations
@@ -182,7 +184,7 @@ def _replay_job(cluster: Cluster, job: GoogleTraceJob, arrival, stats: _ReplaySt
 
 
 def build_scale_cluster(config: ScaleConfig) -> Cluster:
-    """A cluster sized for ``config`` with the scale fast paths on."""
+    """A cluster sized for ``config``, with sampled replica placement."""
     cluster = Cluster(
         ClusterConfig(
             num_nodes=config.num_nodes,

@@ -65,25 +65,8 @@ class TestBenefitAwarePolicy:
 class TestHighAvailabilityMaster:
     def build(self):
         cluster = build_paper_testbed(num_nodes=4, replication=2, seed=13)
-        ha = HighAvailabilityMaster(
-            cluster.env,
-            cluster.namenode,
-            rng=cluster.rng.spawn("ha"),
-            config=IgnemConfig(rpc_latency=0.0),
-            collector=cluster.collector,
-        )
-        from repro.core import IgnemSlave
-
-        for datanode in cluster.datanodes.values():
-            slave = IgnemSlave(
-                cluster.env,
-                datanode,
-                cluster.rm,
-                IgnemConfig(rpc_latency=0.0),
-                cluster.collector,
-            )
-            ha.attach_slave(slave)
-        cluster.client.ignem_master = ha
+        ha = cluster.enable_ignem(IgnemConfig(rpc_latency=0.0), ha=True)
+        assert isinstance(ha, HighAvailabilityMaster)
         return cluster, ha
 
     def test_primary_serves_by_default(self):
@@ -115,8 +98,19 @@ class TestHighAvailabilityMaster:
         ha.request_migration(["/f"], "j1")
         cluster.run()
         assert sum(s.migrated_bytes for s in ha.slaves()) > 0
+        sent = []
+        original = cluster.transport.send
+
+        def recording(endpoint, message):
+            sent.append((endpoint, type(message).__name__))
+            original(endpoint, message)
+
+        cluster.transport.send = recording
         ha.fail_primary()
         assert sum(s.migrated_bytes for s in ha.slaves()) == 0
+        assert sorted(sent) == [
+            (f"slave/{name}", "FailoverMsg") for name in cluster.node_names()
+        ]
 
     def test_double_failure_kills_service(self):
         cluster, ha = self.build()

@@ -49,7 +49,7 @@ class TestReplicaSelection:
         local, remote = locations[0], locations[1]
 
         def setup(env):
-            yield namenode.datanode(remote).migrate_block_to_memory(block)
+            yield namenode.datanode(remote).migrate_block_to_tier(block, "mem")
 
         env.process(setup(env))
         env.run()
@@ -66,7 +66,7 @@ class TestReplicaSelection:
 
         def setup(env):
             for node in locations:
-                yield namenode.datanode(node).migrate_block_to_memory(block)
+                yield namenode.datanode(node).migrate_block_to_tier(block, "mem")
 
         env.process(setup(env))
         env.run()
@@ -81,7 +81,7 @@ class TestReplicaSelection:
         target = namenode.get_block_locations(block.block_id)[0]
 
         def setup(env):
-            yield namenode.datanode(target).migrate_block_to_memory(block)
+            yield namenode.datanode(target).migrate_block_to_tier(block, "mem")
 
         env.process(setup(env))
         env.run()
@@ -103,7 +103,7 @@ class TestReplicaSelection:
         disk = run_read(env, client, block, reader_node=local)
 
         def setup(env):
-            yield namenode.datanode(local).migrate_block_to_memory(block)
+            yield namenode.datanode(local).migrate_block_to_tier(block, "mem")
 
         env.process(setup(env))
         env.run()

@@ -46,7 +46,7 @@ class TestReadPath:
         results = {}
 
         def proc(env):
-            yield node.migrate_block_to_memory(blk)
+            yield node.migrate_block_to_tier(blk, "mem")
             handle = node.read_block(blk)
             yield handle.done
             results["source"] = handle.source
@@ -116,7 +116,7 @@ class TestMigration:
         node.store_block(blk)
 
         def proc(env):
-            yield node.migrate_block_to_memory(blk)
+            yield node.migrate_block_to_tier(blk, "mem")
 
         env.process(proc(env))
         env.run()
@@ -133,9 +133,9 @@ class TestMigration:
         times = {}
 
         def proc(env):
-            yield node.migrate_block_to_memory(blk)
+            yield node.migrate_block_to_tier(blk, "mem")
             times["first"] = env.now
-            yield node.migrate_block_to_memory(blk)
+            yield node.migrate_block_to_tier(blk, "mem")
             times["second"] = env.now
 
         env.process(proc(env))
@@ -146,7 +146,7 @@ class TestMigration:
         env = Environment()
         node = make_node(env)
         with pytest.raises(DataNodeError):
-            node.migrate_block_to_memory(block())
+            node.migrate_block_to_tier(block(), "mem")
 
     def test_evict_block_from_memory(self):
         env = Environment()
@@ -155,13 +155,13 @@ class TestMigration:
         node.store_block(blk)
 
         def proc(env):
-            yield node.migrate_block_to_memory(blk)
+            yield node.migrate_block_to_tier(blk, "mem")
 
         env.process(proc(env))
         env.run()
-        assert node.evict_block_from_memory(blk.block_id)
+        assert node.evict_block_from_tier(blk.block_id, "mem")
         assert not node.block_in_memory(blk.block_id)
-        assert not node.evict_block_from_memory(blk.block_id)
+        assert not node.evict_block_from_tier(blk.block_id, "mem")
 
 
 class TestWritePath:
@@ -200,7 +200,7 @@ class TestFailure:
         node.store_block(blk)
 
         def proc(env):
-            yield node.migrate_block_to_memory(blk)
+            yield node.migrate_block_to_tier(blk, "mem")
 
         env.process(proc(env))
         env.run()
@@ -220,7 +220,7 @@ class TestFailure:
         with pytest.raises(DataNodeError):
             node.read_block(blk)
         with pytest.raises(DataNodeError):
-            node.migrate_block_to_memory(blk)
+            node.migrate_block_to_tier(blk, "mem")
         with pytest.raises(DataNodeError):
             node.write_block(block(index=1))
         assert not node.has_block(blk.block_id)  # dead nodes serve nothing

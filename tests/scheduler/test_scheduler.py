@@ -2,12 +2,15 @@
 
 import pytest
 
+from repro.dfs import MemoryLocalityIndex
 from repro.scheduler import NodeManager, ResourceManager, TaskRequest
 from repro.sim import Environment
 
 
-def make_cluster(env, nodes=2, slots=2, interval=3.0, stagger=0.0):
-    rm = ResourceManager(env)
+def make_cluster(
+    env, nodes=2, slots=2, interval=3.0, stagger=0.0, locality_index=None
+):
+    rm = ResourceManager(env, locality_index=locality_index)
     for index in range(nodes):
         rm.register_node(
             NodeManager(
@@ -148,8 +151,10 @@ class TestLocality:
 
     def test_memory_locality_beats_disk_locality(self):
         env = Environment()
-        rm = make_cluster(env, nodes=1, slots=1, interval=1.0)
-        migrated_on = {"hot": set()}
+        index = MemoryLocalityIndex()
+        rm = make_cluster(
+            env, nodes=1, slots=1, interval=1.0, locality_index=index
+        )
         disk_task = simple_task(
             env, "j1", "disky", duration=1.0, disk_nodes=["n0"]
         )
@@ -160,31 +165,44 @@ class TestLocality:
             "map",
             lambda node: iter(_one_tick(env)),
             disk_nodes=["n9"],
-            memory_nodes_fn=lambda: migrated_on["hot"],
+            input_block_id="b-hot",
         )
 
         def submitter(env):
             yield env.timeout(0.1)
             rm.submit_all([disk_task, mem_task])
-            migrated_on["hot"] = {"n0"}  # migration completes while queued
+            # The migration completes while the task queues.
+            index.update("n0", "b-hot", True)
 
         env.process(submitter(env))
         env.run()
         assert mem_task.started_at < disk_task.started_at
 
     def test_memory_nodes_evaluated_lazily(self):
+        """Memory locality is read from the index at pick time: an
+        eviction delta that lands while the task queues withdraws the
+        preference it had at submission."""
         env = Environment()
-        calls = []
-
-        def fn():
-            calls.append(env.now)
-            return set()
-
-        task = TaskRequest(
-            env, "j", "t", "map", lambda node: iter(()), memory_nodes_fn=fn
+        index = MemoryLocalityIndex()
+        index.update("n0", "b-cold", True)
+        rm = make_cluster(
+            env, nodes=1, slots=1, interval=1.0, locality_index=index
         )
-        assert task.memory_nodes() == frozenset()
-        assert calls  # invoked on demand
+        disk_task = simple_task(
+            env, "j1", "disky", duration=1.0, disk_nodes=["n0"]
+        )
+        evicted_task = simple_task(
+            env, "j1", "evicted", duration=1.0, input_block_id="b-cold"
+        )
+
+        def submitter(env):
+            yield env.timeout(0.1)
+            rm.submit_all([disk_task, evicted_task])
+            index.update("n0", "b-cold", False)
+
+        env.process(submitter(env))
+        env.run()
+        assert disk_task.started_at < evicted_task.started_at
 
 
 class TestJobLifecycle:

@@ -3,7 +3,8 @@
 Every suite used to define its own composites inline; the generators
 below are the single home so new property tests (and DST-adjacent
 fuzzing) sample the same shapes: migration work items, migrate/evict
-scripts, device transfer plans, scheduler workloads, and fault events.
+scripts, device transfer plans, scheduler workloads, scheduler locality
+scenarios, and fault events.
 """
 
 from hypothesis import strategies as st
@@ -106,6 +107,54 @@ def scheduler_workloads(draw):
             }
         )
     return num_nodes, slots, tasks
+
+
+@st.composite
+def locality_scenarios(draw):
+    """Random scheduling scenarios with disk and memory locality.
+
+    Tasks read one of two blocks (or none), carry on-disk replica nodes
+    and an occasional per-node exclusion, and arrive in a few batches
+    at positive times.  Memory residency comes as intervals — a block
+    enters a node's memory and may leave it again later — so residency
+    deltas, evictions included, land while tasks wait.
+    """
+    num_nodes = draw(st.integers(min_value=2, max_value=3))
+    nodes = [f"n{index}" for index in range(num_nodes)]
+    blocks = ("b0", "b1")
+    times = st.sampled_from((0.0, 0.5, 1.0, 2.0, 3.7, 5.0, 6.6, 8.0, 9.3))
+    tasks = []
+    for _ in range(draw(st.integers(min_value=1, max_value=16))):
+        tasks.append(
+            {
+                "submit_at": draw(st.sampled_from((0.5, 1.25, 3.0, 6.5))),
+                "duration": draw(st.sampled_from((1.0, 2.5, 4.0))),
+                "disk_nodes": sorted(
+                    draw(st.sets(st.sampled_from(nodes), max_size=2))
+                ),
+                "block": draw(st.one_of(st.none(), st.sampled_from(blocks))),
+                "excluded": sorted(
+                    draw(st.sets(st.sampled_from(nodes), max_size=1))
+                ),
+                "fails_first": draw(st.booleans()),
+            }
+        )
+    deltas = []
+    for _ in range(draw(st.integers(min_value=0, max_value=8))):
+        node = draw(st.sampled_from(nodes))
+        block = draw(st.sampled_from(blocks))
+        start = draw(times)
+        deltas.append((start, node, block, True))
+        stay = draw(st.one_of(st.none(), st.sampled_from((0.5, 1.5, 3.0))))
+        if stay is not None:
+            deltas.append((start + stay, node, block, False))
+    return {
+        "nodes": nodes,
+        "slots": draw(st.integers(min_value=1, max_value=2)),
+        "locality_wait": draw(st.sampled_from((0.0, 0.0, 2.0, 5.0))),
+        "tasks": tasks,
+        "deltas": deltas,
+    }
 
 
 @st.composite

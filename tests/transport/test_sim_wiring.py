@@ -76,10 +76,13 @@ class TestClientRouting:
         total = sum(s.migrated_bytes for s in cluster.ignem_master.slaves())
         assert total == 128 * MB
 
-    def test_master_shim_bypasses_transport(self):
-        """Experiments swap ``client.ignem_master`` for a routing shim
-        (e.g. the tier3 demo's size router); the client must call the
-        shim directly, not tunnel past it to the real master."""
+    def test_master_shim_served_through_transport(self):
+        """Experiments put a routing shim (e.g. the tier3 demo's size
+        router) in front of the master by registering it as the
+        ``"master"`` endpoint; client requests reach it as protocol
+        messages."""
+        from repro.core.master import dispatch_master_message
+
         cluster = make_ignem_cluster(num_nodes=3)
         calls = _recording_transport(cluster)
 
@@ -87,16 +90,21 @@ class TestClientRouting:
             def __init__(self):
                 self.migrations = []
 
-            def request_migration(self, paths, job_id, implicit_eviction=False):
+            def request_migration(
+                self, paths, job_id, implicit_eviction=False, dst_tier=None
+            ):
                 self.migrations.append((tuple(paths), job_id))
 
-            def request_eviction(self, paths, job_id):
-                pass
+            def handle_message(self, msg):
+                return dispatch_master_message(self, msg)
 
-        shim = cluster.client.ignem_master = Shim()
+        shim = Shim()
+        cluster.transport.register("master", shim.handle_message)
         cluster.client.migrate(["/f"], "j1")
         assert shim.migrations == [(("/f",), "j1")]
-        assert calls == []
+        assert [(ep, type(m).__name__) for ep, m in calls] == [
+            ("master", "MigrateFilesRequest")
+        ]
 
 
 class TestDeliveryIdentity:
