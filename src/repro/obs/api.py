@@ -413,7 +413,8 @@ class Observability:
         tracer = self.tracer
         if tracer is None:
             return
-        waited = self.env.now - (task.submitted_at or self.env.now)
+        submitted = task.submitted_at
+        waited = 0.0 if submitted is None else self.env.now - submitted
         if self._h_sched_wait is not None:
             self._h_sched_wait.observe(waited)
         if tracer.enabled("scheduler"):

@@ -312,7 +312,8 @@ class ResourceManager:
             has_locality = bool(task.disk_nodes) or (
                 block_id is not None and bool(index.nodes(block_id))
             )
-            waited = now - (task.submitted_at or now)
+            submitted = task.submitted_at
+            waited = 0.0 if submitted is None else now - submitted
             if has_locality and waited < locality_wait:
                 continue
             return task

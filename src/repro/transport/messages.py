@@ -360,8 +360,9 @@ def pack(envelope: dict, blobs: Sequence[bytes]) -> List[bytes]:
     return [_ENVELOPE_LEN.pack(len(head)), head, *blobs]
 
 
-def unpack(frame: bytes) -> Tuple[dict, List[bytes]]:
-    """Frame → ``(envelope, blobs)`` (inverse of :func:`pack`).  Raises
+def unpack(frame) -> Tuple[dict, List[bytes]]:
+    """Frame (any bytes-like object) → ``(envelope, blobs)`` (inverse of
+    :func:`pack`).  Each blob is copied out as ``bytes``.  Raises
     :class:`CodecError` unless the envelope and the blob lengths it lists
     fill the frame exactly."""
     if len(frame) < _ENVELOPE_LEN.size:
@@ -373,7 +374,7 @@ def unpack(frame: bytes) -> Tuple[dict, List[bytes]]:
             f"envelope length {head_len} larger than the frame ({len(frame)} bytes)"
         )
     try:
-        envelope = json.loads(frame[_ENVELOPE_LEN.size : start].decode("utf-8"))
+        envelope = json.loads(str(frame[_ENVELOPE_LEN.size : start], "utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise CodecError(f"undecodable envelope: {exc}") from exc
     if not isinstance(envelope, dict):

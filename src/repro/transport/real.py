@@ -58,14 +58,9 @@ BLOCK_SIZE = 256 * 1024
 
 
 def block_payload(block_id: str, nbytes: int) -> bytes:
-    """Deterministic content for a block (verifiable after migration)."""
-    seed = block_id.encode("utf-8")
-    out = bytearray()
-    counter = 0
-    while len(out) < nbytes:
-        out += hashlib.sha256(seed + counter.to_bytes(8, "big")).digest()
-        counter += 1
-    return bytes(out[:nbytes])
+    """Deterministic content for a block (verifiable after migration):
+    ``nbytes`` of SHAKE-256 output keyed by the block id."""
+    return hashlib.shake_256(block_id.encode("utf-8")).digest(nbytes)
 
 
 class DataNodeService:
@@ -88,12 +83,9 @@ class DataNodeService:
 
     async def stop(self) -> None:
         task = self._heartbeat_task
-        # Python 3.11's asyncio.wait_for can drop a cancellation that
-        # arrives together with the heartbeat's reply, and the loop then
-        # beats on; cancel again until the task has really ended.
-        while task is not None and not task.done():
+        if task is not None:
             task.cancel()
-            await asyncio.wait({task}, timeout=0.1)
+            await asyncio.wait({task})
         self._heartbeat_task = None
         await self.transport.stop(f"datanode/{self.name}")
 

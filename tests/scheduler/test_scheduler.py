@@ -205,6 +205,20 @@ class TestLocality:
         assert disk_task.started_at < evicted_task.started_at
 
 
+    def test_delay_gate_counts_a_wait_from_time_zero(self):
+        """A task submitted at t = 0 whose only local node is elsewhere
+        waits out ``locality_wait``, then runs on a non-local node."""
+        env = Environment()
+        rm = ResourceManager(env, locality_wait=2.0)
+        rm.register_node(NodeManager(env, "n0", slots=1, heartbeat_interval=1.0))
+        task = simple_task(env, "j1", "t1", duration=1.0, disk_nodes=["n9"])
+        rm.submit(task)
+        env.run(until=10.0)
+        assert task.submitted_at == 0.0
+        assert task.assigned_node == "n0"
+        assert task.started_at == pytest.approx(2.0)
+
+
 class TestJobLifecycle:
     def test_job_active_tracking(self):
         env = Environment()

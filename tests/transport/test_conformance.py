@@ -80,6 +80,7 @@ class AioHarness:
         self._call(self.transport.close())
         self.loop.call_soon_threadsafe(self.loop.stop)
         self.thread.join(timeout=5)
+        self.loop.close()
 
 
 @pytest.fixture(params=[SimHarness, AioHarness], ids=["sim", "aio"])

@@ -274,8 +274,8 @@ def test_binary_payloads_survive(data):
     assert isinstance(decoded.data, bytes)
 
 
-#: 0 B, 1 B, one byte past the asyncio ``StreamReader`` default limit,
-#: and a block sixteen times the real cluster's.
+#: 0 B, 1 B, one byte past the asyncio transport's 64 KiB receive
+#: buffer, and a block sixteen times the real cluster's.
 _BLOCK_SIZES = [0, 1, 64 * 1024 + 1, 4 * 1024 * 1024]
 
 
