@@ -90,6 +90,9 @@ class IgnemMaster:
         #: ``slave/<node>`` endpoints.
         self.transport = transport
         self.alive = True
+        #: Bumped whenever the master dies or restarts; a command timer
+        #: armed under an older incarnation is dropped when it fires.
+        self._incarnation = 0
 
         self._slaves: Dict[str, IgnemSlave] = {}
         #: (job_id, block_id) -> slave nodes chosen for its migration, so
@@ -325,14 +328,17 @@ class IgnemMaster:
     # -- failure handling -----------------------------------------------------------
 
     def fail(self) -> None:
-        """The master process dies; in-flight state is gone."""
+        """The master process dies; in-flight state is gone, including
+        commands still waiting on a timer."""
         self.alive = False
+        self._incarnation += 1
         self._assignments.clear()
 
     def restart(self) -> None:
         """A replacement master starts with empty state; slaves purge
         their reference lists to stay consistent with it (III-A5)."""
         self.alive = True
+        self._incarnation += 1
         for name in self._slaves:
             self.transport.send(
                 f"slave/{name}", FailoverMsg(generation=0, active="master")
@@ -373,8 +379,10 @@ class IgnemMaster:
         Delivery is acknowledged: an unacked command (slave down or
         message lost) is retried with timeout + exponential backoff, and
         after ``command_max_retries`` the failure handler re-routes or
-        abandons the work.  ``tried`` carries the nodes already attempted
-        for this work so a re-route never bounces between dead slaves.
+        abandons the work (see :class:`_CommandTimer`).  ``tried``
+        carries the nodes already attempted for this work so a re-route
+        never bounces between dead slaves.  With zero latency and no
+        fault hook the command is delivered inline.
         """
         self._c_sent.inc()
         if self.obs is not None:
@@ -383,7 +391,7 @@ class IgnemMaster:
             if not self._deliver(node, kind, command):
                 self._command_failed(node, kind, command, tried)
             return
-        self.env.process(self._rpc(node, kind, command, tried), name="ignem-rpc")
+        _CommandTimer(self, node, kind, command, tried)
 
     def _deliver(self, node: str, kind: str, command) -> bool:
         slave = self._slaves[node]
@@ -403,26 +411,6 @@ class IgnemMaster:
     def handle_message(self, msg):
         """The ``"master"`` transport endpoint (client-facing requests)."""
         return dispatch_master_message(self, msg)
-
-    def _rpc(self, node: str, kind: str, command, tried: FrozenSet[str]):
-        cfg = self.config
-        latency = cfg.rpc_latency
-        for attempt in range(cfg.command_max_retries + 1):
-            lost = self.rpc_fault is not None and self.rpc_fault(node) == "lost"
-            if latency > 0:
-                yield self.env.timeout(latency)
-            if not lost and self._deliver(node, kind, command):
-                return
-            if attempt >= cfg.command_max_retries:
-                break
-            self._c_retries.inc()
-            if self.obs is not None:
-                self.obs.on_master_command("retry", node, kind, command.job_id)
-            yield self.env.timeout(
-                cfg.command_timeout
-                + cfg.command_backoff * cfg.command_backoff_factor ** attempt
-            )
-        self._command_failed(node, kind, command, tried)
 
     def _command_failed(
         self, node: str, kind: str, command, tried: FrozenSet[str]
@@ -493,3 +481,91 @@ class IgnemMaster:
                 MigrateCommand(command.job_id, tuple(items)),
                 tried=tried,
             )
+
+
+class _CommandTimer:
+    """One master→slave command in flight, driven by timer callbacks.
+
+    Each attempt decides through ``rpc_fault`` whether it is lost when it
+    is sent, and arrives ``rpc_latency`` later.  A lost or refused
+    attempt arms the next one after ``command_timeout + command_backoff *
+    command_backoff_factor ** attempt``; after ``command_max_retries``
+    retries the master's failure handler re-routes or abandons the work.
+    A fault-free command therefore costs one kernel event.  A timer whose
+    master has died, or restarted, since the command was sent neither
+    delivers nor retries: its routing state died with that incarnation.
+    """
+
+    __slots__ = (
+        "master",
+        "node",
+        "kind",
+        "command",
+        "tried",
+        "incarnation",
+        "attempt",
+        "lost",
+    )
+
+    def __init__(
+        self,
+        master: IgnemMaster,
+        node: str,
+        kind: str,
+        command,
+        tried: FrozenSet[str],
+    ):
+        self.master = master
+        self.node = node
+        self.kind = kind
+        self.command = command
+        self.tried = tried
+        self.incarnation = master._incarnation
+        self.attempt = 0
+        self.lost = self._lost()
+        # The first attempt always waits on a timer, even at zero latency:
+        # delivery happens from the event queue, never inside the request
+        # that sent the command.
+        master.env.timeout(master.config.rpc_latency).callbacks.append(
+            self._arrive
+        )
+
+    def _lost(self) -> bool:
+        fault = self.master.rpc_fault
+        return fault is not None and fault(self.node) == "lost"
+
+    def _stale(self) -> bool:
+        master = self.master
+        return not master.alive or master._incarnation != self.incarnation
+
+    def _arrive(self, _event=None) -> None:
+        if self._stale():
+            return
+        master = self.master
+        if not self.lost and master._deliver(self.node, self.kind, self.command):
+            return
+        cfg = master.config
+        attempt = self.attempt
+        if attempt >= cfg.command_max_retries:
+            master._command_failed(self.node, self.kind, self.command, self.tried)
+            return
+        master._c_retries.inc()
+        if master.obs is not None:
+            master.obs.on_master_command(
+                "retry", self.node, self.kind, self.command.job_id
+            )
+        master.env.timeout(
+            cfg.command_timeout
+            + cfg.command_backoff * cfg.command_backoff_factor ** attempt
+        ).callbacks.append(self._retry)
+
+    def _retry(self, _event) -> None:
+        if self._stale():
+            return
+        self.attempt += 1
+        self.lost = self._lost()
+        latency = self.master.config.rpc_latency
+        if latency > 0:
+            self.master.env.timeout(latency).callbacks.append(self._arrive)
+        else:
+            self._arrive()

@@ -39,7 +39,11 @@ def _consume_failure(event: Event) -> None:
 
 
 class Transfer:
-    """One in-flight byte transfer on a :class:`TransferDevice`."""
+    """One in-flight byte transfer on a :class:`TransferDevice`.
+
+    ``done`` is the completion event while the transfer is in flight and
+    ``None`` once it has completed (the event's value is this record).
+    """
 
     __slots__ = (
         "id",
@@ -178,6 +182,11 @@ class TransferDevice:
         redistributed to unconstrained streams.  The event's value is the
         :class:`Transfer` record.  Zero-byte transfers complete after just
         the device latency.
+
+        On completion the record's ``done`` is cleared, so the record and
+        its event hold no reference cycle: both (and the tag) are freed
+        by reference counting as soon as the waiters drop them, even
+        while ``Environment.run`` keeps the cyclic GC off.
         """
         if nbytes < 0:
             raise ValueError(f"nbytes must be non-negative, got {nbytes}")
@@ -298,6 +307,7 @@ class TransferDevice:
         record.started_at = self.env.now
         if record.remaining <= _EPSILON_BYTES:
             record.done.succeed(record)
+            record.done = None
             if self.on_complete is not None:
                 self.on_complete(record)
             return
@@ -442,6 +452,7 @@ class TransferDevice:
         for record in finished:
             record.remaining = 0.0
             record.done.succeed(record)
+            record.done = None
             if hook is not None:
                 hook(record)
 

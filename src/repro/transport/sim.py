@@ -12,7 +12,7 @@ counter values and perturb tie-breaks).
 ``SimTransport`` is therefore a dict dispatch: ``request`` looks up the
 endpoint and calls its handler inline.  No queue, no serialisation, no
 simulated latency — RPC latency and loss live where they always did,
-in the caller's retry machinery (:meth:`IgnemMaster._rpc`), fed by the
+in the caller's retry machinery (``core.master._CommandTimer``), fed by the
 simulation clock.  The codec still *works* on every message (the
 round-trip property suite proves it); the sim just never needs it.
 """

@@ -141,3 +141,51 @@ class TestAbandonment:
         # dropped (the liveness sweep is the backstop), never rerouted.
         assert master.metrics.value("ignem.master.commands_abandoned") >= 1
         assert master.metrics.value("ignem.master.commands_rerouted") == 0
+
+
+class TestDeadMaster:
+    """A command waiting on its retry timer belongs to the master that
+    sent it: once that master has died (or restarted), the retry must
+    neither land nor be retried again."""
+
+    def _lose_first_send_then(self, action):
+        cluster = make_cluster()
+        master = cluster.ignem_master
+        master.rpc_fault = DropFirst(1)
+        cluster.rm.register_job("j1")
+        cluster.client.create_file("/f", 128 * MB)
+
+        delivered = []
+        for slave in cluster.ignem_slaves.values():
+            real = slave.receive_migrate
+
+            def spy(command, _real=real):
+                delivered.append(cluster.env.now)
+                return _real(command)
+
+            slave.receive_migrate = spy
+
+        master.request_migration(["/f"], "j1")
+        # The lost first send is waiting out its timeout when the master
+        # goes down.
+        cluster.env.timeout(0.1).callbacks.append(lambda _event: action(master))
+        cluster.run()
+        return master, delivered
+
+    def test_failed_master_sends_no_retry(self):
+        master, delivered = self._lose_first_send_then(
+            lambda master: master.fail()
+        )
+        assert delivered == []
+        assert master.metrics.value("ignem.master.command_retries") == 1
+        assert all(s.reference_count() == 0 for s in master.slaves())
+
+    def test_restarted_master_drops_its_predecessors_retry(self):
+        def fail_and_restart(master):
+            master.fail()
+            master.restart()
+
+        master, delivered = self._lose_first_send_then(fail_and_restart)
+        assert master.alive
+        assert delivered == []
+        assert all(s.reference_count() == 0 for s in master.slaves())

@@ -74,6 +74,21 @@ class TestReplay:
         assert capped.dataset_bytes <= 200 * 4 * block_size
         assert capped.capped_jobs > 0
 
+    def test_simulated_outputs_are_pinned(self):
+        # The golden diff never reaches the scale-only paths (sampled
+        # replica placement, the replay driver), so this pins their
+        # simulated outputs.  ``events`` is left out: it counts kernel
+        # scheduling operations, which a cheaper mechanism may change
+        # without changing any simulated result.
+        result = run_scale_replay(
+            ScaleConfig(num_nodes=200, num_jobs=1000, seed=0)
+        )
+        assert result.sim_time == 1101.078978545432
+        assert result.block_reads == 2876
+        assert result.ram_block_reads == 2236
+        assert result.migrations_completed == 2848
+        assert result.migrated_bytes == 145556945651.56113
+
     def test_report_mentions_the_headline_numbers(self, small_result):
         report = format_scale_result(small_result)
         assert "100 nodes" in report
