@@ -398,7 +398,7 @@ class ReplicationMonitor:
 
     def _thin_excess(self) -> int:
         """Drop excess replicas a restarted node re-exposed.  Replicas
-        resident in an upper tier (an Ignem-migrated copy) are never the
+        pinned in an upper tier (an Ignem-migrated copy) are never the
         victim — thinning must not fight the migration subsystem."""
         dropped = 0
         live_nodes = len(self.namenode.live_datanodes())
@@ -450,9 +450,11 @@ class ReplicationMonitor:
         candidates = []
         for name in live:
             dn = self.namenode.datanode(name)
-            tier = dn.block_tier(block_id)
-            if tier is not None and tier != dn.tiers.bottom.spec.name:
-                continue  # upward-migrated replica: byte accounting pins it
+            # An upward-migrated replica is pinned in its tier and the
+            # slave's byte accounting counts it.  A page-cache copy left
+            # by a read or write is not pinned and does not protect it.
+            if any(tier.cache.is_pinned(block_id) for tier in dn.tiers.upper):
+                continue
             candidates.append(name)
         if not candidates:
             return None

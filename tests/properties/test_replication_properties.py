@@ -8,7 +8,7 @@ node.  Blocks that lose every replica to overlapping kills are data
 loss, exempted here and judged by the data-loss invariant's own rules.
 """
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from tests.fixtures import make_dfs_cluster
 from repro.storage import MB
@@ -69,6 +69,21 @@ def _apply_script(cluster, ops):
 class TestReplicationConvergence:
     @given(elasticity_scripts())
     @settings(max_examples=30, deadline=None)
+    # Two joins rebalance the same block off the same donor at once; the
+    # later move must thin the extra copy even though every replica sits
+    # in its node's page cache after the write.
+    @example(
+        (
+            3,
+            2,
+            [
+                ("/prop/file-0", 64 * MB),
+                ("/prop/file-1", 64 * MB),
+                ("/prop/file-2", 128 * MB),
+            ],
+            [(1.0, "kill", 0), (1.0, "join", 0), (1.0, "join", 0)],
+        )
+    )
     def test_surviving_blocks_converge_to_min_rep_live(self, script):
         num_nodes, replication, files, ops = script
         cluster = make_dfs_cluster(
