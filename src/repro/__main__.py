@@ -184,28 +184,19 @@ def build_parser() -> argparse.ArgumentParser:
     chaos = sub.add_parser(
         "chaos",
         parents=[common],
-        help="sweep seeded fault schedules and check invariants",
+        help="sweep seeded fault schedules over the SWIM workload",
         description=(
-            "Run the SWIM workload under N seeded fault schedules (node "
-            "crashes, master failovers, slow disks, message loss) and "
-            "verify the paper's invariants after each run.  Exits 1 if "
-            "any seed violates an invariant."
+            "Judge N SWIM scenarios on the paper testbed, seed --seed + i "
+            "driving both the workload and a random fault schedule (node "
+            "crashes, master failovers, slow disks, message loss), with "
+            "the full DST oracle suite (`repro dst`).  A failing seed is "
+            "shrunk to a minimal reproducer under --out.  Exits 1 on any "
+            "violation."
         ),
     )
     chaos.add_argument("--seeds", type=int, default=10, help="number of seeds")
     chaos.add_argument(
         "--num-jobs", type=int, default=40, help="SWIM jobs per seed"
-    )
-    chaos.add_argument(
-        "--no-ha",
-        action="store_true",
-        help="run a single Ignem master instead of the HA pair",
-    )
-    chaos.add_argument(
-        "--max-node-crashes",
-        type=int,
-        default=2,
-        help="distinct nodes each schedule may crash",
     )
     chaos.add_argument(
         "--elasticity",
@@ -285,8 +276,8 @@ def build_parser() -> argparse.ArgumentParser:
             "kills a node mid-flight, joins a fresh one, and decommissions "
             "a third.  The replication monitor repairs under-replicated "
             "blocks over pipelined copy chains; the run ends with the "
-            "invariant checker's verdict.  Writes heal.json and heal.txt "
-            "under --out.  Exits 1 on any invariant violation."
+            "DST oracles' verdict (`repro dst`).  Writes heal.json and "
+            "heal.txt under --out.  Exits 1 on any violation."
         ),
     )
     heal.add_argument(
@@ -297,7 +288,7 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help=(
             "contrast mode: turn the replication monitor off and show the "
-            "invariant checker convicting the permanent under-replication"
+            "replication oracles convicting the permanent under-replication"
         ),
     )
 
@@ -402,15 +393,18 @@ def run_workload_command(args) -> int:
 
 
 def run_chaos(args) -> int:
-    from .faults import ChaosRunner
+    from pathlib import Path
 
-    runner = ChaosRunner(
-        num_jobs=args.num_jobs,
-        ha=not args.no_ha,
-        max_node_crashes=args.max_node_crashes,
-        elasticity=args.elasticity,
+    from .dst import DstRunner, swim_scenario
+
+    runner = DstRunner(seed=args.seed)
+    report = runner.fuzz(
+        args.seeds,
+        generate=lambda index: swim_scenario(
+            args.seed + index, args.num_jobs, args.elasticity
+        ),
     )
-    report = runner.sweep(seeds=args.seeds, base_seed=args.seed)
+    runner.write_artifact(report, Path(args.out))
     print(report.format())
     return 0 if report.ok else 1
 
@@ -452,7 +446,7 @@ def run_heal(args) -> int:
     import json
     from pathlib import Path
 
-    from .faults.heal import format_heal_result, run_heal_demo
+    from .faults.heal import format_heal_result, heal_payload, run_heal_demo
 
     result = run_heal_demo(
         seed=args.seed,
@@ -464,7 +458,7 @@ def run_heal(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "heal.json").write_text(
-        json.dumps(result.to_dict(), indent=2, sort_keys=True) + "\n"
+        json.dumps(heal_payload(result), indent=2, sort_keys=True) + "\n"
     )
     (out_dir / "heal.txt").write_text(report + "\n")
     print(report)

@@ -4,7 +4,9 @@ Four pieces, layered:
 
 * :mod:`~repro.dst.scenario` — seeded :class:`ScenarioGenerator`
   sampling cluster configs x workload mixes x fault schedules into
-  self-describing, canonically-serializable :class:`Scenario` objects;
+  self-describing, canonically-serializable :class:`Scenario` objects,
+  and :func:`swim_scenario`, the SWIM chaos family behind
+  ``python -m repro chaos``;
 * :mod:`~repro.dst.model` — an executable reference model of the Ignem
   master/slave contract, checked differentially against the real system
   at every command boundary via the trace stream;
@@ -26,7 +28,13 @@ from .harness import (
 from .model import DifferentialChecker, reference_priority
 from .oracles import ALL_ORACLES, OracleContext, OracleReport, run_oracles
 from .runner import DstReport, DstRunner, corpus_paths
-from .scenario import Scenario, ScenarioGenerator, ScenarioJob, ServeTraffic
+from .scenario import (
+    Scenario,
+    ScenarioGenerator,
+    ScenarioJob,
+    ServeTraffic,
+    swim_scenario,
+)
 from .shrinker import shrink_scenario
 
 __all__ = [
@@ -50,4 +58,5 @@ __all__ = [
     "run_scenario",
     "serve_requests",
     "shrink_scenario",
+    "swim_scenario",
 ]

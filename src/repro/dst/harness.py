@@ -320,8 +320,8 @@ def run_scenario(
         cluster.heat_migrator.shutdown()
         cluster.run()
 
-    # Forced liveness sweep (III-A4), as the chaos runner does: settle
-    # references the periodic sweeps have not reclaimed yet.
+    # Forced liveness sweep (III-A4): settle references the periodic
+    # sweeps have not reclaimed yet.
     for slave in cluster.ignem_slaves.values():
         if slave.alive:
             slave.cleanup_dead_jobs(force=True)
@@ -355,6 +355,7 @@ def run_scenario(
 
     jobs = cluster.engine.jobs
     registry = cluster.metrics
+    monitor = cluster.replication_monitor
     if cluster.heat_migrator is not None:
         stats["heat_promotions"] = registry.counter(
             "heat.policy.promotions"
@@ -382,8 +383,13 @@ def run_scenario(
         "migrations_completed": registry.counter(
             "ignem.slave.migrations_completed"
         ).value,
-        "repair_copies": cluster.replication_monitor.copies_completed,
-        "repair_excess_dropped": cluster.replication_monitor.excess_dropped,
+        "repair_enabled": monitor.enabled,
+        "repair_copies": monitor.copies_completed,
+        "repair_retries": monitor.copy_retries,
+        "repair_excess_dropped": monitor.excess_dropped,
+        "rebalance_moves": monitor.rebalance_moves,
+        "under_replicated": len(monitor.under_replicated_blocks()),
+        "missing_blocks": len(monitor.missing_blocks()),
         "decommissions_completed": len(cluster.decommission_log),
         "nodes_joined": sum(
             1 for _, event in injector.applied if event.kind == "join"

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import List, Optional, Sequence
+from typing import Callable, List, Optional, Sequence
 
 from ..obs.registry import MetricsRegistry
 from .harness import ScenarioResult, run_scenario
@@ -27,14 +27,22 @@ class DstReport:
 
     mode: str  # "fuzz" | "replay"
     seed: int
-    scenarios_run: int = 0
-    failures: List[ScenarioResult] = field(default_factory=list)
+    #: Every judged scenario, in run order (shrink candidates excluded).
+    results: List[ScenarioResult] = field(default_factory=list)
     #: Set when a fuzz failure was minimized.
     shrunk: Optional[Scenario] = None
     shrink_attempts: int = 0
     shrink_note: str = ""
     #: Where the minimal reproducer was written, if anywhere.
     artifact: Optional[Path] = None
+
+    @property
+    def scenarios_run(self) -> int:
+        return len(self.results)
+
+    @property
+    def failures(self) -> List[ScenarioResult]:
+        return [result for result in self.results if not result.ok]
 
     @property
     def ok(self) -> bool:
@@ -45,9 +53,17 @@ class DstReport:
             f"dst {self.mode}: {self.scenarios_run} scenario(s), "
             f"{len(self.failures)} failing (seed={self.seed})"
         ]
-        for result in self.failures:
-            lines.append(f"- {result.scenario.describe()}")
-            lines.append(result.format_violations())
+        for result in self.results:
+            stats = result.stats
+            lines.append(
+                f"  {'ok  ' if result.ok else 'FAIL'} "
+                f"{result.scenario.describe()}: "
+                f"{stats['jobs_completed']}/{stats['jobs_total']} jobs, "
+                f"{stats['faults_applied']} faults applied, "
+                f"{stats['repair_copies']} repair copies"
+            )
+            if not result.ok:
+                lines.append(result.format_violations())
         if self.shrunk is not None:
             lines.append(
                 f"shrunk in {self.shrink_attempts} attempt(s): "
@@ -97,22 +113,31 @@ class DstRunner:
             ).inc()
         return result
 
-    def fuzz(self, runs: int, shrink: bool = True) -> DstReport:
-        """Judge up to ``runs`` generated scenarios; stop at the first
-        failure, minimize it, and (optionally) serialize the result."""
+    def fuzz(
+        self,
+        runs: int,
+        shrink: bool = True,
+        generate: Optional[Callable[[int], Scenario]] = None,
+    ) -> DstReport:
+        """Judge up to ``runs`` scenarios ``generate(0)``,
+        ``generate(1)``, ...; stop at the first failure and minimize it.
+
+        ``generate`` defaults to this runner's
+        :class:`ScenarioGenerator`; ``python -m repro chaos`` passes a
+        :func:`~repro.dst.scenario.swim_scenario` family instead.
+        """
         report = DstReport(mode="fuzz", seed=self.seed)
-        generator = ScenarioGenerator(
-            self.seed,
-            elasticity=self.elasticity,
-            interactive=self.interactive,
-        )
+        if generate is None:
+            generate = ScenarioGenerator(
+                self.seed,
+                elasticity=self.elasticity,
+                interactive=self.interactive,
+            ).generate
         for index in range(runs):
-            scenario = generator.generate(index)
-            result = self._judge(scenario)
-            report.scenarios_run += 1
+            result = self._judge(generate(index))
+            report.results.append(result)
             if result.ok:
                 continue
-            report.failures.append(result)
             if shrink:
                 self._shrink_failure(report, result)
             break
@@ -152,11 +177,7 @@ class DstRunner:
         """Re-judge saved corpus scenarios (regression replay)."""
         report = DstReport(mode="replay", seed=self.seed)
         for path in sorted(Path(p) for p in paths):
-            scenario = Scenario.load(path)
-            result = self._judge(scenario)
-            report.scenarios_run += 1
-            if not result.ok:
-                report.failures.append(result)
+            report.results.append(self._judge(Scenario.load(path)))
         return report
 
 

@@ -13,6 +13,10 @@ datasets, sorts, Hive query fragments over shared tables) ×
 :class:`~repro.faults.schedule.FaultSchedule` draws.  The same seed
 always yields the same scenario — generation never touches a live
 simulation.
+
+:func:`swim_scenario` is the second family: the paper's testbed running
+a SWIM workload under one random fault schedule — the scenario behind
+each seed of ``python -m repro chaos``.
 """
 
 from __future__ import annotations
@@ -26,6 +30,7 @@ from typing import Dict, List, Optional, Tuple
 from ..faults.schedule import FaultEvent, FaultSchedule
 from ..sim.rand import RandomSource, derive_seed
 from ..storage.device import GB, MB
+from ..workloads.swim import SwimGenerator
 
 #: Bump when the serialized scenario layout changes incompatibly.
 FORMAT_VERSION = 1
@@ -35,6 +40,13 @@ JOB_KINDS = ("swim", "wordcount", "sort", "hive")
 
 #: Slack past the last job arrival that the fault window may cover.
 FAULT_HORIZON_SLACK = 90.0
+
+#: The same slack for :func:`swim_scenario`; crashes too close to
+#: drain would fault an idle cluster.
+SWIM_HORIZON_SLACK = 120.0
+
+#: Node count of the paper testbed that :func:`swim_scenario` runs on.
+SWIM_NODES = 8
 
 
 @dataclass(frozen=True)
@@ -188,10 +200,6 @@ class Scenario:
 
     # -- derived views ------------------------------------------------------------
 
-    @property
-    def horizon(self) -> float:
-        return max(job.arrival for job in self.jobs) + FAULT_HORIZON_SLACK
-
     def fault_schedule(self) -> FaultSchedule:
         return FaultSchedule(self.faults, seed=self.seed)
 
@@ -323,6 +331,57 @@ class Scenario:
     @classmethod
     def load(cls, path) -> "Scenario":
         return cls.from_json(pathlib.Path(path).read_text())
+
+
+def swim_horizon(jobs) -> float:
+    """End of a SWIM scenario's fault window: last arrival + slack."""
+    return max(job.arrival for job in jobs) + SWIM_HORIZON_SLACK
+
+
+def swim_scenario(
+    seed: int, num_jobs: int, elasticity: bool = False
+) -> Scenario:
+    """Chaos seed ``seed`` as a scenario.
+
+    The paper testbed (8 nodes x 8 slots, 64 MB blocks, replication 3,
+    a 16 GB buffer, smallest-job-first, an HA master pair, implicit
+    eviction) runs ``SwimGenerator(seed)``'s first ``num_jobs`` jobs
+    while ``FaultSchedule.random(seed, ...)`` crashes, fails over,
+    slows and (with ``elasticity``) kills, joins and decommissions.
+    """
+    jobs = tuple(
+        ScenarioJob(
+            name=job.name,
+            kind="swim",
+            input_path=job.input_path,
+            input_bytes=job.input_bytes,
+            arrival=job.arrival_time,
+            # Input x fraction gives back the trace's exact byte counts.
+            shuffle_fraction=job.shuffle_bytes / job.input_bytes,
+            output_fraction=job.output_bytes / job.shuffle_bytes,
+        )
+        for job in SwimGenerator(seed).generate(num_jobs=num_jobs)
+    )
+    schedule = FaultSchedule.random(
+        seed,
+        [f"node{i}" for i in range(SWIM_NODES)],
+        swim_horizon(jobs),
+        max_node_crashes=2,
+        elasticity=elasticity,
+    )
+    return Scenario(
+        seed=seed,
+        num_nodes=SWIM_NODES,
+        replication=3,
+        slots_per_node=8,
+        block_size=64 * MB,
+        buffer_capacity=16 * GB,
+        policy="smallest-job-first",
+        ha=True,
+        implicit_eviction=True,
+        jobs=jobs,
+        faults=schedule.events,
+    )
 
 
 class ScenarioGenerator:

@@ -70,15 +70,14 @@ def prepare_swim_cluster(
     num_jobs: int = 200,
     policy: str = "smallest-job-first",
     ignem_config: Optional[IgnemConfig] = None,
-    ha: bool = False,
     observability: Optional[ObservabilityConfig] = None,
 ) -> Tuple[Cluster, List[swim.SwimJob], List[JobSpec], List[float]]:
     """Build the SWIM testbed without running it.
 
     Returns ``(cluster, trace jobs, job specs, arrival times)`` — the
-    exact pre-run state :func:`run_swim` uses, also reusable by harnesses
-    that drive the run differently (the chaos runner injects faults and
-    runs to full drain instead of to the workload-done event).
+    exact pre-run state :func:`run_swim` uses, also reusable by callers
+    that drive the run themselves (perfbench's swim member, the
+    workload adapter).
     """
     if mode not in ("hdfs", "ignem", "ram"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -92,7 +91,7 @@ def prepare_swim_cluster(
     )
     if mode == "ignem":
         config = ignem_config or IgnemConfig(buffer_capacity=16 * GB, policy=policy)
-        cluster.enable_ignem(config, ha=ha)
+        cluster.enable_ignem(config)
 
     generator = swim.SwimGenerator(seed=seed)
     jobs = generator.generate(num_jobs=num_jobs)

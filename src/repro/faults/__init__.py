@@ -1,6 +1,9 @@
-"""Deterministic fault injection, chaos sweeps, and invariant checking."""
+"""Deterministic fault injection and invariant checking.
 
-from .chaos import ChaosReport, ChaosRunner, ChaosRunResult
+Seeded fault sweeps (``python -m repro chaos``) and the scripted heal
+demo run through the DST harness (:mod:`repro.dst`).
+"""
+
 from .injector import FaultInjector
 from .invariants import (
     InvariantChecker,
@@ -11,9 +14,6 @@ from .schedule import FAULT_KINDS, FaultEvent, FaultSchedule
 
 __all__ = [
     "FAULT_KINDS",
-    "ChaosReport",
-    "ChaosRunner",
-    "ChaosRunResult",
     "FaultEvent",
     "FaultInjector",
     "FaultSchedule",

@@ -1,167 +1,101 @@
 """`repro heal`: a scripted self-healing replication demo.
 
-One SWIM workload runs while a fixed elasticity schedule fires three
-membership changes: a permanent ``kill`` mid-flight, a fresh ``join``,
-and a graceful ``decommission``.  The replication monitor repairs every
+Chaos seed ``seed`` (:func:`~repro.dst.scenario.swim_scenario`) with
+its random fault plan replaced by three scripted membership changes: a
+permanent ``kill`` mid-flight, a fresh ``join``, and a graceful
+``decommission``.  The replication monitor repairs every
 under-replicated block over pipelined copy chains, the drained node is
-released only once its blocks are safe elsewhere, and the run ends with
-the invariant checker's verdict (which now includes the unconditional
-under-replication invariant).
+released only once its blocks are safe elsewhere, and the DST harness
+judges the drained run with its full oracle suite.
 
-``disable_repair=True`` is the contrast mode: with the monitor off, the
-same schedule leaves blocks permanently under-replicated and the
-invariant checker convicts the run — the demo's own sabotage self-test.
+``disable_repair=True`` is the contrast mode: the ``disable-repair``
+sabotage turns the monitor off, the same schedule leaves blocks
+permanently under-replicated, and the replication oracles convict the
+run — the demo's own sabotage self-test.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List
+import dataclasses
+from typing import Dict
 
-from ..experiments.swim_runs import prepare_swim_cluster
-from .injector import FaultInjector
-from .invariants import InvariantChecker
-from .schedule import FaultEvent, FaultSchedule
+from ..dst.harness import ScenarioResult, run_scenario
+from ..dst.scenario import Scenario, swim_horizon, swim_scenario
+from .schedule import FaultEvent
 
 #: Schedule shape, as fractions of the workload horizon.
 _KILL_AT = 0.25
 _JOIN_AT = 0.40
 _DECOMMISSION_AT = 0.55
-_HORIZON_SLACK = 120.0
 
 
-@dataclass
-class HealResult:
-    """Everything one heal demo run leaves behind."""
-
-    seed: int
-    repair_enabled: bool
-    killed: str
-    joined: str
-    decommissioned: str
-    jobs_total: int
-    jobs_completed: int
-    jobs_failed: int
-    repair_copies: int
-    repair_retries: int
-    excess_dropped: int
-    rebalance_moves: int
-    decommissions_completed: int
-    under_replicated: int
-    missing_blocks: int
-    sim_time: float
-    violations: List[str] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "seed": self.seed,
-            "repair_enabled": self.repair_enabled,
-            "killed": self.killed,
-            "joined": self.joined,
-            "decommissioned": self.decommissioned,
-            "jobs_total": self.jobs_total,
-            "jobs_completed": self.jobs_completed,
-            "jobs_failed": self.jobs_failed,
-            "repair_copies": self.repair_copies,
-            "repair_retries": self.repair_retries,
-            "excess_dropped": self.excess_dropped,
-            "rebalance_moves": self.rebalance_moves,
-            "decommissions_completed": self.decommissions_completed,
-            "under_replicated": self.under_replicated,
-            "missing_blocks": self.missing_blocks,
-            "sim_time": self.sim_time,
-            "violations": list(self.violations),
-        }
+def heal_scenario(seed: int = 0, num_jobs: int = 40) -> Scenario:
+    """The SWIM scenario with the scripted kill/join/decommission plan:
+    kill the first node, join a fresh one, decommission the last."""
+    scenario = swim_scenario(seed, num_jobs)
+    horizon = swim_horizon(scenario.jobs)
+    return dataclasses.replace(
+        scenario,
+        faults=(
+            FaultEvent(_KILL_AT * horizon, "kill", "node0"),
+            FaultEvent(_JOIN_AT * horizon, "join", f"node{scenario.num_nodes}"),
+            FaultEvent(
+                _DECOMMISSION_AT * horizon,
+                "decommission",
+                f"node{scenario.num_nodes - 1}",
+            ),
+        ),
+    )
 
 
 def run_heal_demo(
     seed: int = 0, num_jobs: int = 40, disable_repair: bool = False
-) -> HealResult:
+) -> ScenarioResult:
     """Run the scripted kill/join/decommission demo and judge it."""
-    cluster, _, specs, arrivals = prepare_swim_cluster(
-        "ignem", seed=seed, num_jobs=num_jobs, ha=True
-    )
-    monitor = cluster.enable_rereplication()
-    if disable_repair:
-        monitor.enabled = False
-
-    names = cluster.node_names()
-    killed, decommissioned = names[0], names[-1]
-    joined = f"node{len(names)}"
-    horizon = (max(arrivals) if arrivals else 0.0) + _HORIZON_SLACK
-    schedule = FaultSchedule(
-        (
-            FaultEvent(_KILL_AT * horizon, "kill", killed),
-            FaultEvent(_JOIN_AT * horizon, "join", joined),
-            FaultEvent(
-                _DECOMMISSION_AT * horizon, "decommission", decommissioned
-            ),
-        ),
-        seed=seed,
-    )
-    injector = FaultInjector(cluster, schedule)
-    injector.start()
-
-    cluster.engine.run_workload(specs, arrivals, implicit_eviction=True)
-    # Full drain: every repair chain, retry, and the decommission drain
-    # settle before judgment.
-    cluster.run()
-
-    for slave in cluster.ignem_slaves.values():
-        if slave.alive:
-            slave.cleanup_dead_jobs(force=True)
-
-    violations = InvariantChecker(cluster).check(injector)
-
-    jobs = cluster.engine.jobs
-    return HealResult(
-        seed=seed,
-        repair_enabled=not disable_repair,
-        killed=killed,
-        joined=joined,
-        decommissioned=decommissioned,
-        jobs_total=len(jobs),
-        jobs_completed=sum(
-            1 for job in jobs if job.finished_at is not None
-        ),
-        jobs_failed=sum(1 for job in jobs if job.failed),
-        repair_copies=monitor.copies_completed,
-        repair_retries=monitor.copy_retries,
-        excess_dropped=monitor.excess_dropped,
-        rebalance_moves=monitor.rebalance_moves,
-        decommissions_completed=len(cluster.decommission_log),
-        under_replicated=len(monitor.under_replicated_blocks()),
-        missing_blocks=len(monitor.missing_blocks()),
-        sim_time=cluster.env.now,
-        violations=violations,
+    return run_scenario(
+        heal_scenario(seed, num_jobs),
+        sabotage="disable-repair" if disable_repair else None,
     )
 
 
-def format_heal_result(result: HealResult) -> str:
+def heal_payload(result: ScenarioResult) -> Dict[str, object]:
+    """``heal.json``: the scripted faults, the run's stats, and every
+    violation."""
+    return {
+        "seed": result.scenario.seed,
+        "faults": {event.kind: event.target for event in result.scenario.faults},
+        **result.stats,
+        "violations": [
+            f"[{oracle}] {message}" for oracle, message in result.violations
+        ],
+    }
+
+
+def format_heal_result(result: ScenarioResult) -> str:
     """Human-readable heal demo report."""
-    mode = "on" if result.repair_enabled else "OFF (contrast mode)"
+    stats = result.stats
+    mode = "on" if stats["repair_enabled"] else "OFF (contrast mode)"
+    faults = ", ".join(
+        f"{event.kind} {event.target!r} at t={event.time:.1f}"
+        for event in result.scenario.faults
+    )
     lines = [
         "self-healing replication demo",
         f"  repair monitor: {mode}",
-        f"  killed {result.killed!r}, joined {result.joined!r}, "
-        f"decommissioned {result.decommissioned!r}",
-        f"  jobs: {result.jobs_completed}/{result.jobs_total} completed, "
-        f"{result.jobs_failed} failed",
-        f"  repair copies: {result.repair_copies} "
-        f"({result.repair_retries} retries), "
-        f"excess dropped: {result.excess_dropped}, "
-        f"rebalance moves: {result.rebalance_moves}",
-        f"  decommissions completed: {result.decommissions_completed}",
-        f"  end state: {result.under_replicated} under-replicated, "
-        f"{result.missing_blocks} missing block(s) "
-        f"at t={result.sim_time:.1f}",
+        f"  faults: {faults}",
+        f"  jobs: {stats['jobs_completed']}/{stats['jobs_total']} completed, "
+        f"{stats['jobs_failed']} failed",
+        f"  repair copies: {stats['repair_copies']} "
+        f"({stats['repair_retries']} retries), "
+        f"excess dropped: {stats['repair_excess_dropped']}, "
+        f"rebalance moves: {stats['rebalance_moves']}",
+        f"  decommissions completed: {stats['decommissions_completed']}",
+        f"  end state: {stats['under_replicated']} under-replicated, "
+        f"{stats['missing_blocks']} missing block(s) "
+        f"at t={stats['sim_time']:.1f}",
     ]
-    for violation in result.violations:
-        lines.append(f"  VIOLATION: {violation}")
+    if result.violations:
+        lines.append(result.format_violations())
     lines.append(
         "verdict: "
         + ("PASS" if result.ok else f"FAIL ({len(result.violations)} violation(s))")

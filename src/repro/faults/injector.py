@@ -10,7 +10,7 @@ the network's and master's fault hooks.
 
 Every probabilistic decision inside a loss window draws from the
 injector's own :class:`~repro.sim.rand.RandomSource` child stream, so a
-chaos run is a pure function of ``(workload seed, fault seed)``.
+faulted run is a pure function of ``(workload seed, fault seed)``.
 """
 
 from __future__ import annotations

@@ -102,3 +102,28 @@ class TestThreeTierSeed:
         second = run_scenario(scenario)
         assert first.stats == second.stats
         assert first.violations == second.violations
+
+
+class TestSwimElasticChurnSeed:
+    """``repro chaos --elasticity`` seed 5 at 5 jobs: one SWIM run on
+    the paper testbed that draws a kill, a join and a decommission on
+    top of the classic faults, so the whole self-healing path runs
+    under the full oracle suite."""
+
+    def test_churn_is_repaired(self):
+        scenario = Scenario.load(CORPUS / "swim-elastic-churn.json")
+        kinds = {event.kind for event in scenario.faults}
+        assert {"kill", "join", "decommission"} <= kinds
+        result = run_scenario(scenario)
+        assert result.ok, result.format_violations()
+        assert result.stats["faults_applied"] == len(scenario.faults)
+        assert result.stats["repair_copies"] >= 1
+        assert result.stats["decommissions_completed"] == 1
+        assert result.stats["nodes_joined"] == 1
+
+    def test_replay_is_deterministic(self):
+        scenario = Scenario.load(CORPUS / "swim-elastic-churn.json")
+        first = run_scenario(scenario)
+        second = run_scenario(scenario)
+        assert first.stats == second.stats
+        assert first.violations == second.violations

@@ -4,10 +4,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.dst import Scenario, ScenarioGenerator, ScenarioJob
-from repro.faults import FaultEvent
+from repro.dst import Scenario, ScenarioGenerator, ScenarioJob, swim_scenario
+from repro.faults import FaultEvent, FaultSchedule
 from repro.faults.schedule import FAULT_KINDS
 from repro.storage import GB, MB
+from repro.workloads.swim import SwimGenerator
 from tests.strategies import fault_events
 
 
@@ -204,3 +205,54 @@ class TestGeneratorElasticity:
         first = ScenarioGenerator(seed=9, elasticity=True).generate(2)
         second = ScenarioGenerator(seed=9, elasticity=True).generate(2)
         assert first.to_json() == second.to_json()
+
+
+class TestSwimScenario:
+    """``swim_scenario`` is ``repro chaos``'s seed family: the SWIM
+    workload and fault plan the deleted chaos runner drew, unchanged."""
+
+    @pytest.mark.parametrize("elasticity", [False, True])
+    def test_faults_match_the_chaos_draw(self, elasticity):
+        for seed in range(10):
+            arrivals = [
+                job.arrival_time
+                for job in SwimGenerator(seed).generate(num_jobs=40)
+            ]
+            expected = FaultSchedule.random(
+                seed,
+                [f"node{i}" for i in range(8)],
+                max(arrivals) + 120.0,
+                max_node_crashes=2,
+                elasticity=elasticity,
+            ).events
+            scenario = swim_scenario(seed, 40, elasticity=elasticity)
+            assert scenario.faults == expected, seed
+
+    def test_jobs_are_the_swim_trace(self):
+        for seed in range(10):
+            trace = SwimGenerator(seed).generate(num_jobs=40)
+            jobs = swim_scenario(seed, 40).jobs
+            assert [
+                (j.name, j.input_path, j.input_bytes, j.arrival)
+                for j in jobs
+            ] == [
+                (t.name, t.input_path, t.input_bytes, t.arrival_time)
+                for t in trace
+            ]
+            assert [(j.shuffle_bytes, j.output_bytes) for j in jobs] == [
+                (t.shuffle_bytes, t.output_bytes) for t in trace
+            ]
+
+    def test_paper_testbed_shape(self):
+        scenario = swim_scenario(0, 3)
+        assert (
+            scenario.num_nodes,
+            scenario.slots_per_node,
+            scenario.block_size,
+            scenario.replication,
+            scenario.buffer_capacity,
+            scenario.policy,
+            scenario.ha,
+            scenario.implicit_eviction,
+        ) == (8, 8, 64 * MB, 3, 16 * GB, "smallest-job-first", True, True)
+        assert {job.kind for job in scenario.jobs} == {"swim"}
