@@ -78,6 +78,29 @@ class Environment:
         """Create an event that triggers ``delay`` time units from now."""
         return Timeout(self, delay, value)
 
+    def timeout_at(self, when: float, value: Any = None) -> Timeout:
+        """Create an event that triggers at absolute time ``when``.
+
+        ``timeout(when - now)`` can miss ``when`` by an ulp, because
+        ``now + (when - now)`` need not round back to ``when``.  Arrival
+        drivers that schedule each arrival from the previous one use this
+        to land every arrival on its exact trace time.
+        """
+        now = self.now
+        if when < now:
+            raise ValueError(f"time {when} is before now ({now})")
+        event = Timeout.__new__(Timeout)
+        event.env = self
+        event.callbacks = []
+        event._value = value
+        event._ok = True
+        event._triggered = True
+        event._processed = False
+        event.delay = when - now
+        self._eid += 1
+        heappush(self._queue, (when, NORMAL_KEY + self._eid, event))
+        return event
+
     def pooled_timeout(self, delay: float, value: Any = None) -> PooledTimeout:
         """A timeout drawn from the engine's free pool.
 

@@ -11,7 +11,7 @@ small, fully self-contained implementation.
 from __future__ import annotations
 
 from heapq import heappush
-from typing import TYPE_CHECKING, Any, Callable, Iterable, Optional
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Optional, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type hints
     from .engine import Environment
@@ -260,6 +260,48 @@ def join_all(env: "Environment", events: Iterable[Event]) -> Event:
     if pending == 0:
         done.succeed(None)
     return done
+
+
+def chain_arrivals(
+    env: "Environment",
+    arrivals: Iterable[Tuple[float, Any]],
+    on_arrival: Callable[[Any], None],
+) -> None:
+    """Call ``on_arrival(item)`` at each ``(time, item)`` of ``arrivals``.
+
+    A replay driver without a process or a pre-built arrival heap: only
+    the next arrival is ever queued.  Each arrival schedules its
+    successor with ``Environment.timeout_at`` (so the successor lands on
+    its exact time) *before* running ``on_arrival``, so the successor's
+    event id precedes everything the arrival itself schedules.  Times
+    must be non-decreasing; ``timeout_at`` raises if one goes back.
+    """
+    _ArrivalChain(env, iter(arrivals), on_arrival).queue_next()
+
+
+class _ArrivalChain:
+    """State of one :func:`chain_arrivals` stream.  A class rather than
+    a self-scheduling closure: a closure that appends itself is a
+    reference cycle the kernel (which runs with the cyclic GC off) would
+    leave behind."""
+
+    __slots__ = ("env", "upcoming", "on_arrival")
+
+    def __init__(self, env, upcoming, on_arrival):
+        self.env = env
+        self.upcoming = upcoming
+        self.on_arrival = on_arrival
+
+    def queue_next(self) -> None:
+        following = next(self.upcoming, None)
+        if following is not None:
+            self.env.timeout_at(following[0], following[1]).callbacks.append(
+                self.arrive
+            )
+
+    def arrive(self, event: Event) -> None:
+        self.queue_next()
+        self.on_arrival(event._value)
 
 
 class ConditionValue:

@@ -24,7 +24,7 @@ from typing import Dict, List, Optional
 
 from ..cluster import Cluster, ClusterConfig
 from ..core.config import IgnemConfig
-from ..sim.events import join_all
+from ..sim.events import chain_arrivals, join_all
 from ..storage.presets import HDD_BANDWIDTH
 from .base import cli_metadata
 from .google_trace import GoogleTraceGenerator, GoogleTraceJob
@@ -121,7 +121,7 @@ class ScaleResult:
 
 @dataclass
 class _ReplayStats:
-    """Mutable counters shared by every in-flight job process."""
+    """Mutable counters shared by every in-flight job's callbacks."""
 
     jobs_completed: int = 0
     block_reads: int = 0
@@ -137,50 +137,6 @@ def _job_bytes(job: GoogleTraceJob, block_size: float, max_blocks: int) -> float
     """
     nbytes = max(1.0, job.total_read_time * HDD_BANDWIDTH)
     return min(nbytes, max_blocks * block_size)
-
-
-def _replay_job(cluster: Cluster, job: GoogleTraceJob, arrival, stats: _ReplayStats):
-    """One trace row: submit -> migrate -> queue -> read wave -> evict."""
-    env = cluster.env
-    yield arrival
-    job_id = f"job-{job.job_id}"
-    path = f"/scale/input-{job.job_id}"
-    rm = cluster.rm
-    rm.register_job(job_id)
-    master = cluster.ignem_master
-    if master is not None:
-        # The client's migrate call rides the job-submission RPC
-        # (paper III-B); implicit eviction reclaims each block's buffer
-        # space as soon as its read drops the last reference.
-        master.request_migration([path], job_id, implicit_eviction=True)
-    yield env.pooled_timeout(job.queue_delay)
-
-    namenode = cluster.namenode
-    datanodes = cluster.datanodes
-    pending = []
-    ram_reads = 0
-    for block in namenode.file_blocks(path):
-        memory = namenode.memory_locations(block.block_id)
-        if memory:
-            node = memory[0]
-        else:
-            locations = namenode.get_block_locations(block.block_id)
-            if not locations:
-                continue
-            node = locations[0]
-        handle = datanodes[node].read_block(block, job_id)
-        if handle.source == "ram":
-            ram_reads += 1
-        pending.append(handle.done)
-    stats.block_reads += len(pending)
-    stats.ram_block_reads += ram_reads
-    if pending:
-        yield join_all(env, pending)
-
-    if master is not None:
-        master.request_eviction([path], job_id)
-    rm.unregister_job(job_id)
-    stats.jobs_completed += 1
 
 
 def build_scale_cluster(config: ScaleConfig) -> Cluster:
@@ -224,12 +180,61 @@ def run_scale_replay(config: Optional[ScaleConfig] = None) -> ScaleResult:
         namenode.create_file(f"/scale/input-{job.job_id}", nbytes)
         dataset_bytes += nbytes
 
-    # One heapified batch schedules every arrival; each job process
-    # blocks on its pre-built timeout before touching the cluster.
     stats = _ReplayStats()
-    arrivals = env.timeout_batch([job.submit_time for job in jobs])
-    for job, arrival in zip(jobs, arrivals):
-        env.process(_replay_job(cluster, job, arrival, stats))
+    rm = cluster.rm
+    master = cluster.ignem_master
+    datanodes = cluster.datanodes
+
+    def submit(job: GoogleTraceJob) -> None:
+        """Trace row arrives: register, migrate, wait out the queue delay."""
+        job_id = f"job-{job.job_id}"
+        rm.register_job(job_id)
+        if master is not None:
+            # The client's migrate call rides the job-submission RPC
+            # (paper III-B); implicit eviction reclaims each block's
+            # buffer space as soon as its read drops the last reference.
+            master.request_migration(
+                [f"/scale/input-{job.job_id}"], job_id, implicit_eviction=True
+            )
+        env.pooled_timeout(job.queue_delay, job).callbacks.append(read_wave)
+
+    def read_wave(event) -> None:
+        """Queue delay over: read every block, then finish the job."""
+        job = event._value
+        job_id = f"job-{job.job_id}"
+        path = f"/scale/input-{job.job_id}"
+        pending = []
+        ram_reads = 0
+        for block in namenode.file_blocks(path):
+            memory = namenode.memory_locations(block.block_id)
+            if memory:
+                node = memory[0]
+            else:
+                locations = namenode.get_block_locations(block.block_id)
+                if not locations:
+                    continue
+                node = locations[0]
+            handle = datanodes[node].read_block(block, job_id)
+            if handle.source == "ram":
+                ram_reads += 1
+            pending.append(handle.done)
+        stats.block_reads += len(pending)
+        stats.ram_block_reads += ram_reads
+
+        def finish(done) -> None:
+            # The join stays even for one block: eviction must run one
+            # event after the reads, behind whatever the implicit-eviction
+            # hook pushed at the same instant.
+            if not done._ok:
+                raise done._value
+            if master is not None:
+                master.request_eviction([path], job_id)
+            rm.unregister_job(job_id)
+            stats.jobs_completed += 1
+
+        join_all(env, pending).callbacks.append(finish)
+
+    chain_arrivals(env, ((job.submit_time, job) for job in jobs), submit)
     env.run()
 
     wall_seconds = time.perf_counter() - wall_start

@@ -36,7 +36,7 @@ from typing import Dict, List, Optional, Tuple
 from ..cluster import Cluster, ClusterConfig
 from ..core.config import IgnemConfig
 from ..core.heat import HeatConfig
-from ..sim.events import join_all
+from ..sim.events import chain_arrivals, join_all
 from ..sim.rand import RandomSource
 from ..storage.device import GB, MB
 from .base import cli_metadata
@@ -400,42 +400,11 @@ class ServeResult:
 
 @dataclass
 class _ServeStats:
-    """Mutable tallies shared by the request processes."""
+    """Mutable tallies shared by the request callbacks."""
 
     served: int = 0
     ram_block_reads: int = 0
     disk_block_reads: int = 0
-
-
-def _serve_request(
-    cluster: Cluster,
-    request: ServeRequest,
-    arrival,
-    histogram,
-    tenant_histogram,
-    stats: _ServeStats,
-):
-    """One request: wait for its arrival, read every block, observe."""
-    env = cluster.env
-    yield arrival
-    started = env.now
-    client = cluster.client
-    pending = []
-    for block in cluster.namenode.file_blocks(request.path):
-        read = client.read_block(
-            block, request.reader, tenant=request.tenant
-        )
-        if read.source == "ram":
-            stats.ram_block_reads += 1
-        else:
-            stats.disk_block_reads += 1
-        pending.append(read.done)
-    if pending:
-        yield join_all(env, pending)
-    latency = env.now - started
-    histogram.observe(latency)
-    tenant_histogram.observe(latency)
-    stats.served += 1
 
 
 def _oracle_hints(requests: List[ServeRequest], count: int) -> List[str]:
@@ -508,18 +477,42 @@ def run_serve(config: Optional[ServeConfig] = None) -> ServeResult:
     registry.register_pull("serve.slo.mean", _slo(None))
 
     stats = _ServeStats()
-    arrivals = env.timeout_batch([request.time for request in requests])
-    for request, arrival in zip(requests, arrivals):
-        env.process(
-            _serve_request(
-                cluster,
-                request,
-                arrival,
-                histogram,
-                tenant_histograms[request.tenant],
-                stats,
-            )
-        )
+    client = cluster.client
+    file_blocks = cluster.namenode.file_blocks
+
+    def serve_request(request: ServeRequest) -> None:
+        """Issue every block read now; observe latency once all are done."""
+        started = env.now
+        pending = []
+        for block in file_blocks(request.path):
+            read = client.read_block(block, request.reader, tenant=request.tenant)
+            if read.source == "ram":
+                stats.ram_block_reads += 1
+            else:
+                stats.disk_block_reads += 1
+            pending.append(read.done)
+        tenant_histogram = tenant_histograms[request.tenant]
+
+        def finish(event) -> None:
+            # Re-raise a failed read so it aborts env.run(), as an
+            # unwaited crashed process would.  ``finish`` has no
+            # simulated side effects, so it may run inside the read's
+            # own dispatch rather than one join event later.
+            if not event._ok:
+                raise event._value
+            latency = env.now - started
+            histogram.observe(latency)
+            tenant_histogram.observe(latency)
+            stats.served += 1
+
+        if len(pending) == 1:
+            pending[0].callbacks.append(finish)
+        else:
+            join_all(env, pending).callbacks.append(finish)
+
+    chain_arrivals(
+        env, ((request.time, request) for request in requests), serve_request
+    )
 
     batch_done = None
     if config.batch_jobs > 0:
