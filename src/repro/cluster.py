@@ -28,7 +28,7 @@ from .obs import Observability, ObservabilityConfig
 from .sim.engine import Environment
 from .sim.rand import RandomSource
 from .storage.device import GB, MB
-from .storage.presets import TIER_PRESETS, make_hdd, make_ram, make_ssd, tier_preset
+from .storage.presets import TIER_PRESETS, tier_preset
 from .storage.tiers import MEM, build_tier_set
 from .transport.sim import SimTransport
 
@@ -39,13 +39,12 @@ class ClusterConfig:
 
     num_nodes: int = 8
     slots_per_node: int = 8
-    disk_kind: str = "hdd"  # "hdd" | "ssd"
     disk_capacity: float = 1024 * GB
     ram_capacity: float = 128 * GB
-    #: Storage-hierarchy preset name (see ``repro.storage.TIER_PRESETS``,
-    #: e.g. ``"mem-ssd-hdd"``).  ``None`` keeps the classic 2-tier stack
-    #: implied by ``disk_kind``.
-    tier_preset: Optional[str] = None
+    #: Storage-hierarchy preset name (see ``repro.storage.TIER_PRESETS``):
+    #: ``"mem-hdd"`` is the paper's testbed, ``"mem-ssd"`` puts the
+    #: backing store on SSD, ``"mem-ssd-hdd"`` adds a middle SSD tier.
+    tier_preset: str = "mem-hdd"
     #: Capacity of a middle SSD tier when ``tier_preset`` includes one
     #: above the backing disk (ignored otherwise).
     ssd_capacity: float = 256 * GB
@@ -55,11 +54,6 @@ class ClusterConfig:
     network_bandwidth: float = TEN_GBPS
     #: Delay-scheduling patience (0 disables; plain Hadoop FIFO).
     locality_wait: float = 0.0
-    #: O(replication) sampled block placement (see
-    #: ``NameNode.fast_placement``).  Off by default: it draws a
-    #: different RNG sequence than the exact scan, so only scale
-    #: harnesses opt in.
-    fast_placement: bool = False
     seed: int = 0
     engine: EngineConfig = field(default_factory=EngineConfig)
     #: Structured tracing + metrics (disabled by default; see
@@ -71,9 +65,7 @@ class ClusterConfig:
     def __post_init__(self) -> None:
         if self.num_nodes < 1:
             raise ValueError("num_nodes must be >= 1")
-        if self.disk_kind not in ("hdd", "ssd"):
-            raise ValueError(f"disk_kind must be 'hdd' or 'ssd', got {self.disk_kind!r}")
-        if self.tier_preset is not None and self.tier_preset not in TIER_PRESETS:
+        if self.tier_preset not in TIER_PRESETS:
             known = ", ".join(sorted(TIER_PRESETS))
             raise ValueError(
                 f"unknown tier_preset {self.tier_preset!r} (known: {known})"
@@ -83,10 +75,7 @@ class ClusterConfig:
 
     def tier_specs(self):
         """The resolved tier hierarchy (a tuple of ``TierSpec``)."""
-        name = self.tier_preset
-        if name is None:
-            name = "mem-hdd" if self.disk_kind == "hdd" else "mem-ssd"
-        return tier_preset(name)
+        return tier_preset(self.tier_preset)
 
 
 @dataclass(frozen=True)
@@ -130,7 +119,6 @@ class Cluster:
             block_size=cfg.block_size,
             replication=cfg.replication,
         )
-        self.namenode.fast_placement = cfg.fast_placement
         self.transport.register("namenode", self.namenode.handle_message)
 
         # Local import to avoid a cycle (scheduler has no deps on cluster).
@@ -202,26 +190,9 @@ class Cluster:
 
     def _build_datanode(self, name: str) -> DataNode:
         """Construct one DataNode per the cluster config.  Device
-        construction order and names are part of the deterministic
-        clean-path contract — keep them exactly as the pre-tier wiring."""
+        construction order (bottom-up) and names are part of the
+        deterministic clean-path contract; ``build_tier_set`` fixes both."""
         cfg = self.config
-        if cfg.tier_preset is None:
-            # Classic 2-tier stack: construct devices exactly as the
-            # pre-tier wiring did (order and names are part of the
-            # deterministic clean-path contract).
-            disk = (
-                make_hdd(self.env, f"hdd-{name}")
-                if cfg.disk_kind == "hdd"
-                else make_ssd(self.env, f"ssd-{name}")
-            )
-            return DataNode(
-                self.env,
-                name,
-                disk=disk,
-                ram=make_ram(self.env, f"ram-{name}"),
-                cache_capacity=cfg.ram_capacity,
-                disk_capacity=cfg.disk_capacity,
-            )
         specs = cfg.tier_specs()
         bottom = min(specs, key=lambda spec: spec.height)
         capacities = {MEM: cfg.ram_capacity, bottom.name: cfg.disk_capacity}

@@ -427,7 +427,7 @@ class PopularityMigrator:
             if not namenode.is_block(block_id):
                 self._finish_outstanding(block_id)
                 estimator.forget(block_id)
-            elif namenode.tier_nodes(block_id, tier):
+            elif namenode.locality_index.nodes(block_id, tier):
                 self._finish_outstanding(block_id)
                 self.promoted[block_id] = tier
             elif self._tick_count - issued >= config.request_ttl_ticks:

@@ -8,14 +8,12 @@ reads, write-back writes, and the Ignem ``migrate``/``evict`` extension).
 from .blocks import DEFAULT_BLOCK_SIZE, Block, FileMetadata, split_into_blocks
 from .client import ClientRead, DFSClient
 from .datanode import DataNode, DataNodeError, ReadHandle
-from .memory_index import MemoryLocalityIndex
+from .locality_index import LocalityIndex
 from .namenode import NameNode, NameNodeError
 from .replication import RepairConfig, ReplicationMonitor
-from .tier_index import TierLocalityIndex
 
 __all__ = [
-    "MemoryLocalityIndex",
-    "TierLocalityIndex",
+    "LocalityIndex",
     "DEFAULT_BLOCK_SIZE",
     "Block",
     "ClientRead",

@@ -8,8 +8,8 @@ Ignem slave (when enabled) lives inside the DataNode exactly as the
 paper implements it inside the HDFS DataNode process, and hooks the read
 path for implicit eviction.
 
-``disk``, ``ram`` and ``cache`` remain as aliases for the bottom device,
-top device and top cache, so 2-tier callers read exactly as before.
+``disk``, ``ram`` and ``cache`` are aliases for the bottom device, top
+device and top cache.
 """
 
 from __future__ import annotations
@@ -20,8 +20,8 @@ from ..sim.engine import Environment
 from ..sim.events import Event
 from ..storage.buffer_cache import BufferCache
 from ..storage.device import GB, TransferDevice
-from ..storage.presets import HDD_TIER, MEM_TIER, SSD_TIER, make_hdd, make_ram
-from ..storage.tiers import NodeTier, NodeTierSet
+from ..storage.presets import HDD_TIER, MEM_TIER
+from ..storage.tiers import HDD, MEM, NodeTier, NodeTierSet, build_tier_set
 from .blocks import Block
 
 
@@ -39,10 +39,6 @@ class DataNode:
         Simulation environment.
     name:
         Server name (also the network node name).
-    disk:
-        Backing disk device; defaults to the calibrated HDD preset.
-    ram:
-        RAM device serving cache hits; defaults to the RAM preset.
     cache_capacity:
         Buffer-cache capacity in bytes (the paper's servers have 128GB).
     cache_reads:
@@ -53,18 +49,16 @@ class DataNode:
         Disk capacity in bytes (the paper's servers have a 1TB HDD).
     tiers:
         Pre-built :class:`~repro.storage.NodeTierSet` (devices only; the
-        DataNode attaches the per-tier caches).  When given, ``disk``,
-        ``ram`` and ``cache_capacity`` are ignored — the tier set is the
-        hierarchy.  When omitted, the classic 2-tier stack is built from
-        the other parameters exactly as before.
+        DataNode attaches the per-tier caches).  When given,
+        ``cache_capacity`` is ignored — the tier set is the hierarchy.
+        When omitted, the paper's memory-over-HDD stack is built with
+        ``cache_capacity`` and ``disk_capacity``.
     """
 
     def __init__(
         self,
         env: Environment,
         name: str,
-        disk: Optional[TransferDevice] = None,
-        ram: Optional[TransferDevice] = None,
         cache_capacity: float = 128 * GB,
         cache_reads: bool = False,
         disk_capacity: float = 1024 * GB,
@@ -77,14 +71,11 @@ class DataNode:
         self.disk_capacity = float(disk_capacity)
         self.disk_used = 0.0
         if tiers is None:
-            disk = disk if disk is not None else make_hdd(env, f"hdd-{name}")
-            ram = ram if ram is not None else make_ram(env, f"ram-{name}")
-            bottom_spec = SSD_TIER if "ssd" in disk.name.lower() else HDD_TIER
-            tiers = NodeTierSet(
-                [
-                    NodeTier(MEM_TIER, ram, cache_capacity),
-                    NodeTier(bottom_spec, disk, disk_capacity),
-                ]
+            tiers = build_tier_set(
+                env,
+                (MEM_TIER, HDD_TIER),
+                name,
+                {MEM: cache_capacity, HDD: disk_capacity},
             )
         if len(tiers) < 2:
             raise ValueError("a DataNode needs at least two tiers")
@@ -232,7 +223,7 @@ class DataNode:
 
     def read_block(self, block: Block, job_id: Optional[str] = None) -> "ReadHandle":
         """Serve a block read; returns a handle with the done event and
-        the medium ('ram' or the disk device kind) that served it."""
+        the medium (the serving tier's read source) that served it."""
         self._ensure_alive()
         if block.block_id not in self._blocks:
             raise DataNodeError(f"{self.name} does not store {block.block_id}")
@@ -245,7 +236,7 @@ class DataNode:
                 )
                 break
         else:
-            source = self._disk_kind()
+            source = self.tiers.bottom.spec.source
             done = self.disk.transfer(block.nbytes, tag=("read", block.block_id))
             if self.cache_reads:
                 self.cache.insert(block.block_id, block.nbytes, pinned=False)
@@ -390,12 +381,6 @@ class DataNode:
     def _ensure_alive(self) -> None:
         if not self.alive:
             raise DataNodeError(f"DataNode {self.name} is down")
-
-    def _disk_kind(self) -> str:
-        name = self.disk.name.lower()
-        if "ssd" in name:
-            return "ssd"
-        return "hdd"
 
     def __repr__(self) -> str:
         status = "up" if self.alive else "DOWN"

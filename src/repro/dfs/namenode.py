@@ -10,10 +10,9 @@ from __future__ import annotations
 from typing import Callable, Dict, FrozenSet, List, Optional, Sequence
 
 from ..sim.rand import RandomSource
-from ..storage.tiers import MEM
 from .blocks import DEFAULT_BLOCK_SIZE, Block, FileMetadata, split_into_blocks
 from .datanode import DataNode
-from .tier_index import TierLocalityIndex
+from .locality_index import LocalityIndex
 
 
 class NameNodeError(Exception):
@@ -47,17 +46,10 @@ class NameNode:
         #: DataNode liveness flips (``on_liveness_change``).  A full scan
         #: per query is O(nodes) and shows up hard at 10k nodes.
         self._live_cache: Optional[List[DataNode]] = None
-        #: Opt-in O(replication) sampled placement for huge clusters.
-        #: Draws from a different RNG sequence than the default scan, so
-        #: it stays off unless a scale harness turns it on explicitly.
-        self.fast_placement = False
         #: Push-maintained per-tier ``block_id -> nodes`` maps, fed by
-        #: DataNode residency deltas (see :mod:`repro.dfs.tier_index`).
-        self.tier_index = TierLocalityIndex()
-        #: The memory tier's sub-index.  Kept as a first-class attribute:
-        #: the scheduler's fast path subscribes to this exact object via
-        #: ``add_listener`` (see :mod:`repro.dfs.memory_index`).
-        self.locality_index = self.tier_index.tier(MEM)
+        #: DataNode residency deltas; the scheduler subscribes to its
+        #: memory-tier deltas (see :mod:`repro.dfs.locality_index`).
+        self.locality_index = LocalityIndex()
         #: Read-event listeners, called as ``listener(block, tenant)`` on
         #: every client block read (the heat estimator's feed).  The list
         #: is public so the client can skip the publish call entirely
@@ -165,7 +157,7 @@ class NameNode:
         for block_id, nodes in self._locations.items():
             if name in nodes:
                 nodes.remove(name)
-        self.tier_index.purge_node(name)
+        self.locality_index.purge_node(name)
 
     def add_block_replica(self, block_id: str, node: str) -> None:
         """Register ``node`` as a replica holder (re-replication commit).
@@ -219,7 +211,7 @@ class NameNode:
             listener(block, tenant)
 
     def _on_residency_delta(self, node: str, tier: str, key, resident: bool) -> None:
-        """Fold one DataNode tier-residency delta into the tier index.
+        """Fold one DataNode tier-residency delta into the locality index.
 
         Buffer caches also hold non-DFS keys (shuffle spills); only keys
         that name a known block enter the index.  Eviction deltas for
@@ -227,7 +219,7 @@ class NameNode:
         """
         if resident and key not in self._locations:
             return
-        self.tier_index.update(node, tier, key, resident)
+        self.locality_index.update(node, tier, key, resident)
 
     # -- namespace operations ------------------------------------------------------
 
@@ -257,21 +249,17 @@ class NameNode:
         metadata = FileMetadata(path, tuple(blocks), replication=replication)
         self._namespace[path] = metadata
 
-        sampled = self.fast_placement and preferred_node is None
         for block in blocks:
-            if sampled:
-                nodes = self._place_replicas_sampled(
-                    live, replication, block.nbytes
-                )
-            else:
-                nodes = self._place_replicas(
-                    live, replication, preferred_node, block.nbytes
-                )
+            nodes = self._place_replicas(
+                live, replication, preferred_node, block.nbytes
+            )
             if not nodes:
-                # Roll back the namespace entry: nothing fits anywhere.
+                # Nothing fits anywhere: undo the namespace entry and every
+                # replica already placed for the file's earlier blocks.
                 del self._namespace[path]
                 for placed in blocks:
-                    self._locations.pop(placed.block_id, None)
+                    for node in self._locations.pop(placed.block_id, ()):
+                        self._datanodes[node].drop_block(placed.block_id)
                 raise NameNodeError(
                     f"no DataNode has capacity for a block of {path!r}"
                 )
@@ -338,21 +326,6 @@ class NameNode:
         """Unordered O(1) variant of :meth:`memory_locations`."""
         return self.locality_index.nodes(block_id)
 
-    def tier_nodes(self, block_id: str, tier: str) -> FrozenSet[str]:
-        """Nodes holding ``block_id`` in upper tier ``tier`` (O(1))."""
-        return self.tier_index.nodes(tier, block_id)
-
-    def tier_locations(self, block_id: str, tier: str) -> List[str]:
-        """Replica holders serving ``block_id`` from tier ``tier``, in
-        replica-placement order (tier-general :meth:`memory_locations`)."""
-        nodes = self._locations.get(block_id)
-        if nodes is None:
-            raise NameNodeError(f"unknown block {block_id!r}")
-        resident = self.tier_index.nodes(tier, block_id)
-        if not resident:
-            return []
-        return [node for node in nodes if node in resident]
-
     def file_blocks(self, path: str) -> Sequence[Block]:
         return self.get_file(path).blocks
 
@@ -368,15 +341,29 @@ class NameNode:
         preferred_node: Optional[str],
         nbytes: float = 0.0,
     ) -> List[str]:
-        # Inlined has_capacity: this comprehension runs once per block of
-        # every created file, and the attribute comparison is ~3x cheaper
-        # than the method call at that volume.
+        """Choose ``replication`` distinct live nodes with room for
+        ``nbytes``, uniformly at random.
+
+        ``rng.sample``'s draws depend only on the population size and
+        ``k``, so when every live node has room, one draw straight from
+        the live list picks exactly what a draw from the capacity-filtered
+        list would — in O(replication) instead of O(nodes).  Only a draw
+        that hits a full node falls back to the filtered scan, whose
+        draw then follows the rejected one in the RNG stream.
+        """
+        if preferred_node is None:
+            picks = self.rng.sample(live, min(replication, len(live)))
+            # Inlined has_capacity: this runs once per block of every
+            # created file.
+            for dn in picks:
+                if dn.disk_used + nbytes > dn.disk_capacity:
+                    break
+            else:
+                return [dn.name for dn in picks]
         names = [
             dn.name for dn in live if dn.disk_used + nbytes <= dn.disk_capacity
         ]
         if preferred_node is None or preferred_node not in names:
-            # Common case (dataset materialization): no preferred node,
-            # so the candidate list is the population as-is.
             return self.rng.sample(names, min(replication, len(names)))
         chosen: List[str] = [preferred_node]
         remaining = [name for name in names if name != preferred_node]
@@ -384,25 +371,3 @@ class NameNode:
         if needed > 0:
             chosen.extend(self.rng.sample(remaining, min(needed, len(remaining))))
         return chosen
-
-    def _place_replicas_sampled(
-        self, live: List[DataNode], replication: int, nbytes: float
-    ) -> List[str]:
-        """O(replication) placement for huge clusters (``fast_placement``).
-
-        Samples replica sets straight from the live list and keeps the
-        first whose nodes all have capacity — on a mostly-empty cluster
-        the first draw virtually always sticks.  Falls back to the exact
-        capacity-filtered scan when sampling keeps hitting full nodes.
-        """
-        count = min(replication, len(live))
-        for _ in range(4):
-            picks = self.rng.sample(live, count)
-            fits = True
-            for dn in picks:
-                if dn.disk_used + nbytes > dn.disk_capacity:
-                    fits = False
-                    break
-            if fits:
-                return [dn.name for dn in picks]
-        return self._place_replicas(live, replication, None, nbytes)

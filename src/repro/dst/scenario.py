@@ -167,10 +167,10 @@ class Scenario:
     #: Expectation the oracles check against (the spec is ground truth;
     #: the system under test may be sabotaged to disagree).
     do_not_harm: bool = True
-    #: Storage-hierarchy preset (``repro.storage.TIER_PRESETS`` name);
-    #: ``None`` keeps the classic 2-tier hdd+mem stack.  Serialized only
-    #: when set, so pre-tier corpus files stay byte-canonical.
-    tier_preset: Optional[str] = None
+    #: Storage-hierarchy preset (``repro.storage.TIER_PRESETS`` name).
+    #: Serialized only when not ``"mem-hdd"``, so pre-tier corpus files
+    #: stay byte-canonical.
+    tier_preset: str = "mem-hdd"
     #: Destination tier migrations land in (and the tier the declared
     #: ``buffer_capacity`` caps).  Serialized only when not ``"mem"``.
     migration_tier: str = "mem"
@@ -225,7 +225,7 @@ class Scenario:
             f"buf={self.buffer_capacity / MB:.0f}MB policy={self.policy} "
             f"ha={self.ha} jobs=[{mix}] faults={len(self.faults)}"
         )
-        if self.tier_preset is not None:
+        if self.tier_preset != "mem-hdd":
             text += f" tiers={self.tier_preset}"
         if self.migration_tier != "mem":
             text += f" dst={self.migration_tier}"
@@ -267,7 +267,7 @@ class Scenario:
         # Tier fields serialize only when non-default: the 2-tier
         # corpus written before the tier axis existed must re-serialize
         # byte-identically (the corpus canonical-form test).
-        if self.tier_preset is not None:
+        if self.tier_preset != "mem-hdd":
             data["tier_preset"] = self.tier_preset
         if self.migration_tier != "mem":
             data["migration_tier"] = self.migration_tier
@@ -299,7 +299,7 @@ class Scenario:
             ha=data["ha"],
             implicit_eviction=data["implicit_eviction"],
             do_not_harm=data.get("do_not_harm", True),
-            tier_preset=data.get("tier_preset"),
+            tier_preset=data.get("tier_preset", "mem-hdd"),
             migration_tier=data.get("migration_tier", "mem"),
             serve=(
                 ServeTraffic.from_dict(data["serve"])

@@ -89,8 +89,8 @@ def run_block_read_study(seed: int = 0, num_jobs: int = 60) -> BlockReadStudy:
     """
     results: Dict[str, MediumResult] = {}
     for medium in MEDIA:
-        disk_kind = "ssd" if medium == "ssd" else "hdd"
-        cluster = build_paper_testbed(seed=seed, disk_kind=disk_kind)
+        preset = "mem-ssd" if medium == "ssd" else "mem-hdd"
+        cluster = build_paper_testbed(seed=seed, tier_preset=preset)
         generator = swim.SwimGenerator(seed=seed)
         jobs = generator.generate(num_jobs=num_jobs)
         swim.materialize(cluster, jobs)

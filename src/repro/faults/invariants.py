@@ -214,7 +214,7 @@ class InvariantChecker:
         return violations
 
     def check_memory_index(self) -> List[str]:
-        """Push-maintained tier index == brute-force recomputation.
+        """Push-maintained locality index == brute-force recomputation.
 
         Checked per upper tier: a block cached in a middle (e.g. SSD)
         tier must appear in that tier's index and *not* in the memory
@@ -234,9 +234,9 @@ class InvariantChecker:
         for tier_name in sorted(tier_names):
             actual = {
                 block_id: set(nodes)
-                for block_id, nodes in namenode.tier_index.tier(
+                for block_id, nodes in namenode.locality_index.blocks(
                     tier_name
-                ).blocks().items()
+                ).items()
             }
             want_map = expected.get(tier_name, {})
             for block_id in sorted(set(want_map) | set(actual)):

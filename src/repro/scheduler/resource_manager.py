@@ -5,7 +5,7 @@ from __future__ import annotations
 from heapq import heappop, heappush
 from typing import Dict, List, Optional, Set
 
-from ..dfs.memory_index import MemoryLocalityIndex
+from ..dfs.locality_index import LocalityIndex
 from ..sim.engine import Environment
 from .containers import TaskRequest
 from .node_manager import NodeManager
@@ -74,7 +74,7 @@ class ResourceManager:
         env: Environment,
         locality_wait: float = 0.0,
         max_task_attempts: int = 3,
-        locality_index: Optional[MemoryLocalityIndex] = None,
+        locality_index: Optional[LocalityIndex] = None,
     ):
         if locality_wait < 0:
             raise ValueError("locality_wait must be non-negative")
@@ -98,9 +98,9 @@ class ResourceManager:
         self._pending: Dict[TaskRequest, int] = {}
         self._qpos = 0
         self._active_jobs: Set[str] = set()
-        #: Push-maintained block -> in-RAM-nodes index.
+        #: Push-maintained block -> in-RAM-nodes index (memory tier).
         if locality_index is None:
-            locality_index = MemoryLocalityIndex()
+            locality_index = LocalityIndex()
         self._locality_index = locality_index
         locality_index.add_listener(self._on_memory_delta)
         #: Per-node candidate buckets.

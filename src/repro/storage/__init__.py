@@ -26,9 +26,6 @@ from .presets import (
     SSD_BANDWIDTH,
     SSD_TIER,
     TIER_PRESETS,
-    make_hdd,
-    make_ram,
-    make_ssd,
     tier_preset,
 )
 from .tiers import (
@@ -64,9 +61,6 @@ __all__ = [
     "TransferDevice",
     "UtilizationProbe",
     "build_tier_set",
-    "make_hdd",
-    "make_ram",
-    "make_ssd",
     "no_penalty",
     "seek_thrash_penalty",
     "tier_preset",

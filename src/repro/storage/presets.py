@@ -36,8 +36,7 @@ from __future__ import annotations
 
 from typing import Dict, Tuple
 
-from ..sim.engine import Environment
-from .device import GB, MB, TransferDevice
+from .device import GB, MB
 from .tiers import HDD, MEM, SSD, TierSpec
 
 #: Default HDFS block size used throughout the paper's evaluation.
@@ -58,8 +57,7 @@ RAM_BANDWIDTH = 64 * GB
 RAM_LATENCY = 0.0
 
 #: The calibrated tier specs.  These are the single copy of the device
-#: numbers; ``make_hdd``/``make_ssd``/``make_ram`` below and the cluster
-#: tier wiring all build devices through them.
+#: numbers; every device is built through ``TierSpec.make_device``.
 MEM_TIER = TierSpec(
     name=MEM,
     height=2,
@@ -91,9 +89,8 @@ HDD_TIER = TierSpec(
 )
 
 #: Named per-node tier hierarchies selectable via ``ClusterConfig``.
-#: ``default`` is exactly the paper's testbed: memory over one HDD.
+#: ``mem-hdd`` is exactly the paper's testbed: memory over one HDD.
 TIER_PRESETS: Dict[str, Tuple[TierSpec, ...]] = {
-    "default": (MEM_TIER, HDD_TIER),
     "mem-hdd": (MEM_TIER, HDD_TIER),
     "mem-ssd": (MEM_TIER, SSD_TIER),
     "mem-ssd-hdd": (MEM_TIER, SSD_TIER, HDD_TIER),
@@ -107,23 +104,3 @@ def tier_preset(name: str) -> Tuple[TierSpec, ...]:
     except KeyError:
         known = ", ".join(sorted(TIER_PRESETS))
         raise KeyError(f"unknown tier preset {name!r} (known: {known})") from None
-
-
-def make_hdd(env: Environment, name: str = "hdd") -> TransferDevice:
-    """A 1TB-class spinning disk with heavy concurrent-read degradation."""
-    return HDD_TIER.make_device(env, name)
-
-
-def make_ssd(env: Environment, name: str = "ssd") -> TransferDevice:
-    """A SATA-class SSD: fast, mildly sensitive to concurrency."""
-    return SSD_TIER.make_device(env, name)
-
-
-def make_ram(env: Environment, name: str = "ram") -> TransferDevice:
-    """Server DRAM viewed as a block source (page-cache reads).
-
-    DRAM has far more aggregate bandwidth than any realistic number of
-    concurrent block readers can use, so each read runs at the per-stream
-    memcpy rate regardless of concurrency.
-    """
-    return MEM_TIER.make_device(env, name)

@@ -180,9 +180,9 @@ def build_tier_set(
 ) -> NodeTierSet:
     """Instantiate ``specs`` on one server.
 
-    Devices are created bottom-up (backing disk first) so the default
-    2-tier preset creates devices in exactly the order the pre-tier
-    cluster wiring did.  ``capacities`` overrides per-tier capacity by
+    Devices are created bottom-up (backing disk first); that order and
+    the ``<prefix>-<node>`` names are part of the deterministic
+    clean-path contract.  ``capacities`` overrides per-tier capacity by
     tier name; anything not named falls back to the spec default.
     """
     capacities = capacities or {}

@@ -8,12 +8,9 @@ disk-read time, an Ignem migrate call at submission, a read wave after
 the row's queueing delay, and an evict call at completion (the paper's
 Section III client protocol, replayed at Google-trace scale).
 
-The harness opts into sampled replica placement (``fast_placement``),
-which draws from a different RNG stream than the paper testbed's
-placement scan, so the paper-testbed goldens never see it.  Everything
-else the replay runs on (pooled timeouts, parked heartbeat loops,
-scheduler candidate buckets, the scalar device water-fill) is the code
-every experiment runs.
+Everything the replay runs on (O(replication) replica placement,
+pooled timeouts, parked heartbeat loops, scheduler candidate buckets,
+the scalar device water-fill) is the code every experiment runs.
 """
 
 from __future__ import annotations
@@ -140,12 +137,11 @@ def _job_bytes(job: GoogleTraceJob, block_size: float, max_blocks: int) -> float
 
 
 def build_scale_cluster(config: ScaleConfig) -> Cluster:
-    """A cluster sized for ``config``, with sampled replica placement."""
+    """A cluster sized for ``config``."""
     cluster = Cluster(
         ClusterConfig(
             num_nodes=config.num_nodes,
             replication=min(3, config.num_nodes),
-            fast_placement=True,
             seed=config.seed,
         )
     )

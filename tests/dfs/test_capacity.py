@@ -81,6 +81,19 @@ class TestCapacityAwarePlacement:
             cluster.client.create_file("/huge", 10 * GB)
         assert not cluster.namenode.exists("/huge")
 
+    def test_failed_create_releases_placed_replicas(self):
+        cluster = build_paper_testbed(
+            num_nodes=2, replication=1, disk_capacity=100 * MB
+        )
+        namenode = cluster.namenode
+        with pytest.raises(NameNodeError, match="capacity"):
+            namenode.create_file("/huge", 1000 * MB)
+        for datanode in cluster.datanodes.values():
+            assert datanode.disk_used == 0
+            assert datanode.stored_blocks() == set()
+        namenode.create_file("/fits", 64 * MB)
+        assert namenode.list_files() == ["/fits"]
+
     def test_deleting_files_frees_space_for_new_ones(self):
         cluster = build_paper_testbed(
             num_nodes=2, replication=1, disk_capacity=200 * MB

@@ -4,15 +4,26 @@ import pytest
 
 from repro.dfs import Block, DataNode, DataNodeError
 from repro.sim import Environment
-from repro.storage import GB, MB, TransferDevice
+from repro.storage import (
+    GB,
+    HDD_TIER,
+    MB,
+    MEM_TIER,
+    NodeTier,
+    NodeTierSet,
+    TransferDevice,
+    build_tier_set,
+    tier_preset,
+)
 
 
 def make_node(env, cache_reads=False):
     disk = TransferDevice(env, "hdd-test", bandwidth=100 * MB)
     ram = TransferDevice(env, "ram-test", bandwidth=1000 * MB)
-    return DataNode(
-        env, "n0", disk=disk, ram=ram, cache_capacity=1 * GB, cache_reads=cache_reads
+    tiers = NodeTierSet(
+        [NodeTier(MEM_TIER, ram, 1 * GB), NodeTier(HDD_TIER, disk, 1024 * GB)]
     )
+    return DataNode(env, "n0", cache_reads=cache_reads, tiers=tiers)
 
 
 def block(nbytes=64 * MB, index=0):
@@ -94,8 +105,8 @@ class TestReadPath:
 
     def test_ssd_disk_reports_ssd_source(self):
         env = Environment()
-        disk = TransferDevice(env, "ssd-n0", bandwidth=500 * MB)
-        node = DataNode(env, "n0", disk=disk)
+        tiers = build_tier_set(env, tier_preset("mem-ssd"), "n0")
+        node = DataNode(env, "n0", tiers=tiers)
         blk = block()
         node.store_block(blk)
 

@@ -1,76 +1,79 @@
-"""Unit tests for the push-maintained memory-locality index."""
+"""Unit tests for the push-maintained locality index (memory view)."""
 
 import pytest
 
-from repro.dfs.memory_index import EMPTY_NODES, MemoryLocalityIndex
+from repro.dfs.locality_index import EMPTY_NODES, LocalityIndex
 
 
 class TestIndexCore:
     def test_starts_empty(self):
-        index = MemoryLocalityIndex()
-        assert len(index) == 0
+        index = LocalityIndex()
         assert index.nodes("blk-0") == frozenset()
         assert index.blocks() == {}
 
     def test_miss_returns_shared_empty_frozenset(self):
-        index = MemoryLocalityIndex()
+        index = LocalityIndex()
         assert index.nodes("blk-0") is EMPTY_NODES
         assert index.nodes("blk-1") is EMPTY_NODES
+        assert index.nodes("blk-0", "ssd") is EMPTY_NODES
 
     def test_insert_and_query(self):
-        index = MemoryLocalityIndex()
-        index.update("node0", "blk-0", True)
-        index.update("node2", "blk-0", True)
-        index.update("node1", "blk-1", True)
+        index = LocalityIndex()
+        index.update("node0", "mem", "blk-0", True)
+        index.update("node2", "mem", "blk-0", True)
+        index.update("node1", "mem", "blk-1", True)
         assert index.nodes("blk-0") == {"node0", "node2"}
         assert index.nodes("blk-1") == {"node1"}
-        assert len(index) == 2
+        assert len(index.blocks()) == 2
 
     def test_eviction_removes_node(self):
-        index = MemoryLocalityIndex()
-        index.update("node0", "blk-0", True)
-        index.update("node1", "blk-0", True)
-        index.update("node0", "blk-0", False)
+        index = LocalityIndex()
+        index.update("node0", "mem", "blk-0", True)
+        index.update("node1", "mem", "blk-0", True)
+        index.update("node0", "mem", "blk-0", False)
         assert index.nodes("blk-0") == {"node1"}
 
     def test_last_eviction_drops_the_entry(self):
-        index = MemoryLocalityIndex()
-        index.update("node0", "blk-0", True)
-        index.update("node0", "blk-0", False)
-        assert len(index) == 0
+        index = LocalityIndex()
+        index.update("node0", "mem", "blk-0", True)
+        index.update("node0", "mem", "blk-0", False)
+        assert index.blocks() == {}
         assert index.nodes("blk-0") is EMPTY_NODES
 
     def test_updates_are_idempotent(self):
-        index = MemoryLocalityIndex()
-        index.update("node0", "blk-0", True)
-        index.update("node0", "blk-0", True)
+        index = LocalityIndex()
+        index.update("node0", "mem", "blk-0", True)
+        index.update("node0", "mem", "blk-0", True)
         assert index.nodes("blk-0") == {"node0"}
-        index.update("node0", "blk-0", False)
-        index.update("node0", "blk-0", False)
+        index.update("node0", "mem", "blk-0", False)
+        index.update("node0", "mem", "blk-0", False)
         assert index.nodes("blk-0") == frozenset()
 
     def test_eviction_of_unknown_block_is_noop(self):
-        index = MemoryLocalityIndex()
-        index.update("node0", "blk-unknown", False)
-        assert len(index) == 0
+        index = LocalityIndex()
+        index.update("node0", "mem", "blk-unknown", False)
+        index.update("node0", "ssd", "blk-unknown", False)
+        assert index.blocks() == {}
+        assert index.blocks("ssd") == {}
 
     def test_purge_node_scrubs_only_that_node(self):
-        index = MemoryLocalityIndex()
-        index.update("node0", "blk-0", True)
-        index.update("node1", "blk-0", True)
-        index.update("node0", "blk-1", True)
+        index = LocalityIndex()
+        index.update("node0", "mem", "blk-0", True)
+        index.update("node1", "mem", "blk-0", True)
+        index.update("node0", "mem", "blk-1", True)
         index.purge_node("node0")
         assert index.nodes("blk-0") == {"node1"}
         assert index.nodes("blk-1") == frozenset()
 
     def test_listener_fires_only_on_real_changes(self):
-        index = MemoryLocalityIndex()
+        index = LocalityIndex()
         deltas = []
         index.add_listener(lambda bid, node, res: deltas.append((bid, node, res)))
-        index.update("node0", "blk-0", True)
-        index.update("node0", "blk-0", True)  # duplicate: no delta
-        index.update("node0", "blk-0", False)
-        index.update("node0", "blk-0", False)  # duplicate: no delta
+        index.update("node0", "mem", "blk-0", True)
+        index.update("node0", "mem", "blk-0", True)  # duplicate: no delta
+        index.update("node0", "ssd", "blk-1", True)  # other tier: no delta
+        index.update("node0", "mem", "blk-0", False)
+        index.update("node0", "mem", "blk-0", False)  # duplicate: no delta
         assert deltas == [("blk-0", "node0", True), ("blk-0", "node0", False)]
 
 
@@ -110,7 +113,7 @@ class TestNameNodeWiring:
         # Shuffle spills share the buffer cache but are not DFS blocks.
         holder = namenode.get_block_locations(blocks[0].block_id)[0]
         namenode.datanode(holder).cache.insert(("shuffle", "t-0"), 1024.0)
-        assert len(namenode.locality_index) == 0
+        assert namenode.locality_index.blocks() == {}
 
     def test_node_failure_flushes_its_entries(self, namenode, blocks):
         block = blocks[0]

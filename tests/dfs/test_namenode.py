@@ -2,9 +2,17 @@
 
 import pytest
 
+from repro import Cluster, ClusterConfig
 from repro.dfs import DataNode, NameNode, NameNodeError
 from repro.sim import Environment, RandomSource
 from repro.storage import MB
+
+
+class _UnscannableList(list):
+    """A live list that fails the test if anything iterates it."""
+
+    def __iter__(self):
+        raise AssertionError("placement scanned the live-node list")
 
 
 class TestNamespace:
@@ -95,6 +103,18 @@ class TestPlacement:
         # Different seeds should (for 4 blocks over 5 nodes) give different
         # placements; equality would indicate ignored seeds.
         assert build(3) != build(4)
+
+
+    def test_create_file_never_scans_the_live_list(self, monkeypatch):
+        # Placement on a cluster with room everywhere is O(replication):
+        # one sample draw, no O(nodes) capacity filter.
+        cluster = Cluster(ClusterConfig(num_nodes=2000))
+        namenode = cluster.namenode
+        live = _UnscannableList(namenode.live_datanodes())
+        monkeypatch.setattr(namenode, "live_datanodes", lambda: live)
+        metadata = namenode.create_file("/f", 4 * cluster.config.block_size)
+        for block in metadata.blocks:
+            assert len(namenode.get_block_locations(block.block_id)) == 3
 
 
 class TestLiveness:

@@ -43,7 +43,7 @@ class TestCorruptionDetection:
         ghost = next(
             name for name in cluster.node_names() if name not in holders
         )
-        cluster.namenode.locality_index.update(ghost, block.block_id, True)
+        cluster.namenode.locality_index.update(ghost, "mem", block.block_id, True)
         violations = InvariantChecker(cluster).check_memory_index()
         assert any(block.block_id in v for v in violations)
 

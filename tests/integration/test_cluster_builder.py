@@ -3,6 +3,7 @@
 import pytest
 
 from repro import Cluster, ClusterConfig, IgnemConfig, build_paper_testbed
+from repro.dfs import Block
 from repro.storage import GB, MB
 
 
@@ -19,7 +20,7 @@ class TestClusterConfig:
         with pytest.raises(ValueError):
             ClusterConfig(num_nodes=0)
         with pytest.raises(ValueError):
-            ClusterConfig(disk_kind="tape")
+            ClusterConfig(tier_preset="tape")
 
     def test_cluster_has_one_of_everything_per_node(self):
         cluster = Cluster(ClusterConfig(num_nodes=3))
@@ -35,9 +36,19 @@ class TestClusterConfig:
         assert len(set(offsets)) == 4
 
     def test_ssd_cluster_uses_ssd_devices(self):
-        cluster = Cluster(ClusterConfig(num_nodes=2, disk_kind="ssd"))
+        cluster = Cluster(ClusterConfig(num_nodes=2, tier_preset="mem-ssd"))
         for datanode in cluster.datanodes.values():
             assert "ssd" in datanode.disk.name
+
+
+    def test_added_node_named_ssd_keeps_the_hdd_stack(self):
+        # The tier set comes from the preset, never from a device name.
+        cluster = Cluster(ClusterConfig(num_nodes=2))
+        datanode = cluster.add_datanode("ssd-spare")
+        assert datanode.tiers.names() == ("mem", "hdd")
+        block = Block("/f#blk0", "/f", 0, 64 * MB)
+        datanode.store_block(block)
+        assert datanode.read_block(block).source == "hdd"
 
 
 class TestIgnemWiring:

@@ -166,7 +166,7 @@ class TestSsdCluster:
 
         def run(mode):
             cluster = build_paper_testbed(
-                seed=8, disk_kind="ssd", ignem=(mode == "ignem")
+                seed=8, tier_preset="mem-ssd", ignem=(mode == "ignem")
             )
             cluster.client.create_file("/in", 2 * GB)
             job = cluster.engine.submit_job(

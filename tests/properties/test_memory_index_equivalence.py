@@ -1,7 +1,7 @@
 """Index-vs-brute-force equivalence under a live SWIM workload.
 
 The memory-locality index claims an invariant (see
-``repro.dfs.memory_index``): at every point in simulated time, for every
+``repro.dfs.locality_index``): at every point in simulated time, for every
 block, ``locality_index.nodes(block_id)`` equals the brute-force
 recomputation obtained by probing each replica holder's buffer cache.
 This test drives a small Ignem SWIM run — migrations pinning blocks in,

@@ -12,7 +12,7 @@ launch — task, node, time, attempt — must match.
 
 from hypothesis import given, settings
 
-from repro.dfs import MemoryLocalityIndex
+from repro.dfs import LocalityIndex
 from repro.scheduler import NodeManager, ResourceManager, TaskRequest
 from repro.sim import Environment
 from tests.strategies import locality_scenarios
@@ -53,7 +53,7 @@ def run_scenario(rm_class, scenario):
     """Drive ``scenario`` through an RM; returns the log of launches and
     task outcomes."""
     env = Environment()
-    index = MemoryLocalityIndex()
+    index = LocalityIndex()
     rm = rm_class(
         env, locality_wait=scenario["locality_wait"], locality_index=index
     )
@@ -111,7 +111,7 @@ def run_scenario(rm_class, scenario):
             scenario["deltas"], key=lambda delta: delta[0]
         ):
             yield env.timeout(at - env.now)
-            index.update(node, block, resident)
+            index.update(node, "mem", block, resident)
 
     env.process(submitter(env))
     env.process(residency(env))

@@ -1,26 +1,24 @@
-"""Property suite for the tier-aware block-location index.
+"""Property suite for the tier-aware locality index.
 
-Three guarantees the PR 5 tier refactor must hold:
+Three guarantees the index must hold:
 
 1. a replica is indexed in at most ONE tier of a node at any time (a
    block moving up retracts from the tier it left);
 2. inserting a fresh replica and then evicting it restores the exact
    prior occupancy — across every tier, not just the touched one;
-3. with a single upper tier the tier index is observationally
-   equivalent to the plain :class:`MemoryLocalityIndex` it generalizes,
-   including the listener delta stream the PR 1 scheduler fast path
-   consumes.
+3. its memory view — the ``block -> nodes`` map and the listener
+   delta stream the scheduler's candidate buckets consume — matches a
+   plain dict-of-sets model of memory residency.
 """
 
 from hypothesis import given, settings
 
-from repro.dfs.memory_index import MemoryLocalityIndex
-from repro.dfs.tier_index import TierLocalityIndex
+from repro.dfs.locality_index import LocalityIndex
 
 from tests.strategies import tier_deltas
 
 
-def _apply(index: TierLocalityIndex, step) -> None:
+def _apply(index: LocalityIndex, step) -> None:
     if step[0] == "purge":
         index.purge_node(step[1])
     else:
@@ -28,9 +26,9 @@ def _apply(index: TierLocalityIndex, step) -> None:
         index.update(node, tier, block, resident)
 
 
-def _occupancy(index: TierLocalityIndex, tiers) -> dict:
+def _occupancy(index: LocalityIndex, tiers) -> dict:
     """Full observable state: tier -> {block -> frozenset(nodes)}."""
-    return {tier: index.tier(tier).blocks() for tier in tiers}
+    return {tier: index.blocks(tier) for tier in tiers}
 
 
 class TestOneTierPerReplica:
@@ -38,7 +36,7 @@ class TestOneTierPerReplica:
     @settings(max_examples=200, deadline=None)
     def test_replica_never_indexed_in_two_tiers_of_one_node(self, script):
         tiers, steps = script
-        index = TierLocalityIndex()
+        index = LocalityIndex()
         for step in steps:
             _apply(index, step)
             for block in {s[3] for s in steps if s[0] == "update"}:
@@ -46,7 +44,7 @@ class TestOneTierPerReplica:
                     holding = [
                         tier
                         for tier in tiers
-                        if node in index.nodes(tier, block)
+                        if node in index.nodes(block, tier)
                     ]
                     assert len(holding) <= 1, (block, node, holding)
                     if holding:
@@ -60,7 +58,7 @@ class TestEvictionRestoresOccupancy:
     @settings(max_examples=200, deadline=None)
     def test_insert_then_evict_fresh_replica_is_identity(self, script):
         tiers, steps = script
-        index = TierLocalityIndex()
+        index = LocalityIndex()
         for step in steps:
             _apply(index, step)
         before = _occupancy(index, tiers)
@@ -69,9 +67,36 @@ class TestEvictionRestoresOccupancy:
         node, block = "nodeX", "blk-fresh"
         for tier in tiers:
             index.update(node, tier, block, True)
-            assert node in index.nodes(tier, block)
+            assert node in index.nodes(block, tier)
             index.update(node, tier, block, False)
             assert _occupancy(index, tiers) == before, tier
+
+
+class MemoryModel:
+    """Reference memory residency: a dict of sets, one delta per change."""
+
+    def __init__(self):
+        self.holders = {}
+        self.stream = []
+
+    def update(self, node, block, resident):
+        holders = self.holders.get(block, set())
+        if resident == (node in holders):
+            return
+        if resident:
+            self.holders[block] = holders | {node}
+        else:
+            holders.discard(node)
+            if not holders:
+                del self.holders[block]
+        self.stream.append((block, node, resident))
+
+    def purge(self, node):
+        for block in [b for b, held in self.holders.items() if node in held]:
+            self.update(node, block, False)
+
+    def view(self):
+        return {block: frozenset(held) for block, held in self.holders.items()}
 
 
 class TestTwoTierEquivalence:
@@ -79,28 +104,19 @@ class TestTwoTierEquivalence:
     @settings(max_examples=200, deadline=None)
     def test_single_tier_index_matches_memory_index(self, script):
         _, steps = script
-        tier_index = TierLocalityIndex()
-        plain = MemoryLocalityIndex()
-        tier_stream, plain_stream = [], []
-        tier_index.tier("mem").add_listener(
-            lambda block, node, resident: tier_stream.append(
-                (block, node, resident)
-            )
-        )
-        plain.add_listener(
-            lambda block, node, resident: plain_stream.append(
-                (block, node, resident)
-            )
+        index = LocalityIndex()
+        model = MemoryModel()
+        stream = []
+        index.add_listener(
+            lambda block, node, resident: stream.append((block, node, resident))
         )
 
         for step in steps:
+            _apply(index, step)
             if step[0] == "purge":
-                tier_index.purge_node(step[1])
-                plain.purge_node(step[1])
+                model.purge(step[1])
             else:
-                _, node, tier, block, resident = step
-                tier_index.update(node, tier, block, resident)
-                plain.update(node, block, resident)
-            assert tier_index.tier("mem").blocks() == plain.blocks()
-            assert tier_stream == plain_stream
-        assert len(tier_index.tier("mem")) == len(plain)
+                _, node, _, block, resident = step
+                model.update(node, block, resident)
+            assert index.blocks() == model.view()
+            assert stream == model.stream

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.dfs import MemoryLocalityIndex
+from repro.dfs import LocalityIndex
 from repro.scheduler import NodeManager, ResourceManager, TaskRequest
 from repro.sim import Environment
 
@@ -151,7 +151,7 @@ class TestLocality:
 
     def test_memory_locality_beats_disk_locality(self):
         env = Environment()
-        index = MemoryLocalityIndex()
+        index = LocalityIndex()
         rm = make_cluster(
             env, nodes=1, slots=1, interval=1.0, locality_index=index
         )
@@ -172,7 +172,7 @@ class TestLocality:
             yield env.timeout(0.1)
             rm.submit_all([disk_task, mem_task])
             # The migration completes while the task queues.
-            index.update("n0", "b-hot", True)
+            index.update("n0", "mem", "b-hot", True)
 
         env.process(submitter(env))
         env.run()
@@ -183,8 +183,8 @@ class TestLocality:
         eviction delta that lands while the task queues withdraws the
         preference it had at submission."""
         env = Environment()
-        index = MemoryLocalityIndex()
-        index.update("n0", "b-cold", True)
+        index = LocalityIndex()
+        index.update("n0", "mem", "b-cold", True)
         rm = make_cluster(
             env, nodes=1, slots=1, interval=1.0, locality_index=index
         )
@@ -198,7 +198,7 @@ class TestLocality:
         def submitter(env):
             yield env.timeout(0.1)
             rm.submit_all([disk_task, evicted_task])
-            index.update("n0", "b-cold", False)
+            index.update("n0", "mem", "b-cold", False)
 
         env.process(submitter(env))
         env.run()

@@ -55,29 +55,32 @@ class TestRandomSource:
 class TestPresets:
     def test_hdd_slower_than_ssd_slower_than_ram(self):
         from repro.sim import Environment
-        from repro.storage import make_hdd, make_ram, make_ssd
+        from repro.storage import HDD_TIER, MEM_TIER, SSD_TIER
 
         env = Environment()
-        hdd = make_hdd(env)
-        ssd = make_ssd(env)
-        ram = make_ram(env)
+        hdd = HDD_TIER.make_device(env, "hdd")
+        ssd = SSD_TIER.make_device(env, "ssd")
+        ram = MEM_TIER.make_device(env, "ram")
         assert hdd.bandwidth < ssd.bandwidth < ram.bandwidth
 
     def test_only_hdd_pays_meaningful_seek_latency(self):
         from repro.sim import Environment
-        from repro.storage import make_hdd, make_ram, make_ssd
+        from repro.storage import HDD_TIER, MEM_TIER, SSD_TIER
 
         env = Environment()
-        assert make_hdd(env).latency > make_ssd(env).latency
-        assert make_ram(env).latency == 0.0
+        assert (
+            HDD_TIER.make_device(env, "hdd").latency
+            > SSD_TIER.make_device(env, "ssd").latency
+        )
+        assert MEM_TIER.make_device(env, "ram").latency == 0.0
 
     def test_ram_streams_run_at_full_rate_under_concurrency(self):
         from repro.sim import Environment
-        from repro.storage import MB, make_ram
+        from repro.storage import MB, MEM_TIER
         from repro.storage.presets import RAM_STREAM_RATE
 
         env = Environment()
-        ram = make_ram(env)
+        ram = MEM_TIER.make_device(env, "ram")
         ends = []
 
         def reader(env):

@@ -92,6 +92,39 @@ def tier_deltas(draw, tiers=None, num_nodes=3, num_blocks=6, max_steps=40):
     return roster, steps
 
 
+#: Per-node disk capacity in placement scenarios.
+PLACEMENT_CAPACITY = 256 * MB
+
+
+@st.composite
+def placement_scenarios(draw, used=(0, 64, 128, 192, 224, 256)):
+    """A small cluster's disk fill and liveness plus one block to place.
+
+    Each node's used space is drawn from ``used`` (MB, out of
+    :data:`PLACEMENT_CAPACITY`).  Returns a dict with ``nodes`` (each
+    ``{"used": bytes, "alive": bool}``), ``nbytes``, ``replication``,
+    ``preferred`` (a node name or ``None``) and ``seed``.
+    """
+    num_nodes = draw(st.integers(min_value=1, max_value=12))
+    nodes = [
+        {
+            "used": draw(st.sampled_from(used)) * MB,
+            "alive": draw(st.integers(0, 4)) > 0,
+        }
+        for _ in range(num_nodes)
+    ]
+    preferred = draw(
+        st.one_of(st.none(), st.integers(min_value=0, max_value=num_nodes - 1))
+    )
+    return {
+        "nodes": nodes,
+        "nbytes": draw(block_sizes),
+        "replication": draw(st.integers(min_value=1, max_value=4)),
+        "preferred": None if preferred is None else f"n{preferred}",
+        "seed": draw(st.integers(min_value=0, max_value=2**16)),
+    }
+
+
 @st.composite
 def scheduler_workloads(draw):
     """Random (nodes, slots, tasks) scheduling scenarios."""
