@@ -12,10 +12,28 @@ import pytest
 
 from repro.cluster import build_paper_testbed
 from repro.experiments.swim_runs import SWIM_ENGINE
-from repro.storage.device import UtilizationProbe
 from repro.workloads import swim
 
 from conftest import run_once
+
+
+class UtilizationProbe:
+    """Samples a device's busy fraction over fixed windows."""
+
+    def __init__(self, env, device, window):
+        self.env = env
+        self.device = device
+        self.window = float(window)
+        self.samples = []
+        self._last_busy = device.busy_time
+        env.process(self._run(), name=f"util-probe-{device.name}")
+
+    def _run(self):
+        while True:
+            yield self.env.timeout(self.window)
+            busy = self.device.busy_time
+            self.samples.append((busy - self._last_busy) / self.window)
+            self._last_busy = busy
 
 
 def _run():

@@ -318,11 +318,12 @@ class DataNode:
             block.nbytes, tag=("migrate", block.block_id), rate_cap=rate_cap
         )
 
-        # Guarded pin-in: a migration read that was still in its device
-        # latency window when the node died can complete *after* the
-        # failure flushed the caches; inserting then would publish a
-        # residency delta for a dead node and leave a stale entry in the
-        # NameNode's tier index.
+        # Guarded pin-in: the node's failure fails every transfer on its
+        # devices, including one still in its latency window, but a read
+        # that completed at the failure instant is already queued as a
+        # success and arrives *after* the failure flushed the caches;
+        # inserting then would publish a residency delta for a dead node
+        # and leave a stale entry in the NameNode's tier index.
         def arrive(event) -> None:
             if not event._ok or not self.alive:
                 return

@@ -232,34 +232,52 @@ def join_all(env: "Environment", events: Iterable[Event]) -> Event:
     failed child fails the join immediately.  The join's value is
     ``None``, so use :class:`AllOf` when child values matter.
     """
-    done = Event(env)
-    state = [0]
-
-    def arm(event: Event) -> None:
-        if done._triggered:
-            return
-        if not event._ok:
-            done.fail(event._value)
-            return
-        state[0] -= 1
-        if state[0] == 0:
-            done.succeed(None)
-
+    join = _Join(env)
+    arm = join._arm
     pending = 0
     for event in events:
-        if event.callbacks is None:
+        callbacks = event.callbacks
+        if callbacks is None:
             # Already processed: count it down up front (mirrors the
             # immediate _check AllOf performs for processed children).
             if not event._ok:
-                done.fail(event._value)
-                return done
+                join.fail(event._value)
+                return join
         else:
-            event.callbacks.append(arm)
+            callbacks.append(arm)
             pending += 1
-    state[0] = pending
+    join._pending = pending
     if pending == 0:
-        done.succeed(None)
-    return done
+        join.succeed(None)
+    return join
+
+
+class _Join(Event):
+    """The event :func:`join_all` returns: a countdown of the children
+    still pending, armed on each of them through one bound method."""
+
+    __slots__ = ("_pending",)
+
+    def __init__(self, env: "Environment"):
+        # Inlined Event.__init__: one join per remote read and per
+        # network copy.
+        self.env = env
+        self.callbacks = []
+        self._value = Event.PENDING
+        self._ok = True
+        self._triggered = False
+        self._processed = False
+        self._pending = 0
+
+    def _arm(self, event: Event) -> None:
+        if self._triggered:
+            return
+        if not event._ok:
+            self.fail(event._value)
+            return
+        self._pending -= 1
+        if self._pending == 0:
+            self.succeed(None)
 
 
 def chain_arrivals(

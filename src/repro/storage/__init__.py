@@ -13,7 +13,6 @@ from .device import (
     MB,
     Transfer,
     TransferDevice,
-    UtilizationProbe,
     no_penalty,
     seek_thrash_penalty,
 )
@@ -59,7 +58,6 @@ __all__ = [
     "TierSpec",
     "Transfer",
     "TransferDevice",
-    "UtilizationProbe",
     "build_tier_set",
     "no_penalty",
     "seek_thrash_penalty",

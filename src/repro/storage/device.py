@@ -16,15 +16,21 @@ disk bandwidth); capped streams take at most their cap and the slack is
 redistributed to the unconstrained streams.  Whenever the active set
 changes, progress is settled at the old rates and the next completion is
 rescheduled.
+
+A transfer is one object: the :class:`Transfer` record *is* the event
+its waiters yield.  Most transfers in a run land on an otherwise idle
+device (a lone block read or migration), so admitting a stream to an
+empty device and finishing the only active stream are the one-stream
+case of the reshare path: no other stream to settle, no minimum to scan
+for, no superseded wakeup to cancel.
 """
 
 from __future__ import annotations
 
-import itertools
-from typing import Any, Callable, List, Optional
+from typing import Any, Callable, Dict, List, Optional
 
 from ..sim.engine import Environment
-from ..sim.events import Event
+from ..sim.events import Event, PooledTimeout
 
 #: Tolerance (in bytes) below which a transfer counts as finished.
 #: Sub-byte remainders are float noise, never real data.
@@ -38,18 +44,19 @@ def _consume_failure(event: Event) -> None:
     """Sink callback marking an intentionally-aborted event as handled."""
 
 
-class Transfer:
-    """One in-flight byte transfer on a :class:`TransferDevice`.
+class Transfer(Event):
+    """One byte transfer on a :class:`TransferDevice`, and the event that
+    fires when it is done.
 
-    ``done`` is the completion event while the transfer is in flight and
-    ``None`` once it has completed (the event's value is this record).
+    The event succeeds with value ``None`` (a value of ``self`` would be
+    a reference cycle, and ``Environment.run`` keeps the cyclic GC off)
+    or fails with the error of the host failure that aborted it.  The
+    device's ``on_complete`` hook receives the record itself.
     """
 
     __slots__ = (
-        "id",
         "nbytes",
         "remaining",
-        "done",
         "tag",
         "rate_cap",
         "rate",
@@ -57,29 +64,32 @@ class Transfer:
         "started_at",
     )
 
-    _ids = itertools.count()
-
     def __init__(
         self,
+        env: Environment,
         nbytes: float,
-        done: Event,
         tag: Any = None,
         rate_cap: Optional[float] = None,
     ):
-        self.id = next(Transfer._ids)
+        # Inlined Event.__init__: one of these is built per device leg.
+        self.env = env
+        self.callbacks = []
+        self._value = Event.PENDING
+        self._ok = True
+        self._triggered = False
+        self._processed = False
         self.nbytes = float(nbytes)
         self.remaining = float(nbytes)
-        self.done = done
         self.tag = tag
         self.rate_cap = rate_cap
         #: Current allocated rate (bytes/s); set by the device.
         self.rate = 0.0
-        self.submitted_at: Optional[float] = None
+        self.submitted_at: float = env.now
         self.started_at: Optional[float] = None
 
     def __repr__(self) -> str:
         return (
-            f"<Transfer #{self.id} {self.nbytes / MB:.1f}MB "
+            f"<Transfer {self.nbytes / MB:.1f}MB "
             f"remaining={self.remaining / MB:.1f}MB tag={self.tag!r}>"
         )
 
@@ -156,9 +166,11 @@ class TransferDevice:
         self.default_rate_cap = default_rate_cap
 
         self._active: List[Transfer] = []
-        self._epoch = 0
+        #: Transfers still in their latency window, each mapped to the
+        #: pooled wakeup that will admit it (``fail_all`` retracts it).
+        self._waiting: Dict[Transfer, PooledTimeout] = {}
         self._expected_finisher: Optional[Transfer] = None
-        self._pending_wakeup = None
+        self._pending_wakeup: Optional[PooledTimeout] = None
         self._last_update = env.now
         # Instrumentation integrals.
         self._busy_time = 0.0
@@ -175,34 +187,35 @@ class TransferDevice:
         nbytes: float,
         tag: Any = None,
         rate_cap: Optional[float] = None,
-    ) -> Event:
-        """Start moving ``nbytes``; returns an event that fires when done.
+    ) -> Transfer:
+        """Start moving ``nbytes``; returns the :class:`Transfer`, which is
+        the event that fires when the bytes have moved.
 
         ``rate_cap`` bounds this transfer's share (bytes/s) — the slack is
-        redistributed to unconstrained streams.  The event's value is the
-        :class:`Transfer` record.  Zero-byte transfers complete after just
-        the device latency.
+        redistributed to unconstrained streams.  The event's value is
+        ``None``; the ``on_complete`` hook receives the record.  Zero-byte
+        transfers complete after just the device latency.
 
-        On completion the record's ``done`` is cleared, so the record and
-        its event hold no reference cycle: both (and the tag) are freed
-        by reference counting as soon as the waiters drop them, even
-        while ``Environment.run`` keeps the cyclic GC off.
+        The latency wait is a pooled wakeup carrying the record, so a
+        transfer allocates nothing but itself.  The record refers to
+        neither the device nor the wakeup, so it (and its tag) is freed
+        by reference counting as soon as the waiters drop it, even while
+        ``Environment.run`` keeps the cyclic GC off.
         """
         if nbytes < 0:
             raise ValueError(f"nbytes must be non-negative, got {nbytes}")
         if rate_cap is not None and rate_cap <= 0:
             raise ValueError(f"rate_cap must be positive, got {rate_cap}")
-        done = Event(self.env)
         record = Transfer(
-            nbytes, done, tag=tag, rate_cap=rate_cap or self.default_rate_cap
+            self.env, nbytes, tag, rate_cap or self.default_rate_cap
         )
-        record.submitted_at = self.env.now
         if self.latency > 0:
-            delay = self.env.timeout(self.latency)
-            delay.callbacks.append(lambda _event, rec=record: self._admit(rec))
+            wakeup = self.env.pooled_timeout(self.latency, record)
+            wakeup.callbacks.append(self._arrive)
+            self._waiting[record] = wakeup
         else:
             self._admit(record)
-        return done
+        return record
 
     def set_bandwidth(self, bandwidth: float) -> None:
         """Change the sequential bandwidth mid-run (slow-disk fault).
@@ -220,8 +233,13 @@ class TransferDevice:
         self._reschedule()
 
     def fail_all(self, error: BaseException) -> int:
-        """Abort every in-flight transfer, failing its done event with
-        ``error`` (the device's host died).  Returns the abort count.
+        """Abort every transfer on the device, failing it with ``error``
+        (the device's host died).  Returns the abort count.
+
+        Transfers still in their latency window are aborted too: their
+        admission wakeup is retracted, so they fail at the failure
+        instant and never reach the dead device.  Active transfers fail
+        first, then waiting ones in submission order.
 
         A waiter that died in the same host failure (its container is
         interrupted at URGENT priority, unsubscribing it before the
@@ -230,39 +248,26 @@ class TransferDevice:
         aborted event gets a sink callback; live waiters still see the
         exception.
         """
-        if not self._active:
-            return 0
-        self._settle()
         failed = self._active
-        self._active = []
-        self._reschedule()
+        if failed:
+            self._settle()
+            self._active = []
+            self._reschedule()
+        waiting = self._waiting
+        if waiting:
+            for wakeup in waiting.values():
+                wakeup.cancel()
+                wakeup._value = None
+            failed = failed + list(waiting)
+            self._waiting = {}
         for record in failed:
-            record.done.fail(error)
-            record.done.callbacks.append(_consume_failure)
+            record.fail(error)
+            record.callbacks.append(_consume_failure)
         return len(failed)
-
-    def cancel(self, done_event: Event) -> bool:
-        """Abort the in-flight transfer whose done-event is ``done_event``.
-
-        Returns ``True`` if a transfer was cancelled.  The done event is
-        never triggered for a cancelled transfer.
-        """
-        for index, record in enumerate(self._active):
-            if record.done is done_event:
-                self._settle()
-                self._active.pop(index)
-                self._reschedule()
-                return True
-        return False
 
     @property
     def active_transfers(self) -> int:
         """Number of transfers currently sharing the device."""
-        return len(self._active)
-
-    @property
-    def queue_depth(self) -> int:
-        """Alias for :attr:`active_transfers` (PS device has no queue)."""
         return len(self._active)
 
     @property
@@ -302,17 +307,40 @@ class TransferDevice:
 
     # -- internals -------------------------------------------------------------
 
+    def _arrive(self, event: PooledTimeout) -> None:
+        """The latency window of ``event``'s transfer is over."""
+        record = event._value
+        event._value = None  # the pool must not keep the record alive
+        del self._waiting[record]
+        self._admit(record)
+
     def _admit(self, record: Transfer) -> None:
-        self._settle()
-        record.started_at = self.env.now
+        now = self.env.now
+        active = self._active
+        idle = not active
+        if idle:
+            # Nothing to settle: only the clock moves.
+            self._last_update = now
+        else:
+            self._settle()
+        record.started_at = now
         if record.remaining <= _EPSILON_BYTES:
-            record.done.succeed(record)
-            record.done = None
+            record.succeed(None)
             if self.on_complete is not None:
                 self.on_complete(record)
             return
-        self._active.append(record)
-        self._reschedule()
+        active.append(record)
+        if idle:
+            # The one-stream reshare: the lone stream is the next
+            # finisher, and an idle device has no wakeup to retract.
+            # ``remaining / rate`` is positive, so it needs no clamp.
+            self._recompute_rates()
+            self._expected_finisher = record
+            wakeup = self.env.pooled_timeout(record.remaining / record.rate)
+            wakeup.callbacks.append(self._wakeup)
+            self._pending_wakeup = wakeup
+        else:
+            self._reschedule()
 
     def _recompute_rates(self) -> List[Transfer]:
         """Set max-min fair rates on the active set (water-filling).
@@ -395,18 +423,16 @@ class TransferDevice:
 
     def _reschedule(self) -> None:
         """Fix rates for the active set and schedule the next completion."""
-        self._epoch += 1
         self._expected_finisher = None
         pending = self._pending_wakeup
         if pending is not None:
             # Retract the superseded wakeup so the dispatch loop recycles
-            # it without re-entering Python (the old epoch-check path).
+            # it without re-entering Python.
             pending.cancel()
             self._pending_wakeup = None
         active = self._active
         if not active:
             return
-        epoch = self._epoch
         self._recompute_rates()
         # First transfer with the smallest projected finish time (manual
         # min: avoids a lambda call per stream; strict ``<`` keeps the
@@ -422,37 +448,50 @@ class TransferDevice:
                     projected = record
         if projected is None:
             return  # everything is stalled (all caps zero — impossible)
-        # Remember who this wakeup is for: if the epoch still matches when
-        # it fires, the active set (and hence the rates) never changed, so
-        # the projected transfer has truly finished even when float
-        # round-off leaves a sub-epsilon residue that a same-instant
-        # timeout could never burn down.
+        # Remember who this wakeup is for.  Every change to the active set
+        # or the rates retracts the pending wakeup, so one that fires
+        # finds them unchanged: the projected transfer has truly finished
+        # even when float round-off leaves a sub-epsilon residue that a
+        # same-instant timeout could never burn down.
         self._expected_finisher = projected
-        # The epoch rides as the timeout's value so one bound method
-        # serves every wakeup (no per-reschedule closure allocation).
-        wakeup = self.env.pooled_timeout(max(0.0, best), value=epoch)
+        wakeup = self.env.pooled_timeout(max(0.0, best))
         wakeup.callbacks.append(self._wakeup)
         self._pending_wakeup = wakeup
 
     def _wakeup(self, event: Event) -> None:
         self._pending_wakeup = None
-        epoch = event._value
-        if epoch != self._epoch:
-            return  # superseded by a newer reschedule
+        active = self._active
+        hook = self.on_complete
+        if len(active) == 1:
+            # The one-stream case: the lone stream is the expected
+            # finisher.  Settle it (only the integrals are observable:
+            # its ``remaining`` is zeroed at completion) and complete it;
+            # the device is idle again with no wakeup pending.
+            record = active.pop()
+            self._expected_finisher = None
+            now = self.env.now
+            elapsed = now - self._last_update
+            self._last_update = now
+            if elapsed > 0:
+                self._busy_time += elapsed
+                self._bytes_moved += record.rate * elapsed
+            record.remaining = 0.0
+            record.succeed(None)
+            if hook is not None:
+                hook(record)
+            return
         self._settle()
         if self._expected_finisher is not None:
             self._expected_finisher.remaining = 0.0
-        finished = [r for r in self._active if r.remaining <= _EPSILON_BYTES]
+        finished = [r for r in active if r.remaining <= _EPSILON_BYTES]
         for record in finished:
-            self._active.remove(record)
+            active.remove(record)
         # Reschedule *before* succeeding the events: completion callbacks
         # may start new transfers on this device synchronously.
         self._reschedule()
-        hook = self.on_complete
         for record in finished:
             record.remaining = 0.0
-            record.done.succeed(record)
-            record.done = None
+            record.succeed(None)
             if hook is not None:
                 hook(record)
 
@@ -461,28 +500,3 @@ class TransferDevice:
             f"<TransferDevice {self.name!r} bw={self.bandwidth / MB:.0f}MB/s "
             f"active={len(self._active)}>"
         )
-
-
-class UtilizationProbe:
-    """Samples a device's busy fraction over fixed windows.
-
-    Used by the Fig 4 reproduction to derive per-server disk utilization
-    timelines the way the paper derives them from the Google trace.
-    """
-
-    def __init__(self, env: Environment, device: TransferDevice, window: float):
-        if window <= 0:
-            raise ValueError(f"window must be positive, got {window}")
-        self.env = env
-        self.device = device
-        self.window = float(window)
-        self.samples: List[float] = []
-        self._last_busy = device.busy_time
-        env.process(self._run(), name=f"util-probe-{device.name}")
-
-    def _run(self):
-        while True:
-            yield self.env.timeout(self.window)
-            busy = self.device.busy_time
-            self.samples.append((busy - self._last_busy) / self.window)
-            self._last_busy = busy

@@ -1,8 +1,8 @@
 """A simulated run leaves no cyclic garbage behind.
 
 ``Environment.run`` switches the cyclic GC off for speed, so any
-reference cycle built per event (a finished transfer and its done event,
-a finished process) stays in memory until the run ends.  Each workload
+reference cycle built per event (say, a finished transfer or a
+finished process) stays in memory until the run ends.  Each workload
 below runs with a wrapper around ``Environment.run`` that calls
 ``gc.collect()`` the moment the run returns, while the cluster is still
 alive: it must find nothing unreachable.

@@ -192,35 +192,6 @@ class TestConcurrencyPenalty:
         assert end - start == pytest.approx(1.0)
 
 
-class TestCancel:
-    def test_cancel_frees_bandwidth(self):
-        env = Environment()
-        device = TransferDevice(env, "d", bandwidth=100 * MB)
-        ends = {}
-
-        def victim(env):
-            done = device.transfer(1000 * MB)
-            yield env.timeout(1.0)
-            assert device.cancel(done)
-            ends["victim-cancelled"] = env.now
-
-        def survivor(env):
-            yield device.transfer(150 * MB)
-            ends["survivor"] = env.now
-
-        env.process(victim(env))
-        env.process(survivor(env))
-        env.run()
-        # Shared 50MB/s for 1s -> survivor at 50MB; after cancel it gets
-        # 100MB/s for remaining 100MB -> t=2.0.
-        assert ends["survivor"] == pytest.approx(2.0)
-
-    def test_cancel_unknown_event_returns_false(self):
-        env = Environment()
-        device = TransferDevice(env, "d", bandwidth=100 * MB)
-        assert device.cancel(env.event()) is False
-
-
 class TestInstrumentation:
     def test_busy_time_only_counts_active_periods(self):
         env = Environment()
