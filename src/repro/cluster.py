@@ -15,7 +15,7 @@ from typing import Dict, List, Optional, Sequence
 
 from .core.config import IgnemConfig
 from .core.master import IgnemMaster
-from .core.slave import IgnemSlave
+from .core.slave import IgnemSlave, slave_record_counters
 from .dfs.client import DFSClient
 from .dfs.datanode import DataNode
 from .dfs.namenode import NameNode
@@ -234,7 +234,6 @@ class Cluster:
                 self.namenode,
                 rng=self.rng.spawn("ignem-master"),
                 config=ignem_config,
-                collector=self.collector,
                 registry=self.obs.registry,
                 transport=self.transport,
             )
@@ -244,11 +243,13 @@ class Cluster:
                 self.namenode,
                 rng=self.rng.spawn("ignem-master"),
                 config=ignem_config,
-                collector=self.collector,
                 registry=self.obs.registry,
                 transport=self.transport,
             )
         self.transport.register("master", master.handle_message)
+        # The ``ignem.slave.*`` instruments that count migration and
+        # eviction records are kept from the collector's record stream.
+        self.collector.subscribe(slave_record_counters(self.obs.registry))
         #: Cluster-wide per-tier occupancy, maintained incrementally by
         #: every slave's accounting deltas (O(1) per event).
         self.tier_totals: Dict[str, float] = {}

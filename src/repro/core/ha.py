@@ -14,7 +14,6 @@ from __future__ import annotations
 from typing import List, Optional, Sequence
 
 from ..dfs.namenode import NameNode
-from ..metrics.collector import MetricsCollector
 from ..obs.registry import MetricsRegistry
 from ..sim.engine import Environment
 from ..sim.rand import RandomSource
@@ -40,7 +39,6 @@ class HighAvailabilityMaster:
         namenode: NameNode,
         rng: Optional[RandomSource] = None,
         config: Optional[IgnemConfig] = None,
-        collector: Optional[MetricsCollector] = None,
         registry: Optional[MetricsRegistry] = None,
         *,
         transport,
@@ -53,7 +51,6 @@ class HighAvailabilityMaster:
             namenode,
             rng=rng.spawn("primary"),
             config=config,
-            collector=collector,
             registry=registry,
             transport=transport,
         )
@@ -62,7 +59,6 @@ class HighAvailabilityMaster:
             namenode,
             rng=rng.spawn("standby"),
             config=config,
-            collector=collector,
             registry=registry,
             transport=transport,
         )

@@ -13,7 +13,6 @@ from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from ..dfs.blocks import Block
 from ..dfs.namenode import NameNode
-from ..metrics.collector import MetricsCollector
 from ..obs.registry import MetricsRegistry
 from ..net.network import NetworkError
 from ..sim.engine import Environment
@@ -75,7 +74,6 @@ class IgnemMaster:
         namenode: NameNode,
         rng: Optional[RandomSource] = None,
         config: Optional[IgnemConfig] = None,
-        collector: Optional[MetricsCollector] = None,
         registry: Optional[MetricsRegistry] = None,
         *,
         transport,
@@ -84,7 +82,6 @@ class IgnemMaster:
         self.namenode = namenode
         self.rng = rng or RandomSource(0)
         self.config = config or IgnemConfig()
-        self.collector = collector or MetricsCollector()
         self.metrics = registry or MetricsRegistry()
         #: Message transport carrying master→slave commands through the
         #: ``slave/<node>`` endpoints.

@@ -18,11 +18,11 @@ Controls *how* and *when* blocks move into memory (paper Section III-A):
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from ..dfs.blocks import Block
 from ..dfs.datanode import DataNode, DataNodeError
-from ..metrics.collector import MetricsCollector
+from ..metrics.collector import MetricsCollector, RecordListener
 from ..metrics.records import EvictionRecord, MemorySample, MigrationRecord
 from ..obs.registry import MetricsRegistry
 from ..scheduler.resource_manager import ResourceManager
@@ -78,12 +78,8 @@ class IgnemSlave:
         self.migrated_bytes = 0.0
         #: Per-destination-tier migrated-bytes totals.
         self.tier_bytes: Dict[str, float] = {tier: 0.0 for tier in destinations}
-        #: (time, migrated_bytes) after every change — Fig 7's raw data.
-        self.usage_timeline: List[Tuple[float, float]] = [(env.now, 0.0)]
-        #: Per-tier usage timelines (the per-tier buffer-cap oracle's data).
-        self.tier_usage_timeline: Dict[str, List[Tuple[float, float]]] = {
-            tier: [(env.now, 0.0)] for tier in destinations
-        }
+        #: Start of the usage timelines (every tier is empty here).
+        self.created_at = env.now
         self._space_freed: Dict[str, Event] = {
             tier: env.event() for tier in destinations
         }
@@ -91,19 +87,15 @@ class IgnemSlave:
         #: Observability facade; ``None`` is the zero-overhead clean path.
         self.obs = None
 
-        # Registry instruments (shared across slaves when cluster-built,
-        # so ``ignem.slave.*`` are cluster-wide totals).  Counter bumps
-        # are pure bookkeeping — they never touch simulation time, so the
-        # clean path stays bit-identical.
+        # Registry instruments for facts no record carries (shared across
+        # slaves when cluster-built, so ``ignem.slave.*`` are cluster-wide
+        # totals).  Counter bumps are pure bookkeeping — they never touch
+        # simulation time, so the clean path stays bit-identical.
         metrics = self.metrics
         self._c_refs_added = metrics.counter("ignem.slave.refs_added")
         self._c_refs_removed = metrics.counter("ignem.slave.refs_removed")
-        self._c_completed = metrics.counter("ignem.slave.migrations_completed")
-        self._c_skipped = metrics.counter("ignem.slave.migrations_skipped")
-        self._c_cancelled = metrics.counter("ignem.slave.migrations_cancelled")
         self._c_dnh_waits = metrics.counter("ignem.slave.do_not_harm_waits")
         self._h_queue_wait = metrics.histogram("ignem.slave.queue_wait_seconds")
-        self._h_migration = metrics.histogram("ignem.slave.migration_seconds")
 
         datanode.on_block_read = self._on_block_read
         for tier in destinations:
@@ -198,6 +190,22 @@ class IgnemSlave:
     @property
     def pending_migrations(self) -> int:
         return sum(len(queue.items) for queue in self.tier_queues.values())
+
+    @property
+    def usage_timeline(self) -> List[Tuple[float, float]]:
+        """``(time, migrated_bytes)`` from creation on — Fig 7's raw data,
+        a view over this node's memory samples."""
+        samples = self.collector.memory_samples_for(self.name)
+        return [(self.created_at, 0.0)] + [(s.time, s.migrated_bytes) for s in samples]
+
+    @property
+    def tier_usage_timeline(self) -> Dict[str, List[Tuple[float, float]]]:
+        """Per destination tier, ``(time, tier_bytes)`` from creation on —
+        the buffer-cap checks' data, a view over this node's samples."""
+        timelines = {tier: [(self.created_at, 0.0)] for tier in self.tier_bytes}
+        for s in self.collector.memory_samples_for(self.name):
+            timelines.setdefault(s.tier, []).append((s.time, s.tier_bytes))
+        return timelines
 
     # -- failure handling --------------------------------------------------------------
 
@@ -329,28 +337,7 @@ class IgnemSlave:
             item.job_submitted_at,
         )
         self._account(block.nbytes, tier)
-        self.collector.record_migration(
-            MigrationRecord(
-                job_id=item.job_id,
-                block_id=block_id,
-                node=self.name,
-                nbytes=block.nbytes,
-                enqueued_at=enqueued_at,
-                start=start,
-                end=self.env.now,
-                outcome="completed",
-            )
-        )
-        self._c_completed.inc()
-        self._h_migration.observe(self.env.now - start)
-        if self.obs is not None:
-            self.obs.on_migration(
-                self.name,
-                item,
-                start,
-                "completed",
-                max(0.0, enqueued_at - item.received_at),
-            )
+        self._record_migration(item, enqueued_at, outcome="completed", start=start)
 
     # -- reference lists & eviction -----------------------------------------------------
 
@@ -385,11 +372,9 @@ class IgnemSlave:
                 nbytes=nbytes,
                 time=self.env.now,
                 reason=reason,
+                tier=tier,
             )
         )
-        self.metrics.counter(f"ignem.slave.evictions.{reason}").inc()
-        if self.obs is not None:
-            self.obs.on_eviction(self.name, block_id, nbytes, reason, tier)
         self._signal_space(tier)
 
     def cleanup_dead_jobs(self, force: bool = False) -> None:
@@ -482,17 +467,15 @@ class IgnemSlave:
             accumulator[tier] = (
                 accumulator.get(tier, 0.0) + per_tier - old_per_tier
             )
-        self.usage_timeline.append((self.env.now, self.migrated_bytes))
-        self.tier_usage_timeline.setdefault(tier, []).append(
-            (self.env.now, per_tier)
-        )
         self.collector.record_memory_sample(
-            MemorySample(self.name, self.env.now, self.migrated_bytes)
+            MemorySample(self.name, self.env.now, self.migrated_bytes, tier, per_tier)
         )
 
     def _record_migration(
-        self, item: MigrationWorkItem, enqueued_at: float, outcome: str
+        self, item: MigrationWorkItem, enqueued_at: float, outcome: str, start=None
     ) -> None:
+        """Report one migration; ``start`` is now unless data moved."""
+        now = self.env.now
         self.collector.record_migration(
             MigrationRecord(
                 job_id=item.job_id,
@@ -500,23 +483,38 @@ class IgnemSlave:
                 node=self.name,
                 nbytes=item.block.nbytes,
                 enqueued_at=enqueued_at,
-                start=self.env.now,
-                end=self.env.now,
+                start=now if start is None else start,
+                end=now,
                 outcome=outcome,
+                tier=item.dst_tier,
+                queue_wait=max(0.0, enqueued_at - item.received_at),
             )
         )
-        (self._c_skipped if outcome == "skipped" else self._c_cancelled).inc()
-        if self.obs is not None:
-            self.obs.on_migration(
-                self.name,
-                item,
-                self.env.now,
-                outcome,
-                max(0.0, enqueued_at - item.received_at),
-            )
 
     def __repr__(self) -> str:
         return (
             f"<IgnemSlave {self.name} migrated={len(self._migrated)} "
             f"pending={self.pending_migrations}>"
         )
+
+
+def slave_record_counters(registry: MetricsRegistry) -> RecordListener:
+    """A collector listener counting slave records into ``ignem.slave.*``:
+    migrations per outcome (from 0), completed-migration seconds, and
+    evictions per reason (each counter appears with its first eviction)."""
+    by_outcome = {
+        outcome: registry.counter(f"ignem.slave.migrations_{outcome}")
+        for outcome in ("completed", "skipped", "cancelled")
+    }
+    seconds = registry.histogram("ignem.slave.migration_seconds")
+
+    def on_record(record) -> None:
+        kind = type(record)
+        if kind is MigrationRecord:
+            by_outcome[record.outcome].inc()
+            if record.outcome == "completed":
+                seconds.observe(record.duration)
+        elif kind is EvictionRecord:
+            registry.counter(f"ignem.slave.evictions.{record.reason}").inc()
+
+    return on_record

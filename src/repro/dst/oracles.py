@@ -109,9 +109,9 @@ def oracle_buffer_cap(ctx: OracleContext) -> List[str]:
     declared = ctx.scenario.migration_tier
     violations = []
     for name in sorted(ctx.cluster.ignem_slaves):
-        slave = ctx.cluster.ignem_slaves[name]
-        for tier in sorted(slave.tier_usage_timeline):
-            timeline = slave.tier_usage_timeline[tier]
+        timelines = ctx.cluster.ignem_slaves[name].tier_usage_timeline
+        for tier in sorted(timelines):
+            timeline = timelines[tier]
             peak_time, peak = max(timeline, key=lambda tb: tb[1])
             if tier != declared:
                 if peak > _BYTE_TOLERANCE:

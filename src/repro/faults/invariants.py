@@ -137,11 +137,10 @@ class InvariantChecker:
     def check_do_not_harm(self) -> List[str]:
         violations: List[str] = []
         for name, slave in sorted(self.cluster.ignem_slaves.items()):
-            for tier in sorted(slave.tier_usage_timeline):
+            timelines = slave.tier_usage_timeline
+            for tier in sorted(timelines):
                 capacity = slave.config.buffer_capacity_for(tier)
-                peak = max(
-                    usage for _, usage in slave.tier_usage_timeline[tier]
-                )
+                peak = max(usage for _, usage in timelines[tier])
                 if peak > capacity + _BYTE_TOLERANCE:
                     violations.append(
                         f"do-not-harm: {name} tier {tier!r} peaked at "

@@ -37,8 +37,6 @@ class MapReduceEngine:
         self.collector = collector or MetricsCollector()
         self.config = config or EngineConfig()
         self.jobs: List[MRJob] = []
-        #: Observability facade; ``None`` is the zero-overhead clean path.
-        self.obs = None
 
     def submit_job(
         self,
@@ -66,7 +64,6 @@ class MapReduceEngine:
             use_ignem=use_ignem,
             implicit_eviction=implicit_eviction,
             extra_lead_time=extra_lead_time,
-            obs=self.obs,
             job_id=f"job-{len(self.jobs):05d}",
         )
         self.jobs.append(job)

@@ -51,7 +51,6 @@ class MRJob:
         use_ignem: bool = False,
         implicit_eviction: bool = True,
         extra_lead_time: float = 0.0,
-        obs=None,
         job_id: Optional[str] = None,
     ):
         self.env = env
@@ -63,8 +62,6 @@ class MRJob:
         self.use_ignem = use_ignem
         self.implicit_eviction = implicit_eviction
         self.extra_lead_time = float(extra_lead_time)
-        #: Observability facade; ``None`` is the zero-overhead clean path.
-        self.obs = obs
 
         # The engine passes a per-engine id so identically seeded runs name
         # jobs identically (trace determinism); the process-global counter
@@ -200,10 +197,9 @@ class MRJob:
                 input_bytes=self.input_bytes,
                 num_maps=self.num_maps,
                 num_reduces=self.num_reduces,
+                failed=self.failed,
             )
         )
-        if self.obs is not None:
-            self.obs.on_job_complete(self)
         self.completed.succeed(self)
 
     # -- map side ----------------------------------------------------------------
@@ -372,10 +368,6 @@ class MRJob:
                 output_bytes=out_bytes,
             )
         )
-        if self.obs is not None:
-            self.obs.on_task_complete(
-                "map", task_id, self.job_id, node, scheduled_at
-            )
 
     def _map_output_bytes(self, block: Block) -> float:
         if self.input_bytes <= 0:
@@ -567,7 +559,3 @@ class MRJob:
                 output_bytes=out_share,
             )
         )
-        if self.obs is not None:
-            self.obs.on_task_complete(
-                "reduce", task_id, self.job_id, node, scheduled_at
-            )

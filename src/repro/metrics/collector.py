@@ -13,9 +13,16 @@ from .records import (
     TaskRecord,
 )
 
+#: Called with every record as it is reported.
+RecordListener = Callable[[object], None]
+
 
 class MetricsCollector:
     """Accumulates typed records; every subsystem reports into one of these.
+
+    It is the one place a job, task, block read, migration, eviction or
+    memory sample is reported; registry counters, trace events and usage
+    timelines repeating those facts are derived from its records.
 
     The collector is passive — it never touches simulation time — so it can
     be shared freely and inspected after (or during) a run.
@@ -37,28 +44,45 @@ class MetricsCollector:
         self._job_indexed = 0
         self._tasks_index: Optional[Dict[str, List[TaskRecord]]] = None
         self._tasks_indexed = 0
+        self._samples_index: Optional[Dict[str, List[MemorySample]]] = None
+        self._samples_indexed = 0
+        self._listeners: List[RecordListener] = []
+
+    def subscribe(self, listener: RecordListener) -> None:
+        """Call ``listener`` with each record reported from now on."""
+        self._listeners.append(listener)
+
+    def _publish(self, record) -> None:
+        for listener in self._listeners:
+            listener(record)
 
     # -- record sinks ----------------------------------------------------------
 
     def record_block_read(self, record: BlockReadRecord) -> None:
         self.block_reads.append(record)
+        self._publish(record)
 
     def record_task(self, record: TaskRecord) -> None:
         self.tasks.append(record)
         self._tasks_index = None
+        self._publish(record)
 
     def record_job(self, record: JobRecord) -> None:
         self.jobs.append(record)
         self._job_index = None
+        self._publish(record)
 
     def record_migration(self, record: MigrationRecord) -> None:
         self.migrations.append(record)
+        self._publish(record)
 
     def record_eviction(self, record: EvictionRecord) -> None:
         self.evictions.append(record)
+        self._publish(record)
 
     def record_memory_sample(self, sample: MemorySample) -> None:
         self.memory_samples.append(sample)
+        self._publish(sample)
 
     # -- convenience queries -------------------------------------------------
 
@@ -86,6 +110,17 @@ class MetricsCollector:
         if kind is None:
             return list(tasks)
         return [t for t in tasks if t.kind == kind]
+
+    def memory_samples_for(self, node: str) -> List[MemorySample]:
+        """One node's memory samples, in report order."""
+        index = self._samples_index
+        if index is None or self._samples_indexed != len(self.memory_samples):
+            index = {}
+            for sample in self.memory_samples:
+                index.setdefault(sample.node, []).append(sample)
+            self._samples_index = index
+            self._samples_indexed = len(self.memory_samples)
+        return list(index.get(node, ()))
 
     def map_tasks(self) -> List[TaskRecord]:
         return [t for t in self.tasks if t.kind == "map"]

@@ -8,8 +8,7 @@ plus memory samples (Fig 7).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass
 
 
 @dataclass(slots=True, unsafe_hash=True)
@@ -65,6 +64,7 @@ class JobRecord:
     input_bytes: float
     num_maps: int
     num_reduces: int
+    failed: bool  # a task was abandoned: the job ended with partial output
 
     @property
     def duration(self) -> float:
@@ -88,6 +88,8 @@ class MigrationRecord:
     start: float
     end: float
     outcome: str  # "completed" | "skipped" | "cancelled"
+    tier: str  # destination tier
+    queue_wait: float  # receipt by the slave to dequeue by a worker
 
     @property
     def duration(self) -> float:
@@ -102,13 +104,16 @@ class EvictionRecord:
     node: str
     nbytes: float
     time: float
-    reason: str  # "explicit" | "implicit" | "cleanup" | "failure"
+    reason: str  # "explicit" | "implicit" | "cleanup" | "failure" | "preempted" | "decommission"
+    tier: str  # the tier the block was evicted from
 
 
 @dataclass(slots=True, unsafe_hash=True)
 class MemorySample:
-    """Point-in-time migrated-bytes usage on one node (Fig 7)."""
+    """Migrated-bytes usage on one node after a change in ``tier`` (Fig 7)."""
 
     node: str
     time: float
     migrated_bytes: float
+    tier: str
+    tier_bytes: float  # ``tier``'s migrated bytes after the change

@@ -5,9 +5,11 @@ A :class:`Observability` instance is created by every
 is pure bookkeeping).  Tracing is opt-in: :meth:`Observability.activate`
 builds the :class:`~repro.obs.trace.Tracer` and :meth:`attach` threads
 span/instant emission hooks through the cluster's layers — storage
-devices, buffer caches, network, DFS client, scheduler, MapReduce
-engine, Ignem master/slaves, and (when the "sim" category is enabled)
-the event-dispatch kernel itself.
+devices, buffer caches, network, DFS client, scheduler, Ignem
+master/slaves, and (when the "sim" category is enabled) the
+event-dispatch kernel itself.  Job, task, migration and eviction events
+are derived from the cluster's :class:`~repro.metrics.MetricsCollector`
+records through one subscribed listener.
 
 Components carry a plain ``obs`` attribute that stays ``None`` on the
 clean path; every hot-path hook is a single ``is None`` check, which is
@@ -19,6 +21,7 @@ from __future__ import annotations
 
 from typing import Callable, Optional
 
+from ..metrics.records import EvictionRecord, JobRecord, MigrationRecord, TaskRecord
 from ..sim.events import Event
 from ..sim.process import Process
 from .config import ObservabilityConfig
@@ -134,8 +137,8 @@ class Observability:
         """Thread instrumentation hooks through an assembled cluster.
 
         Requires :meth:`activate` first; idempotent.  Components touched:
-        every DataNode's disk/ram devices and buffer cache, every NIC,
-        the network, DFS client, ResourceManager, MapReduce engine, the
+        every DataNode's disk/ram devices, buffer caches and NIC, the
+        network, DFS client, ResourceManager, the metrics collector, the
         Ignem master/slaves when enabled, and the sim kernel when the
         "sim" category is on.
         """
@@ -157,56 +160,31 @@ class Observability:
         if tracer.enabled("sim"):
             cluster.env.monitor = _KernelMonitor(registry, tracer)
 
-        if tracer.enabled("storage"):
-            for name in sorted(cluster.datanodes):
-                datanode = cluster.datanodes[name]
-                # Device lanes keep their historical labels on the
-                # default hierarchy: the bottom tier is "disk", the top
-                # "ram"; middle tiers (3-tier presets) are labelled by
-                # their tier name.
-                tiers = datanode.tiers
-                for tier in tiers:
-                    if tier is tiers.bottom:
-                        label = "disk"
-                    elif tier is tiers.top:
-                        label = "ram"
-                    else:
-                        label = tier.spec.name
-                    self._attach_device(tier.device, label, name)
-                for tier in tiers.upper:
-                    suffix = (
-                        "" if tier is tiers.top else f"-{tier.spec.name}"
-                    )
-                    self._attach_cache(tier.cache, name, suffix)
-            for node in sorted(cluster.network._nics):
-                self._attach_device(
-                    cluster.network._nics[node].device, "nic", node
-                )
+        for name in sorted(cluster.datanodes):
+            self.attach_datanode(cluster, name)
 
         cluster.network.obs = self
         cluster.client.obs = self
         cluster.rm.obs = self
-        cluster.engine.obs = self
-        # Jobs submitted before activation (submit-then-run(trace=...))
-        # were constructed with obs=None; backfill so their lifecycle
-        # events are traced too.
-        for job in cluster.engine.jobs:
-            if job.obs is None:
-                job.obs = self
+        cluster.collector.subscribe(self._on_record)
         if cluster.ignem_master is not None:
             self.attach_ignem(cluster.ignem_master, cluster.ignem_slaves)
         if cluster.replication_monitor is not None:
             cluster.replication_monitor.obs = self
 
     def attach_datanode(self, cluster, name: str) -> None:
-        """Wire a freshly joined DataNode (cluster elasticity) with the
-        same storage instrumentation :meth:`attach` gave the originals.
-        No-op until the cluster has been attached."""
+        """Wire one DataNode's devices, buffer caches and NIC for storage
+        tracing: every node at :meth:`attach`, and each node joined
+        later (cluster elasticity).  No-op until the cluster has been
+        attached."""
         if self.tracer is None or not self._attached:
             return
         if self.tracer.enabled("storage"):
             datanode = cluster.datanodes[name]
             tiers = datanode.tiers
+            # Device lanes keep their historical labels on the default
+            # hierarchy: the bottom tier is "disk", the top "ram"; middle
+            # tiers (3-tier presets) are labelled by their tier name.
             for tier in tiers:
                 if tier is tiers.bottom:
                     label = "disk"
@@ -430,51 +408,85 @@ class Observability:
                 },
             )
 
-    def on_job_complete(self, job) -> None:
-        """MRJob completion hook: job-lifetime span + duration histogram."""
+    def _on_record(self, record) -> None:
+        """Collector listener: trace one job, task, migration or eviction
+        record, and keep the ``mapreduce.*`` counters and histograms."""
         tracer = self.tracer
-        if tracer is None:
-            return
-        duration = job.finished_at - job.submitted_at
-        self.registry.counter("mapreduce.jobs_completed").inc()
-        if self._h_job is not None:
-            self._h_job.observe(duration)
-        if tracer.enabled("job"):
-            tracer.complete(
-                "mapreduce.job",
-                "job",
-                job.submitted_at,
-                end=job.finished_at,
-                lane="jobs",
-                args={
-                    "job": job.job_id,
-                    "name": job.spec.name,
-                    "maps": job.num_maps,
-                    "reduces": job.num_reduces,
-                    "input_bytes": round(job.input_bytes),
-                    "failed": job.failed,
-                },
-            )
-
-    def on_task_complete(
-        self, kind: str, task_id: str, job_id: str, node: str, start: float
-    ) -> None:
-        """MRJob task hook: per-task span + duration histogram."""
-        tracer = self.tracer
-        if tracer is None:
-            return
-        self.registry.counter("mapreduce.tasks_completed").inc()
-        hist = self._h_map if kind == "map" else self._h_reduce
-        if hist is not None:
-            hist.observe(self.env.now - start)
-        if tracer.enabled("job"):
-            tracer.complete(
-                "mapreduce.task",
-                "job",
-                start,
-                lane=node,
-                args={"task": task_id, "job": job_id, "kind": kind},
-            )
+        kind = type(record)
+        if kind is TaskRecord:
+            self.registry.counter("mapreduce.tasks_completed").inc()
+            hist = self._h_map if record.kind == "map" else self._h_reduce
+            hist.observe(record.duration)
+            if tracer.enabled("job"):
+                tracer.complete(
+                    "mapreduce.task",
+                    "job",
+                    record.start,
+                    end=record.end,
+                    lane=record.node,
+                    args={"task": record.task_id, "job": record.job_id, "kind": record.kind},
+                )
+        elif kind is JobRecord:
+            self.registry.counter("mapreduce.jobs_completed").inc()
+            self._h_job.observe(record.duration)
+            if tracer.enabled("job"):
+                tracer.complete(
+                    "mapreduce.job",
+                    "job",
+                    record.submitted_at,
+                    end=record.end,
+                    lane="jobs",
+                    args={
+                        "job": record.job_id,
+                        "name": record.name,
+                        "maps": record.num_maps,
+                        "reduces": record.num_reduces,
+                        "input_bytes": round(record.input_bytes),
+                        "failed": record.failed,
+                    },
+                )
+        elif kind is MigrationRecord:
+            if not tracer.enabled("ignem"):
+                return
+            args = {
+                "block": record.block_id,
+                "job": record.job_id,
+                "bytes": round(record.nbytes),
+                "tier": record.tier,
+                "outcome": record.outcome,
+                "queue_wait": round(record.queue_wait, 6),
+            }
+            if record.outcome == "completed":
+                tracer.complete(
+                    "ignem.migration",
+                    "ignem",
+                    record.start,
+                    end=record.end,
+                    lane=record.node,
+                    args=args,
+                )
+            else:
+                tracer.instant(
+                    "ignem.migration",
+                    "ignem",
+                    lane=record.node,
+                    args=args,
+                    ts=record.end,
+                )
+        elif kind is EvictionRecord:
+            if tracer.enabled("ignem"):
+                tracer.instant(
+                    "ignem.eviction",
+                    "ignem",
+                    lane=record.node,
+                    args={
+                        "block": record.block_id,
+                        "bytes": round(record.nbytes),
+                        "reason": record.reason,
+                        "tier": record.tier,
+                    },
+                    ts=record.time,
+                )
 
     # -- self-healing replication hooks ------------------------------------------------
 
@@ -562,50 +574,6 @@ class Observability:
             "ignem",
             lane="ignem-master",
             args={"node": node, "kind": kind, "job": job_id},
-        )
-
-    def on_migration(
-        self,
-        node: str,
-        item,
-        start: float,
-        outcome: str,
-        queue_wait: float,
-    ) -> None:
-        """IgnemSlave migration hook: span (completed) or instant."""
-        tracer = self.tracer
-        if tracer is None or not tracer.enabled("ignem"):
-            return
-        args = {
-            "block": item.block_id,
-            "job": item.job_id,
-            "bytes": round(item.block.nbytes),
-            "tier": item.dst_tier,
-            "outcome": outcome,
-            "queue_wait": round(queue_wait, 6),
-        }
-        if outcome == "completed":
-            tracer.complete("ignem.migration", "ignem", start, lane=node, args=args)
-        else:
-            tracer.instant("ignem.migration", "ignem", lane=node, args=args)
-
-    def on_eviction(
-        self, node: str, block_id: str, nbytes: float, reason: str, tier: str
-    ) -> None:
-        """IgnemSlave eviction hook, tagged with its cause and tier."""
-        tracer = self.tracer
-        if tracer is None or not tracer.enabled("ignem"):
-            return
-        tracer.instant(
-            "ignem.eviction",
-            "ignem",
-            lane=node,
-            args={
-                "block": block_id,
-                "bytes": round(nbytes),
-                "reason": reason,
-                "tier": tier,
-            },
         )
 
     def on_do_not_harm_wait(

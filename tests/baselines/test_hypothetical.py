@@ -23,6 +23,7 @@ def make_job_record(job_id, submitted, end, input_bytes=64 * MB):
         input_bytes=input_bytes,
         num_maps=1,
         num_reduces=0,
+        failed=False,
     )
 
 

@@ -19,6 +19,7 @@ def _job(job_id, name="j"):
         input_bytes=0.0,
         num_maps=1,
         num_reduces=0,
+        failed=False,
     )
 
 

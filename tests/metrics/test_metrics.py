@@ -54,6 +54,7 @@ def job(job_id="j1", duration=10.0):
         input_bytes=100,
         num_maps=1,
         num_reduces=1,
+        failed=False,
     )
 
 
@@ -79,6 +80,8 @@ class TestRecords:
             start=1.0,
             end=3.0,
             outcome="completed",
+            tier="mem",
+            queue_wait=0.0,
         )
         assert record.duration == 2.0
 
@@ -132,6 +135,8 @@ class TestCollector:
                     start=0,
                     end=0,
                     outcome=outcome,
+                    tier="mem",
+                    queue_wait=0.0,
                 )
             )
         assert len(collector.completed_migrations()) == 1
