@@ -21,22 +21,25 @@ Quickstart::
 Traced run (observability is off by default; enabling it never changes
 simulation outcomes)::
 
-    from repro import RunOptions, TraceReader, build_paper_testbed, JobSpec
+    from repro import ObservabilityConfig, TraceReader, build_paper_testbed, JobSpec
 
-    cluster = build_paper_testbed(ignem=True)
+    observability = ObservabilityConfig(
+        enabled=True, trace_path="run.jsonl", metrics_path="metrics.json"
+    )
+    cluster = build_paper_testbed(ignem=True, observability=observability)
     cluster.client.create_file("/data/logs", 640 * MB)
     cluster.engine.submit_job(JobSpec("grep", ("/data/logs",)))
-    cluster.run(options=RunOptions(trace="run.jsonl", metrics="metrics.json"))
+    cluster.run()
     print(cluster.metrics.value("ignem.slave.migrations_completed"))
     TraceReader.load("run.jsonl").to_chrome("run.chrome.json")
 """
 
-from .cluster import Cluster, ClusterConfig, RunOptions, build_paper_testbed
+from .cluster import Cluster, ClusterConfig, build_paper_testbed
 from .core import HeatConfig, HeatEstimator, IgnemConfig, IgnemMaster, IgnemSlave
 from .mapreduce import EngineConfig, JobSpec, MapReduceEngine
 from .metrics import MetricsCollector
 from .obs import MetricsRegistry, ObservabilityConfig, TraceReader
-from .workloads import ServeConfig, workload_registry
+from .workloads import ServeConfig
 
 __version__ = "1.0.0"
 
@@ -54,10 +57,8 @@ __all__ = [
     "MetricsCollector",
     "MetricsRegistry",
     "ObservabilityConfig",
-    "RunOptions",
     "ServeConfig",
     "TraceReader",
     "build_paper_testbed",
-    "workload_registry",
     "__version__",
 ]

@@ -4,7 +4,6 @@ Usage::
 
     python -m repro list
     python -m repro run table1 fig6 --out results/ --seed 0
-    python -m repro run table1 --trace results/traces --metrics-out results/metrics
     python -m repro all --out results/
     python -m repro trace swim-ignem --out results/ --num-jobs 40
     python -m repro profile --mode ignem --num-jobs 200 --top 30
@@ -17,31 +16,24 @@ Usage::
     python -m repro heal --out results/
 
 Every subcommand shares the ``--out``/``--seed`` pair (one parent
-parser), and observability is exposed uniformly: ``--trace`` /
-``--metrics-out`` on ``run``/``all``, and the dedicated ``trace``
-subcommand for a schema-validated traced run of the SWIM workload.
+parser).  ``trace`` is the one way to trace a run: it traces and
+schema-checks the SWIM runs behind an experiment.
 
-Workload subcommands (``scale``, ``serve``) are *generated* from the
-workload registry (:mod:`repro.workloads.base`): each registered
-``cli=True`` workload contributes one subparser whose flags come from
-its params dataclass metadata.  ``repro list`` shows both experiments
-and workloads.
+The ``scale`` and ``serve`` flags set fields of
+:class:`~repro.workloads.ScaleConfig` and
+:class:`~repro.workloads.ServeConfig`; a flag left out keeps the
+dataclass default.
 """
 
 from __future__ import annotations
 
 import argparse
+import json
 import sys
+from pathlib import Path
 from typing import List, Optional
 
 from .experiments.report import available_experiments, run_experiments
-from .workloads import (
-    add_workload_arguments,
-    cli_workloads,
-    get_workload,
-    params_from_args,
-    workload_registry,
-)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -58,40 +50,16 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--out", default="results", help="output directory")
     common.add_argument("--seed", type=int, default=0, help="master RNG seed")
 
-    # Shared parent: observability flags on the experiment runners.
-    observability = argparse.ArgumentParser(add_help=False)
-    observability.add_argument(
-        "--trace",
-        metavar="DIR",
-        default=None,
-        help=(
-            "write Chrome trace_event JSONL traces of the underlying SWIM "
-            "workload runs into DIR"
-        ),
-    )
-    observability.add_argument(
-        "--metrics-out",
-        metavar="DIR",
-        default=None,
-        help="write metrics-registry snapshots of the SWIM runs into DIR",
-    )
-
     sub = parser.add_subparsers(dest="command", required=True)
 
     sub.add_parser("list", help="list available experiments")
 
     run = sub.add_parser(
-        "run",
-        parents=[common, observability],
-        help="run selected experiments",
+        "run", parents=[common], help="run selected experiments"
     )
     run.add_argument("experiments", nargs="+", metavar="EXPERIMENT")
 
-    sub.add_parser(
-        "all",
-        parents=[common, observability],
-        help="run every experiment",
-    )
+    sub.add_parser("all", parents=[common], help="run every experiment")
 
     trace = sub.add_parser(
         "trace",
@@ -170,16 +138,94 @@ def build_parser() -> argparse.ArgumentParser:
         help="requests for --workload serve",
     )
 
-    # Workload subcommands are generated from the registry: one
-    # subparser per cli=True workload, flags from its params dataclass.
-    for workload_cls in cli_workloads():
-        workload_parser = sub.add_parser(
-            workload_cls.name,
-            parents=[common],
-            help=workload_cls.summary,
-            description=workload_cls.epilog,
-        )
-        add_workload_arguments(workload_parser, workload_cls.Params)
+    # Workload subcommands: each flag's dest is a config field, and a
+    # flag left out is absent from the namespace (SUPPRESS), so the
+    # config dataclass stays the only place a default lives.
+    scale = sub.add_parser(
+        "scale",
+        parents=[common],
+        argument_default=argparse.SUPPRESS,
+        help="replay a Google-trace-shaped workload at cluster scale",
+        description=(
+            "Drive synthetic Google-trace rows through a full simulated "
+            "cluster: one input file, migrate call, read wave, and evict "
+            "call per job (see repro.workloads.scale).  Writes scale.json "
+            "and scale.txt under --out and prints the replay summary.  "
+            "The default shape (10k nodes, 100k jobs) is the kernel's "
+            "headline stress run; it finishes in minutes on one core."
+        ),
+    )
+    scale.add_argument("--nodes", dest="num_nodes", type=int, help="cluster size")
+    scale.add_argument(
+        "--jobs", dest="num_jobs", type=int, help="trace rows to replay"
+    )
+    scale.add_argument(
+        "--interarrival",
+        dest="mean_interarrival",
+        type=float,
+        help="mean job interarrival (seconds)",
+    )
+    scale.add_argument(
+        "--max-blocks",
+        dest="max_blocks_per_job",
+        type=int,
+        help="cap on blocks per job input file (bounds the lognormal tail)",
+    )
+    scale.add_argument(
+        "--no-ignem",
+        dest="ignem",
+        action="store_false",
+        help="replay the plain-HDFS baseline (no migrate/evict calls)",
+    )
+
+    serve = sub.add_parser(
+        "serve",
+        parents=[common],
+        argument_default=argparse.SUPPRESS,
+        help="interactive request serving with latency SLOs",
+        description=(
+            "Replay a seeded multi-tenant request stream (Zipfian object "
+            "popularity, diurnal load, optional flash crowds) against the "
+            "cluster under --policy none (plain HDFS), hint (oracle Ignem "
+            "pin), or heat (hint-free popularity-driven migration).  Writes "
+            "serve.json and serve.txt under --out and prints the SLO "
+            "summary (p50/p99/p999 read latency)."
+        ),
+    )
+    serve.add_argument("--nodes", dest="num_nodes", type=int, help="cluster size")
+    serve.add_argument(
+        "--objects", dest="num_objects", type=int, help="serving objects"
+    )
+    serve.add_argument(
+        "--requests", dest="num_requests", type=int, help="requests to replay"
+    )
+    serve.add_argument(
+        "--rps", dest="base_rps", type=float, help="mean request rate"
+    )
+    serve.add_argument(
+        "--zipf", dest="zipf_s", type=float, help="popularity skew exponent"
+    )
+    serve.add_argument(
+        "--tenants", dest="num_tenants", type=int, help="request tenants"
+    )
+    serve.add_argument(
+        "--diurnal-amplitude", type=float, help="load-curve swing in [0, 1]"
+    )
+    serve.add_argument(
+        "--diurnal-period", type=float, help="load-curve period (seconds)"
+    )
+    serve.add_argument(
+        "--flash-crowds", type=int, help="flash-crowd spikes to inject"
+    )
+    serve.add_argument(
+        "--policy",
+        choices=("none", "hint", "heat"),
+        help="migration policy: none | hint (oracle) | heat (learned)",
+    )
+    serve.add_argument(
+        "--hint-objects", type=int, help="objects the hint policy pins"
+    )
+    serve.add_argument("--batch-jobs", type=int, help="mixed-mode SWIM jobs")
 
     chaos = sub.add_parser(
         "chaos",
@@ -367,34 +413,46 @@ def run_profile(args) -> int:
     return 0
 
 
-def run_workload_command(args) -> int:
-    """Generic driver for registry-generated workload subcommands: run,
-    write ``<name>.json``/``<name>.txt`` under ``--out``, print the
+def _write_report(out: str, name: str, payload: dict, text: str) -> None:
+    """Write ``<name>.json``/``<name>.txt`` under ``out`` and print the
     report."""
-    import json
-    from pathlib import Path
-
-    workload_cls = get_workload(args.command)
-    params = params_from_args(workload_cls.Params, args)
-    workload = workload_cls(params)
-    result = workload.run()
-    report = workload.format_result(result)
-
-    out_dir = Path(args.out)
+    out_dir = Path(out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / f"{workload.name}.json").write_text(
-        json.dumps(workload.result_payload(result), indent=2, sort_keys=True)
-        + "\n"
+    (out_dir / f"{name}.json").write_text(
+        json.dumps(payload, indent=2, sort_keys=True) + "\n"
     )
-    (out_dir / f"{workload.name}.txt").write_text(report + "\n")
-    print(report)
-    print(f"\nresults written to {args.out}/{workload.name}.json")
-    return workload.exit_code(result)
+    (out_dir / f"{name}.txt").write_text(text + "\n")
+    print(text)
+    print(f"\nresults written to {out}/{name}.json")
+
+
+def _config_fields(args) -> dict:
+    """The config fields a workload subcommand was given: ``--seed``
+    plus every flag on the command line."""
+    return {
+        name: value
+        for name, value in vars(args).items()
+        if name not in ("command", "out")
+    }
+
+
+def run_scale_command(args) -> int:
+    from .workloads.scale import ScaleConfig, format_scale_result, run_scale_replay
+
+    result = run_scale_replay(ScaleConfig(**_config_fields(args)))
+    _write_report(args.out, "scale", result.to_dict(), format_scale_result(result))
+    return 0
+
+
+def run_serve_command(args) -> int:
+    from .workloads.serve import ServeConfig, format_serve_result, run_serve
+
+    result = run_serve(ServeConfig(**_config_fields(args)))
+    _write_report(args.out, "serve", result.to_dict(), format_serve_result(result))
+    return 0
 
 
 def run_chaos(args) -> int:
-    from pathlib import Path
-
     from .dst import DstRunner, swim_scenario
 
     runner = DstRunner(seed=args.seed)
@@ -410,9 +468,6 @@ def run_chaos(args) -> int:
 
 
 def run_dst(args) -> int:
-    import json
-    from pathlib import Path
-
     from .dst import DstRunner, corpus_paths
 
     runner = DstRunner(
@@ -443,9 +498,6 @@ def run_dst(args) -> int:
 
 
 def run_heal(args) -> int:
-    import json
-    from pathlib import Path
-
     from .faults.heal import format_heal_result, heal_payload, run_heal_demo
 
     result = run_heal_demo(
@@ -453,23 +505,11 @@ def run_heal(args) -> int:
         num_jobs=args.num_jobs,
         disable_repair=args.disable_repair,
     )
-    report = format_heal_result(result)
-
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "heal.json").write_text(
-        json.dumps(heal_payload(result), indent=2, sort_keys=True) + "\n"
-    )
-    (out_dir / "heal.txt").write_text(report + "\n")
-    print(report)
-    print(f"\nresults written to {args.out}/heal.json")
+    _write_report(args.out, "heal", heal_payload(result), format_heal_result(result))
     return 0 if result.ok else 1
 
 
 def run_real(args) -> int:
-    import json
-    from pathlib import Path
-
     from .transport.real import run_real_demo
 
     try:
@@ -482,16 +522,7 @@ def run_real(args) -> int:
     except ValueError as error:
         print(error, file=sys.stderr)
         return 2
-    report = result.summary()
-
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "real.json").write_text(
-        json.dumps(result.to_dict(), indent=2, sort_keys=True) + "\n"
-    )
-    (out_dir / "real.txt").write_text(report + "\n")
-    print(report)
-    print(f"\nresults written to {args.out}/real.json")
+    _write_report(args.out, "real", result.to_dict(), result.summary())
     return 0 if result.ok else 1
 
 
@@ -528,16 +559,13 @@ def main(argv: Optional[List[str]] = None) -> int:
         print("experiments:")
         for name in available_experiments():
             print(f"  {name}")
-        print("\nworkloads:")
-        for name, workload_cls in workload_registry().items():
-            marker = "*" if workload_cls.cli else " "
-            print(f"  {name:<14}{marker} {workload_cls.summary}")
-        print("\n(* = has its own subcommand: python -m repro <workload>)")
         return 0
     if args.command == "profile":
         return run_profile(args)
-    if args.command in {cls.name for cls in cli_workloads()}:
-        return run_workload_command(args)
+    if args.command == "scale":
+        return run_scale_command(args)
+    if args.command == "serve":
+        return run_serve_command(args)
     if args.command == "chaos":
         return run_chaos(args)
     if args.command == "trace":
@@ -551,13 +579,7 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     names = None if args.command == "all" else args.experiments
     try:
-        results = run_experiments(
-            names,
-            out_dir=args.out,
-            seed=args.seed,
-            trace_dir=args.trace,
-            metrics_dir=args.metrics_out,
-        )
+        results = run_experiments(names, out_dir=args.out, seed=args.seed)
     except KeyError as error:
         print(error.args[0], file=sys.stderr)
         return 2

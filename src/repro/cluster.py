@@ -78,25 +78,6 @@ class ClusterConfig:
         return tier_preset(self.tier_preset)
 
 
-@dataclass(frozen=True)
-class RunOptions:
-    """Optional outputs of one :meth:`Cluster.run` call.
-
-    Collapses the run kwargs that accreted across PRs into one value
-    (the PR 3 -> 5 counter-view playbook): pass
-    ``cluster.run(options=RunOptions(trace=..., metrics=...))`` instead
-    of the individual keyword arguments.
-
-    * ``trace`` — activate tracing (if not already on) and write the
-      JSONL trace to this path when the run returns;
-    * ``metrics`` — write the metrics-registry snapshot to this path
-      when the run returns (works without tracing).
-    """
-
-    trace: Optional[str] = None
-    metrics: Optional[str] = None
-
-
 class Cluster:
     """A fully wired simulated big-data cluster."""
 
@@ -176,7 +157,7 @@ class Cluster:
 
         #: Observability facade: the metrics registry is always live
         #: (passive bookkeeping); tracing activates via
-        #: ``ObservabilityConfig(enabled=True)`` or ``run(trace=...)``.
+        #: ``ObservabilityConfig(enabled=True)``.
         self.obs = Observability(self.env, cfg.observability)
         self.obs.register_cluster_pulls(self)
         if cfg.observability.transport_metrics:
@@ -303,7 +284,6 @@ class Cluster:
 
         migrator = PopularityMigrator(
             self.env,
-            self.ignem_master,
             self.namenode,
             self.rm,
             config=config,
@@ -492,47 +472,20 @@ class Cluster:
 
     # -- convenience -------------------------------------------------------------------
 
-    def run(self, until=None, options: Optional[RunOptions] = None):
+    def run(self, until=None):
         """Advance the simulation (see :meth:`Environment.run`).
 
-        Observability extensions (all optional; plain ``run()`` is the
-        untouched clean path) live in :class:`RunOptions`:
-
-        * ``RunOptions(trace="path.jsonl")`` — activate tracing (if not
-          already on via :class:`~repro.obs.ObservabilityConfig`) and
-          write the JSONL trace there when this run returns;
-        * ``RunOptions(metrics="path.json")`` — write the
-          metrics-registry snapshot there when this run returns (works
-          without tracing too).
-
-        The pre-RunOptions ``trace=``/``metrics=`` keyword arguments
-        were deprecated in the PR that introduced :class:`RunOptions`
-        and have been removed; passing them now raises ``TypeError``.
-        With ``ObservabilityConfig(enabled=True, trace_path=...,
-        metrics_path=...)`` the same outputs are produced without
-        per-call arguments.
+        With ``ObservabilityConfig(trace_path=..., metrics_path=...)``
+        the JSONL trace (when tracing is enabled) and the metrics
+        snapshot are written there when this run returns.
         """
-        if options is None:
-            options = RunOptions()
+        result = self.env.run(until=until)
         obs = self.obs
         obs_cfg = self.config.observability
-        if options.trace is not None and not obs.active:
-            obs.activate()
-        if obs.active:
-            obs.attach(self)
-        result = self.env.run(until=until)
-        trace_path = (
-            options.trace if options.trace is not None else obs_cfg.trace_path
-        )
-        if obs.active and trace_path is not None:
-            obs.tracer.dump(trace_path)
-        metrics_path = (
-            options.metrics
-            if options.metrics is not None
-            else obs_cfg.metrics_path
-        )
-        if metrics_path is not None:
-            obs.registry.write(metrics_path)
+        if obs.active and obs_cfg.trace_path is not None:
+            obs.tracer.dump(obs_cfg.trace_path)
+        if obs_cfg.metrics_path is not None:
+            obs.registry.write(obs_cfg.metrics_path)
         return result
 
     def node_names(self) -> List[str]:

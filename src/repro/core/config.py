@@ -50,8 +50,8 @@ class IgnemConfig:
       migration stream use the disk's full sequential bandwidth.  The
       paper's Fig 8 numbers imply the authors' mlock page-in path ran at
       only ~25-45MB/s per slave (2GB fully migrated in a ~10s lead across
-      8 servers); setting a cap reproduces that variant — the Fig 8
-      harness runs both.
+      8 servers); setting a cap models that variant.  No experiment
+      sets it: the Fig 8 harness runs uncapped.
     * ``command_timeout`` / ``command_max_retries`` / ``command_backoff``
       / ``command_backoff_factor`` — robustness of the master→slave
       command channel: an unacknowledged command (slave down, message

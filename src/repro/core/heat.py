@@ -283,20 +283,19 @@ class PopularityMigrator:
     def __init__(
         self,
         env: Environment,
-        master,
         namenode: NameNode,
         rm,
         config: Optional[HeatConfig] = None,
         registry: Optional[MetricsRegistry] = None,
         default_tier: str = MEM,
-        transport=None,
+        *,
+        transport,
     ):
         self.env = env
-        self.master = master
         self.namenode = namenode
         self.rm = rm
-        #: When set, promotions/demotions ship to the ``"master"``
-        #: endpoint as protocol messages instead of direct method calls.
+        #: Promotions/demotions ship to the ``"master"`` endpoint as
+        #: protocol messages.
         self.transport = transport
         self.config = config or HeatConfig()
         self.dst_tier = self.config.dst_tier or default_tier
@@ -345,21 +344,15 @@ class PopularityMigrator:
     # -- master RPC --------------------------------------------------------------
 
     def _request_promotion(self, blocks, owner: str, dst_tier: str) -> None:
-        if self.transport is not None:
-            self.transport.request(
-                "master",
-                PromoteBlocksRequest(tuple(blocks), owner, dst_tier=dst_tier),
-            )
-        else:
-            self.master.request_block_migration(blocks, owner, dst_tier=dst_tier)
+        self.transport.request(
+            "master",
+            PromoteBlocksRequest(tuple(blocks), owner, dst_tier=dst_tier),
+        )
 
     def _request_demotion(self, block_ids, owner: str) -> None:
-        if self.transport is not None:
-            self.transport.request(
-                "master", DemoteBlocksRequest(tuple(block_ids), owner)
-            )
-        else:
-            self.master.request_block_eviction(block_ids, owner)
+        self.transport.request(
+            "master", DemoteBlocksRequest(tuple(block_ids), owner)
+        )
 
     # -- lifecycle ---------------------------------------------------------------
 

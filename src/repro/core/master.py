@@ -167,58 +167,17 @@ class IgnemMaster:
         """
         if not self.alive:
             return
-        if dst_tier is None:
-            dst_tier = self.config.migration_tier
-        elif dst_tier not in self.config.destination_tiers():
-            raise ValueError(
-                f"{dst_tier!r} is not a configured migration destination "
-                f"(destinations: {', '.join(self.config.destination_tiers())})"
-            )
+        dst_tier = self._destination(dst_tier)
         self._c_migration_requests.inc()
-        job_input_bytes = self.namenode.total_bytes(paths)
-        submitted_at = self.env.now
-
-        batches: Dict[str, List[MigrationWorkItem]] = {}
         namenode = self.namenode
-        slaves = self._slaves
-        assignments = self._assignments
-        order_hint = 0
-        for path in paths:
-            for block in namenode.file_blocks(path):
-                locations = namenode.get_block_locations(block.block_id)
-                usable = [node for node in locations if node in slaves]
-                if not usable:
-                    continue
-                key = (job_id, block.block_id)
-                previous = [
-                    node for node in assignments.get(key, ()) if node in usable
-                ]
-                if previous:
-                    # A duplicate migrate call (client retry) must reuse
-                    # the earlier replica choice, or the eviction would
-                    # only reach the latest choice and leak the first.
-                    chosen_nodes = previous
-                else:
-                    count = min(self.config.replicas_to_migrate, len(usable))
-                    chosen_nodes = self.rng.sample(sorted(usable), count)
-                # Eviction routing remembers every chosen holder.
-                assignments[key] = tuple(chosen_nodes)
-                for chosen in chosen_nodes:
-                    batches.setdefault(chosen, []).append(
-                        MigrationWorkItem(
-                            block=block,
-                            job_id=job_id,
-                            job_input_bytes=job_input_bytes,
-                            job_submitted_at=submitted_at,
-                            implicit_eviction=implicit_eviction,
-                            order_hint=order_hint,
-                            dst_tier=dst_tier,
-                        )
-                    )
-                order_hint += 1
-
-        for node, items in batches.items():
-            self._send(node, "migrate", MigrateCommand(job_id, tuple(items)))
+        blocks = [block for path in paths for block in namenode.file_blocks(path)]
+        self._migrate_blocks(
+            blocks,
+            job_id,
+            namenode.total_bytes(paths),
+            implicit_eviction,
+            dst_tier,
+        )
 
     def request_block_migration(
         self,
@@ -237,57 +196,15 @@ class IgnemMaster:
         """
         if not self.alive:
             return
-        if dst_tier is None:
-            dst_tier = self.config.migration_tier
-        elif dst_tier not in self.config.destination_tiers():
-            raise ValueError(
-                f"{dst_tier!r} is not a configured migration destination "
-                f"(destinations: {', '.join(self.config.destination_tiers())})"
-            )
+        dst_tier = self._destination(dst_tier)
         self._c_promotion_requests.inc()
-        submitted_at = self.env.now
-        namenode = self.namenode
-        slaves = self._slaves
-        assignments = self._assignments
         # The promotion wave is priced like one small job: policies that
         # favor small inputs treat a batch of hot blocks as a unit.
         total_bytes = sum(block.nbytes for block in blocks)
-
-        batches: Dict[str, List[MigrationWorkItem]] = {}
-        order_hint = 0
-        for block in blocks:
-            if not namenode.is_block(block.block_id):
-                continue  # the file was deleted since the heat sample
-            locations = namenode.get_block_locations(block.block_id)
-            usable = [node for node in locations if node in slaves]
-            if not usable:
-                continue
-            key = (owner, block.block_id)
-            previous = [
-                node for node in assignments.get(key, ()) if node in usable
-            ]
-            if previous:
-                chosen_nodes = previous
-            else:
-                count = min(self.config.replicas_to_migrate, len(usable))
-                chosen_nodes = self.rng.sample(sorted(usable), count)
-            assignments[key] = tuple(chosen_nodes)
-            for chosen in chosen_nodes:
-                batches.setdefault(chosen, []).append(
-                    MigrationWorkItem(
-                        block=block,
-                        job_id=owner,
-                        job_input_bytes=total_bytes,
-                        job_submitted_at=submitted_at,
-                        implicit_eviction=False,
-                        order_hint=order_hint,
-                        dst_tier=dst_tier,
-                    )
-                )
-            order_hint += 1
-
-        for node, items in batches.items():
-            self._send(node, "migrate", MigrateCommand(owner, tuple(items)))
+        is_block = self.namenode.is_block
+        # A block whose file was deleted since the heat sample is skipped.
+        live = [block for block in blocks if is_block(block.block_id)]
+        self._migrate_blocks(live, owner, total_bytes, False, dst_tier)
 
     def request_block_eviction(
         self, block_ids: Sequence[str], owner: str
@@ -296,31 +213,99 @@ class IgnemMaster:
         if not self.alive:
             return
         self._c_demotion_requests.inc()
-        batches: Dict[str, List[str]] = {}
-        for block_id in block_ids:
-            nodes = self._assignments.pop((owner, block_id), ())
-            for node in nodes:
-                if node in self._slaves:
-                    batches.setdefault(node, []).append(block_id)
-        for node, ids in batches.items():
-            self._send(node, "evict", EvictCommand(owner, tuple(ids)))
+        self._evict_blocks(block_ids, owner)
 
     def request_eviction(self, paths: Sequence[str], job_id: str) -> None:
         """Handle a job submitter's evict call (job completed)."""
         if not self.alive:
             return
         self._c_eviction_requests.inc()
-        batches: Dict[str, List[str]] = {}
-        for path in paths:
-            if not self.namenode.exists(path):
+        namenode = self.namenode
+        self._evict_blocks(
+            [
+                block.block_id
+                for path in paths
+                if namenode.exists(path)
+                for block in namenode.file_blocks(path)
+            ],
+            job_id,
+        )
+
+    def _destination(self, dst_tier: Optional[str]) -> str:
+        """``dst_tier``, or the configured default when ``None``;
+        rejects a tier that is not a migration destination."""
+        if dst_tier is None:
+            return self.config.migration_tier
+        if dst_tier not in self.config.destination_tiers():
+            raise ValueError(
+                f"{dst_tier!r} is not a configured migration destination "
+                f"(destinations: {', '.join(self.config.destination_tiers())})"
+            )
+        return dst_tier
+
+    def _migrate_blocks(
+        self,
+        blocks: Sequence[Block],
+        job_id: str,
+        job_input_bytes: float,
+        implicit_eviction: bool,
+        dst_tier: str,
+    ) -> None:
+        """Choose replicas for ``blocks`` under ``job_id`` and send each
+        chosen slave one batched migrate command."""
+        submitted_at = self.env.now
+        namenode = self.namenode
+        slaves = self._slaves
+        assignments = self._assignments
+        batches: Dict[str, List[MigrationWorkItem]] = {}
+        order_hint = 0
+        for block in blocks:
+            locations = namenode.get_block_locations(block.block_id)
+            usable = [node for node in locations if node in slaves]
+            if not usable:
                 continue
-            for block in self.namenode.file_blocks(path):
-                nodes = self._assignments.pop((job_id, block.block_id), ())
-                for node in nodes:
-                    if node in self._slaves:
-                        batches.setdefault(node, []).append(block.block_id)
-        for node, block_ids in batches.items():
-            self._send(node, "evict", EvictCommand(job_id, tuple(block_ids)))
+            key = (job_id, block.block_id)
+            previous = [
+                node for node in assignments.get(key, ()) if node in usable
+            ]
+            if previous:
+                # A duplicate migrate call (client retry) must reuse the
+                # earlier replica choice, or the eviction would only
+                # reach the latest choice and leak the first.
+                chosen_nodes = previous
+            else:
+                count = min(self.config.replicas_to_migrate, len(usable))
+                chosen_nodes = self.rng.sample(sorted(usable), count)
+            # Eviction routing remembers every chosen holder.
+            assignments[key] = tuple(chosen_nodes)
+            for chosen in chosen_nodes:
+                batches.setdefault(chosen, []).append(
+                    MigrationWorkItem(
+                        block=block,
+                        job_id=job_id,
+                        job_input_bytes=job_input_bytes,
+                        job_submitted_at=submitted_at,
+                        implicit_eviction=implicit_eviction,
+                        order_hint=order_hint,
+                        dst_tier=dst_tier,
+                    )
+                )
+            order_hint += 1
+
+        for node, items in batches.items():
+            self._send(node, "migrate", MigrateCommand(job_id, tuple(items)))
+
+    def _evict_blocks(self, block_ids: Sequence[str], job_id: str) -> None:
+        """Send every slave that holds a block of ``block_ids`` for
+        ``job_id`` one batched evict command."""
+        batches: Dict[str, List[str]] = {}
+        for block_id in block_ids:
+            nodes = self._assignments.pop((job_id, block_id), ())
+            for node in nodes:
+                if node in self._slaves:
+                    batches.setdefault(node, []).append(block_id)
+        for node, ids in batches.items():
+            self._send(node, "evict", EvictCommand(job_id, tuple(ids)))
 
     # -- failure handling -----------------------------------------------------------
 

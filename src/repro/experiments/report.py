@@ -330,16 +330,8 @@ def run_experiments(
     names: Optional[Sequence[str]] = None,
     out_dir: PathLike = "results",
     seed: int = 0,
-    trace_dir: Optional[PathLike] = None,
-    metrics_dir: Optional[PathLike] = None,
 ) -> Dict[str, str]:
-    """Run the named experiments (all by default); returns name -> text.
-
-    ``trace_dir``/``metrics_dir`` enable observability on the shared SWIM
-    runs behind the experiments: each (mode, seed, num_jobs) run writes a
-    JSONL trace / metrics snapshot into the given directory.  Experiments
-    not backed by the SWIM workload run unchanged.
-    """
+    """Run the named experiments (all by default); returns name -> text."""
     out_path = pathlib.Path(out_dir)
     out_path.mkdir(parents=True, exist_ok=True)
     chosen = list(names) if names else available_experiments()
@@ -350,41 +342,12 @@ def run_experiments(
                 f"{available_experiments()}"
             )
 
-    observing = trace_dir is not None or metrics_dir is not None
-    if observing:
-        from ..obs import ObservabilityConfig
-        from . import swim_runs
-
-        tdir = pathlib.Path(trace_dir) if trace_dir is not None else None
-        mdir = pathlib.Path(metrics_dir) if metrics_dir is not None else None
-        for directory in (tdir, mdir):
-            if directory is not None:
-                directory.mkdir(parents=True, exist_ok=True)
-
-        def _observability(mode: str, run_seed: int, num_jobs: int):
-            stem = f"swim_{mode}_{num_jobs}jobs_seed{run_seed}"
-            return ObservabilityConfig(
-                enabled=True,
-                trace_path=(
-                    str(tdir / f"{stem}.trace.jsonl") if tdir else None
-                ),
-                metrics_path=(
-                    str(mdir / f"{stem}.metrics.json") if mdir else None
-                ),
-            )
-
-        swim_runs.set_observability(_observability)
-
     results: Dict[str, str] = {}
     ran: set = set()
-    try:
-        for name in chosen:
-            runner = EXPERIMENTS[name]
-            if runner in ran:
-                continue  # fig1/fig2 share one runner
-            ran.add(runner)
-            results[name] = runner(out_path, seed)
-    finally:
-        if observing:
-            swim_runs.set_observability(None)
+    for name in chosen:
+        runner = EXPERIMENTS[name]
+        if runner in ran:
+            continue  # fig1/fig2 share one runner
+        ran.add(runner)
+        results[name] = runner(out_path, seed)
     return results

@@ -11,7 +11,7 @@ metrics evaluation does.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ..cluster import Cluster, build_paper_testbed
 from ..core.config import IgnemConfig
@@ -41,27 +41,9 @@ class SwimRun:
 
 _CACHE: Dict[Tuple, SwimRun] = {}
 
-#: Optional factory ``(mode, seed, num_jobs) -> ObservabilityConfig``
-#: applied to every SWIM cluster built without an explicit
-#: ``observability`` argument (the ``--trace/--metrics-out`` CLI path).
-_OBS_FACTORY: Optional[Callable[[str, int, int], ObservabilityConfig]] = None
-
 
 def clear_cache() -> None:
     _CACHE.clear()
-
-
-def set_observability(
-    factory: Optional[Callable[[str, int, int], ObservabilityConfig]],
-) -> None:
-    """Install (or clear, with ``None``) a default observability factory.
-
-    Clears the run cache: cached runs were executed under the previous
-    setting and would otherwise be returned without emitting traces.
-    """
-    global _OBS_FACTORY
-    _OBS_FACTORY = factory
-    clear_cache()
 
 
 def prepare_swim_cluster(
@@ -76,13 +58,10 @@ def prepare_swim_cluster(
 
     Returns ``(cluster, trace jobs, job specs, arrival times)`` — the
     exact pre-run state :func:`run_swim` uses, also reusable by callers
-    that drive the run themselves (perfbench's swim member, the
-    workload adapter).
+    that drive the run themselves (perfbench's swim member).
     """
     if mode not in ("hdfs", "ignem", "ram"):
         raise ValueError(f"unknown mode {mode!r}")
-    if observability is None and _OBS_FACTORY is not None:
-        observability = _OBS_FACTORY(mode, seed, num_jobs)
     overrides = {}
     if observability is not None:
         overrides["observability"] = observability

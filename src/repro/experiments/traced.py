@@ -13,7 +13,7 @@ import pathlib
 from dataclasses import dataclass
 from typing import Dict, List, Tuple, Union
 
-from ..obs import ObservabilityConfig, validate_trace
+from ..obs import DEFAULT_CATEGORIES, ObservabilityConfig, validate_trace
 from .swim_runs import run_swim
 
 PathLike = Union[str, pathlib.Path]
@@ -72,6 +72,7 @@ def run_traced(
 
     ``num_jobs`` defaults to a short 40-job workload — traces of the full
     200-job run are large; raise it when the full workload matters.
+    ``sim_events`` adds the kernel's "sim" category (very verbose).
     """
     if experiment not in TRACEABLE:
         raise KeyError(
@@ -81,13 +82,16 @@ def run_traced(
     out_path = pathlib.Path(out_dir)
     out_path.mkdir(parents=True, exist_ok=True)
 
+    categories = DEFAULT_CATEGORIES
+    if sim_events:
+        categories = categories | {"sim"}
     results: List[TracedRun] = []
     for mode in TRACEABLE[experiment]:
         trace_path = out_path / f"{experiment}_{mode}.trace.jsonl"
         metrics_path = out_path / f"{experiment}_{mode}.metrics.json"
         config = ObservabilityConfig(
             enabled=True,
-            sim_events=sim_events,
+            categories=categories,
             trace_path=str(trace_path),
             metrics_path=str(metrics_path),
         )

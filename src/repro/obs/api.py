@@ -51,7 +51,7 @@ class _KernelMonitor:
     Counts every dispatched event and every process wakeup; optionally
     emits an instant trace event per dispatch.  This is the one piece of
     instrumentation that scales with raw kernel event volume, which is
-    why it hides behind ``ObservabilityConfig.sim_events``.
+    why it is off unless ``ObservabilityConfig.categories`` names "sim".
     """
 
     __slots__ = ("_dispatches", "_wakeups", "_tracer")
@@ -92,8 +92,8 @@ class Observability:
         obs.tracer.dump("trace.jsonl")
         obs.registry.write("metrics.json")
 
-    :meth:`repro.cluster.Cluster.run` drives all of this from
-    ``run(options=RunOptions(...))`` / ``ObservabilityConfig``.
+    :class:`repro.cluster.Cluster` drives all of this from its
+    :class:`~repro.obs.ObservabilityConfig`.
     """
 
     def __init__(
@@ -120,15 +120,10 @@ class Observability:
         """Whether tracing instrumentation is live."""
         return self.tracer is not None
 
-    def activate(self, categories=None) -> Tracer:
+    def activate(self) -> Tracer:
         """Build the tracer (idempotent); returns it."""
         if self.tracer is None:
-            cats = (
-                frozenset(categories)
-                if categories is not None
-                else self.config.effective_categories()
-            )
-            self.tracer = Tracer(self.env, cats)
+            self.tracer = Tracer(self.env, self.config.categories)
         return self.tracer
 
     # -- wiring ------------------------------------------------------------------

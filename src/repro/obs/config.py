@@ -26,11 +26,10 @@ class ObservabilityConfig:
     categories:
         Trace categories to record (see
         :data:`~repro.obs.trace.ALL_CATEGORIES`).  The default set covers
-        every application layer; the "sim" kernel category is opt-in via
-        ``sim_events`` because it scales with raw event-dispatch volume.
-    sim_events:
-        Also trace the simulation kernel (event dispatches and process
-        wakeups).  Expensive; for debugging the simulator itself.
+        every application layer.  Add ``"sim"`` to also trace the
+        simulation kernel (event dispatches and process wakeups): it
+        scales with raw event-dispatch volume, so it is opt-in and meant
+        for debugging the simulator itself.
     trace_path:
         When set, :meth:`repro.cluster.Cluster.run` writes the JSONL
         trace here after the run.
@@ -47,13 +46,6 @@ class ObservabilityConfig:
 
     enabled: bool = False
     categories: FrozenSet[str] = DEFAULT_CATEGORIES
-    sim_events: bool = False
     trace_path: Optional[str] = None
     metrics_path: Optional[str] = None
     transport_metrics: bool = False
-
-    def effective_categories(self) -> FrozenSet[str]:
-        cats = frozenset(self.categories)
-        if self.sim_events:
-            cats = cats | {"sim"}
-        return cats

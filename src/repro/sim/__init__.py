@@ -18,7 +18,6 @@ A small, self-contained, generator-based DES in the style of SimPy:
 from .engine import Environment, StopSimulation
 from .events import (
     AllOf,
-    AnyOf,
     Condition,
     ConditionValue,
     Event,
@@ -29,20 +28,12 @@ from .events import (
 )
 from .process import Process
 from .rand import RandomSource, derive_seed
-from .resources import (
-    Container,
-    PriorityItem,
-    PriorityStore,
-    Resource,
-    Store,
-)
+from .resources import PriorityItem, PriorityStore, Store
 
 __all__ = [
     "AllOf",
-    "AnyOf",
     "Condition",
     "ConditionValue",
-    "Container",
     "Environment",
     "Event",
     "Interrupt",
@@ -50,7 +41,6 @@ __all__ = [
     "PriorityStore",
     "Process",
     "RandomSource",
-    "Resource",
     "SimulationError",
     "StopSimulation",
     "Store",

@@ -11,7 +11,6 @@ from .events import (
     NORMAL_KEY,
     PRIORITY_SHIFT,
     AllOf,
-    AnyOf,
     Event,
     PooledTimeout,
     SimulationError,
@@ -169,10 +168,6 @@ class Environment:
     def all_of(self, events) -> AllOf:
         """Event that triggers when all of ``events`` have triggered."""
         return AllOf(self, events)
-
-    def any_of(self, events) -> AnyOf:
-        """Event that triggers when any of ``events`` has triggered."""
-        return AnyOf(self, events)
 
     # -- scheduling ---------------------------------------------------------
 

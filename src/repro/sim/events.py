@@ -370,7 +370,7 @@ class ConditionValue:
 
 
 class Condition(Event):
-    """Waits for a combination of events (see :class:`AllOf`, :class:`AnyOf`).
+    """Waits for a combination of events (see :class:`AllOf`).
 
     ``evaluate`` receives the list of child events and the count of
     triggered children and returns ``True`` once the condition holds.
@@ -426,20 +426,9 @@ class Condition(Event):
     def all_events(events: list, count: int) -> bool:
         return len(events) == count
 
-    @staticmethod
-    def any_events(events: list, count: int) -> bool:
-        return count > 0 or not events
-
 
 class AllOf(Condition):
     """Triggers once every child event has triggered."""
 
     def __init__(self, env: "Environment", events: Iterable[Event]):
         super().__init__(env, Condition.all_events, events)
-
-
-class AnyOf(Condition):
-    """Triggers as soon as any child event triggers."""
-
-    def __init__(self, env: "Environment", events: Iterable[Event]):
-        super().__init__(env, Condition.any_events, events)

@@ -1,14 +1,5 @@
-"""Shared resources for simulation processes.
-
-Provides the classic trio:
-
-* :class:`Resource` — a capacity-limited semaphore with FIFO queuing,
-  usable via ``with resource.request() as req: yield req``.
-* :class:`Store` / :class:`PriorityStore` — queues of items processes can
-  put to and get from.
-* :class:`Container` — a continuous quantity (bytes, tokens) with blocking
-  put/get.
-"""
+"""Shared queues for simulation processes: :class:`Store` and
+:class:`PriorityStore` hold items processes can put to and get from."""
 
 from __future__ import annotations
 
@@ -19,79 +10,6 @@ from .events import Event
 
 if TYPE_CHECKING:  # pragma: no cover
     from .engine import Environment
-
-
-class Request(Event):
-    """A pending or granted claim on a :class:`Resource`."""
-
-    __slots__ = ("resource",)
-
-    def __init__(self, resource: "Resource"):
-        super().__init__(resource.env)
-        self.resource = resource
-        resource._do_request(self)
-
-    def __enter__(self) -> "Request":
-        return self
-
-    def __exit__(self, exc_type, exc_value, traceback) -> None:
-        self.resource.release(self)
-
-    def cancel(self) -> None:
-        """Withdraw an un-granted request from the wait queue."""
-        self.resource._cancel(self)
-
-
-class Resource:
-    """A semaphore-style resource with ``capacity`` concurrent users."""
-
-    def __init__(self, env: "Environment", capacity: int = 1):
-        if capacity <= 0:
-            raise ValueError(f"capacity must be positive, got {capacity}")
-        self.env = env
-        self._capacity = capacity
-        self.users: List[Request] = []
-        self.queue: List[Request] = []
-
-    @property
-    def capacity(self) -> int:
-        return self._capacity
-
-    @property
-    def count(self) -> int:
-        """Number of users currently holding the resource."""
-        return len(self.users)
-
-    def request(self) -> Request:
-        """Claim the resource; yield the returned event to wait for grant."""
-        return Request(self)
-
-    def release(self, request: Request) -> None:
-        """Release a granted claim (or cancel a pending one)."""
-        if request in self.users:
-            self.users.remove(request)
-            self._grant_next()
-        else:
-            self._cancel(request)
-
-    def _do_request(self, request: Request) -> None:
-        if len(self.users) < self._capacity:
-            self.users.append(request)
-            request.succeed()
-        else:
-            self.queue.append(request)
-
-    def _cancel(self, request: Request) -> None:
-        try:
-            self.queue.remove(request)
-        except ValueError:
-            pass
-
-    def _grant_next(self) -> None:
-        while self.queue and len(self.users) < self._capacity:
-            request = self.queue.pop(0)
-            self.users.append(request)
-            request.succeed()
 
 
 class StorePut(Event):
@@ -326,82 +244,3 @@ class PriorityStore(Store):
             self.items = [entry for entry in self.items if entry.alive]
             heapq.heapify(self.items)
             self._dead = 0
-
-
-class ContainerPut(Event):
-    __slots__ = ("amount",)
-
-    def __init__(self, container: "Container", amount: float):
-        if amount <= 0:
-            raise ValueError(f"amount must be positive, got {amount}")
-        super().__init__(container.env)
-        self.amount = amount
-        container._do_put(self)
-
-
-class ContainerGet(Event):
-    __slots__ = ("amount",)
-
-    def __init__(self, container: "Container", amount: float):
-        if amount <= 0:
-            raise ValueError(f"amount must be positive, got {amount}")
-        super().__init__(container.env)
-        self.amount = amount
-        container._do_get(self)
-
-
-class Container:
-    """A continuous stock of some quantity with blocking put/get."""
-
-    def __init__(
-        self,
-        env: "Environment",
-        capacity: float = float("inf"),
-        init: float = 0.0,
-    ):
-        if capacity <= 0:
-            raise ValueError(f"capacity must be positive, got {capacity}")
-        if init < 0 or init > capacity:
-            raise ValueError(f"init {init} outside [0, {capacity}]")
-        self.env = env
-        self.capacity = capacity
-        self._level = float(init)
-        self._putters: List[ContainerPut] = []
-        self._getters: List[ContainerGet] = []
-
-    @property
-    def level(self) -> float:
-        return self._level
-
-    def put(self, amount: float) -> ContainerPut:
-        return ContainerPut(self, amount)
-
-    def get(self, amount: float) -> ContainerGet:
-        return ContainerGet(self, amount)
-
-    def _do_put(self, event: ContainerPut) -> None:
-        self._putters.append(event)
-        self._settle()
-
-    def _do_get(self, event: ContainerGet) -> None:
-        self._getters.append(event)
-        self._settle()
-
-    def _settle(self) -> None:
-        progress = True
-        while progress:
-            progress = False
-            if self._putters:
-                putter = self._putters[0]
-                if self._level + putter.amount <= self.capacity:
-                    self._level += putter.amount
-                    self._putters.pop(0)
-                    putter.succeed()
-                    progress = True
-            if self._getters:
-                getter = self._getters[0]
-                if self._level >= getter.amount:
-                    self._level -= getter.amount
-                    self._getters.pop(0)
-                    getter.succeed()
-                    progress = True

@@ -1,17 +1,7 @@
 """Workload generators: SWIM trace, sort, wordcount, the synthetic
 Google cluster trace, the trace-scale replay, and the interactive
-serving workload — all registered behind one :class:`Workload` protocol
-(see :mod:`repro.workloads.base`)."""
+serving workload."""
 
-from .base import (
-    Workload,
-    add_workload_arguments,
-    cli_workloads,
-    get_workload,
-    params_from_args,
-    register_workload,
-    workload_registry,
-)
 from .google_trace import GoogleTraceGenerator, GoogleTraceJob, TaskUsageInterval
 from .scale import (
     ScaleConfig,
@@ -40,10 +30,6 @@ from .trace_io import (
 )
 from .wordcount import DEFAULT_SIZES_GB, make_wordcount_spec, wordcount_path
 
-# Importing the adapters registers every workload family; keep this
-# after the symbol imports above (the adapters import from them).
-from . import adapters  # noqa: E402,F401
-
 __all__ = [
     "DEFAULT_SIZES_GB",
     "GoogleTraceGenerator",
@@ -58,26 +44,19 @@ __all__ = [
     "SwimGenerator",
     "SwimJob",
     "TaskUsageInterval",
-    "Workload",
     "ZipfSampler",
-    "add_workload_arguments",
     "build_scale_cluster",
-    "cli_workloads",
     "diurnal_rate",
     "format_scale_result",
     "format_serve_result",
     "generate_requests",
-    "get_workload",
     "load_google_jobs",
     "load_swim_trace",
     "make_sort_spec",
     "make_wordcount_spec",
-    "params_from_args",
-    "register_workload",
     "run_scale_replay",
     "run_serve",
     "size_bin",
     "to_specs",
     "wordcount_path",
-    "workload_registry",
 ]

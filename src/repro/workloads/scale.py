@@ -16,14 +16,13 @@ the scalar device water-fill) is the code every experiment runs.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from ..cluster import Cluster, ClusterConfig
 from ..core.config import IgnemConfig
 from ..sim.events import chain_arrivals, join_all
 from ..storage.presets import HDD_BANDWIDTH
-from .base import cli_metadata
 from .google_trace import GoogleTraceGenerator, GoogleTraceJob
 
 GB = 1024.0**3
@@ -33,44 +32,20 @@ GB = 1024.0**3
 class ScaleConfig:
     """Shape of one scale replay (defaults: the 10k/100k headline run)."""
 
-    num_nodes: int = field(
-        default=10_000,
-        metadata=cli_metadata(flag="--nodes", help="cluster size"),
-    )
-    num_jobs: int = field(
-        default=100_000,
-        metadata=cli_metadata(flag="--jobs", help="trace rows to replay"),
-    )
+    num_nodes: int = 10_000
+    num_jobs: int = 100_000
     seed: int = 0
     #: Mean job interarrival in seconds (trace arrival process).
-    mean_interarrival: float = field(
-        default=0.5,
-        metadata=cli_metadata(
-            flag="--interarrival", help="mean job interarrival (seconds)"
-        ),
-    )
+    mean_interarrival: float = 0.5
     #: Cap on blocks per job input file.  The trace's per-job read-time
     #: lognormal has sigma=2, so its far tail would turn single rows
     #: into multi-terabyte files; capping bounds the tail while leaving
     #: the bulk of the distribution untouched (capped jobs are counted
     #: in the result).
-    max_blocks_per_job: int = field(
-        default=64,
-        metadata=cli_metadata(
-            flag="--max-blocks",
-            help="cap on blocks per job input file (bounds the lognormal tail)",
-        ),
-    )
+    max_blocks_per_job: int = 64
     #: Replay with Ignem enabled (migrate/evict calls around each job).
     #: False replays the plain-HDFS baseline: reads only.
-    ignem: bool = field(
-        default=True,
-        metadata=cli_metadata(
-            flag="--no-ignem",
-            invert=True,
-            help="replay the plain-HDFS baseline (no migrate/evict calls)",
-        ),
-    )
+    ignem: bool = True
 
 
 @dataclass

@@ -39,7 +39,6 @@ from ..core.heat import HeatConfig
 from ..sim.events import chain_arrivals, join_all
 from ..sim.rand import RandomSource
 from ..storage.device import GB, MB
-from .base import cli_metadata
 
 #: Latency bucket bounds (seconds) tuned to the serving range: a local
 #: RAM block read is ~0.04s, a remote disk read ~0.5s, and a thrashing
@@ -68,97 +67,39 @@ class ServeConfig:
     """Shape of one serving run (defaults: the paper-testbed cluster
     under a load its disks cannot absorb but its RAM can)."""
 
-    num_nodes: int = field(
-        default=8,
-        metadata=cli_metadata(flag="--nodes", help="cluster size"),
-    )
-    num_objects: int = field(
-        default=48,
-        metadata=cli_metadata(flag="--objects", help="serving objects"),
-    )
+    num_nodes: int = 8
+    num_objects: int = 48
     #: Bytes per object (one DFS block by default).
-    object_bytes: float = field(
-        default=64 * MB, metadata=cli_metadata(cli=False)
-    )
-    replication: int = field(default=3, metadata=cli_metadata(cli=False))
-    num_requests: int = field(
-        default=1200,
-        metadata=cli_metadata(flag="--requests", help="requests to replay"),
-    )
+    object_bytes: float = 64 * MB
+    replication: int = 3
+    num_requests: int = 1200
     #: Mean arrival rate (requests/second) before the diurnal curve.
     #: 3 req/s of 64MB objects keeps the aggregate demand under the
     #: disks' sequential bandwidth, but popularity skew concentrates the
     #: hot set on a few replica holders — exactly the regime where
     #: upward migration pays (p99 collapses once the hot set is in RAM).
-    base_rps: float = field(
-        default=3.0,
-        metadata=cli_metadata(flag="--rps", help="mean request rate"),
-    )
+    base_rps: float = 3.0
     #: Zipf exponent of object popularity (higher = more skew).
-    zipf_s: float = field(
-        default=1.1,
-        metadata=cli_metadata(flag="--zipf", help="popularity skew exponent"),
-    )
-    num_tenants: int = field(
-        default=3,
-        metadata=cli_metadata(flag="--tenants", help="request tenants"),
-    )
+    zipf_s: float = 1.1
+    num_tenants: int = 3
     #: Diurnal load curve: rate(t) = base * (1 + A * sin(2*pi*t/period)).
-    diurnal_amplitude: float = field(
-        default=0.5,
-        metadata=cli_metadata(
-            flag="--diurnal-amplitude", help="load-curve swing in [0, 1]"
-        ),
-    )
-    diurnal_period: float = field(
-        default=240.0,
-        metadata=cli_metadata(
-            flag="--diurnal-period", help="load-curve period (seconds)"
-        ),
-    )
-    flash_crowds: int = field(
-        default=1,
-        metadata=cli_metadata(
-            flag="--flash-crowds", help="flash-crowd spikes to inject"
-        ),
-    )
-    flash_crowd_duration: float = field(
-        default=20.0, metadata=cli_metadata(cli=False)
-    )
+    diurnal_amplitude: float = 0.5
+    diurnal_period: float = 240.0
+    flash_crowds: int = 1
+    flash_crowd_duration: float = 20.0
     #: Probability a request inside a flash window redirects to the
     #: crowd's object.
-    flash_crowd_boost: float = field(
-        default=0.35, metadata=cli_metadata(cli=False)
-    )
-    policy: str = field(
-        default="heat",
-        metadata=cli_metadata(
-            flag="--policy",
-            choices=("none", "hint", "heat"),
-            help="migration policy: none | hint (oracle) | heat (learned)",
-        ),
-    )
+    flash_crowd_boost: float = 0.35
+    policy: str = "heat"
     #: Objects the oracle hint pins (``policy="hint"``).
-    hint_objects: int = field(
-        default=8,
-        metadata=cli_metadata(
-            flag="--hint-objects", help="objects the hint policy pins"
-        ),
-    )
-    buffer_capacity: float = field(
-        default=2 * GB, metadata=cli_metadata(cli=False)
-    )
+    hint_objects: int = 8
+    buffer_capacity: float = 2 * GB
     #: SWIM batch jobs to run alongside the request stream (0 = pure
     #: interactive; >0 reproduces the paper's mixed cluster).
-    batch_jobs: int = field(
-        default=0,
-        metadata=cli_metadata(flag="--batch-jobs", help="mixed-mode SWIM jobs"),
-    )
+    batch_jobs: int = 0
     seed: int = 0
     #: Heat-policy knobs (``policy="heat"``).
-    heat: HeatConfig = field(
-        default_factory=HeatConfig, metadata=cli_metadata(cli=False)
-    )
+    heat: HeatConfig = field(default_factory=HeatConfig)
 
     def __post_init__(self) -> None:
         if self.num_nodes < 1:

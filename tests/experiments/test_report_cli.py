@@ -130,26 +130,14 @@ class TestCli:
         assert code == 2
         assert "not traceable" in capsys.readouterr().err
 
-    def test_run_with_trace_flags_writes_swim_traces(self, tmp_path, capsys):
-        code = main(
-            [
-                "run",
-                "fig7",
-                "--out",
-                str(tmp_path / "out"),
-                "--trace",
-                str(tmp_path / "traces"),
-                "--metrics-out",
-                str(tmp_path / "metrics"),
-            ]
-        )
-        assert code == 0
-        traces = list((tmp_path / "traces").glob("*.trace.jsonl"))
-        metrics = list((tmp_path / "metrics").glob("*.metrics.json"))
-        assert traces and metrics
-        from repro.experiments import swim_runs
-        from repro.obs import validate_trace
+    def test_trace_sim_events_adds_kernel_category(self, tmp_path, capsys):
+        from repro.obs import TraceReader
 
-        assert swim_runs._OBS_FACTORY is None  # restored after the run
-        for trace in traces:
-            assert validate_trace(trace) == []
+        def categories(out, *flags):
+            argv = ["trace", "swim-ignem", "--out", str(out), "--num-jobs", "2"]
+            assert main(argv + list(flags)) == 0
+            trace = out / "swim-ignem_ignem.trace.jsonl"
+            return {event.get("cat") for event in TraceReader.load(trace).events}
+
+        assert "sim" not in categories(tmp_path / "plain")
+        assert "sim" in categories(tmp_path / "sim", "--sim-events")

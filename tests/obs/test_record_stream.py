@@ -13,7 +13,6 @@ from repro import (
     IgnemConfig,
     JobSpec,
     ObservabilityConfig,
-    RunOptions,
     build_paper_testbed,
 )
 from repro.experiments.swim_runs import prepare_swim_cluster
@@ -121,9 +120,14 @@ def _assert_trace_matches_records(cluster, trace_path):
     _assert_matches(reader, "ignem.eviction", collector.evictions, _eviction_event)
 
 
-def _three_tier_cluster():
+def _tracing(trace_path):
+    """Tracing on from construction, the trace dumped after each run."""
+    return ObservabilityConfig(enabled=True, trace_path=str(trace_path))
+
+
+def _three_tier_cluster(**overrides):
     cluster = build_paper_testbed(
-        seed=0, num_nodes=3, replication=1, tier_preset="mem-ssd-hdd"
+        seed=0, num_nodes=3, replication=1, tier_preset="mem-ssd-hdd", **overrides
     )
     cluster.enable_ignem(
         IgnemConfig(
@@ -153,7 +157,8 @@ class TestTraceMatchesRecords:
         _assert_trace_matches_records(cluster, trace_path)
 
     def test_three_tier_run(self, tmp_path):
-        cluster = _three_tier_cluster()
+        trace_path = tmp_path / "three-tier.jsonl"
+        cluster = _three_tier_cluster(observability=_tracing(trace_path))
         master = cluster.ignem_master
         cluster.client.create_file("/warm", 256 * MB)
         cluster.client.create_file("/hot", 128 * MB)
@@ -161,12 +166,11 @@ class TestTraceMatchesRecords:
         cluster.rm.register_job("j-mem")
         master.request_migration(["/warm"], "j-ssd", dst_tier="ssd")
         master.request_migration(["/hot"], "j-mem", dst_tier="mem")
-        trace_path = tmp_path / "three-tier.jsonl"
-        cluster.run(until=30.0, options=RunOptions(trace=str(trace_path)))
+        cluster.run(until=30.0)
         master.request_eviction(["/warm"], "j-ssd")
         master.request_eviction(["/hot"], "j-mem")
         # The second run's dump holds both runs' events.
-        cluster.run(options=RunOptions(trace=str(trace_path)))
+        cluster.run()
         collector = cluster.collector
         assert {m.tier for m in collector.completed_migrations()} == {"mem", "ssd"}
         assert {e.tier for e in collector.evictions} == {"mem", "ssd"}
@@ -179,7 +183,10 @@ class TestTraceMatchesRecords:
             JobSpec("early", ("/in",), shuffle_bytes=64 * MB, num_reduces=2)
         )
         trace_path = tmp_path / "early.jsonl"
-        cluster.run(options=RunOptions(trace=str(trace_path)))
+        cluster.obs.activate()
+        cluster.obs.attach(cluster)
+        cluster.run()
+        cluster.obs.tracer.dump(trace_path)
         assert job.finished_at is not None
         reader = TraceReader.load(trace_path)
         (span,) = _traced(reader, "mapreduce.job")
@@ -193,7 +200,10 @@ class TestTraceMatchesRecords:
 
 class TestFailedJobRecord:
     def test_failed_job_is_recorded_and_traced_as_failed(self, tmp_path):
-        cluster = build_paper_testbed(seed=0, num_nodes=4, replication=1)
+        trace_path = tmp_path / "failed.jsonl"
+        cluster = build_paper_testbed(
+            seed=0, num_nodes=4, replication=1, observability=_tracing(trace_path)
+        )
         cluster.client.create_file("/in", 128 * MB)
         (holder,) = {
             node
@@ -202,8 +212,7 @@ class TestFailedJobRecord:
         }
         cluster.fail_node(holder)
         job = cluster.engine.submit_job(JobSpec("j", ("/in",)))
-        trace_path = tmp_path / "failed.jsonl"
-        cluster.run(options=RunOptions(trace=str(trace_path)))
+        cluster.run()
         assert job.failed is True
         (record,) = cluster.collector.jobs
         assert record.failed is True

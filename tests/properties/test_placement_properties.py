@@ -8,6 +8,7 @@ here is that filtered scan, run on its own RNG with the same seed.
 
 import pytest
 from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from repro.dfs import Block, DataNode, NameNode, NameNodeError
 from repro.sim import Environment, RandomSource
@@ -103,11 +104,13 @@ class TestPlacement:
             namenode.create_file("/f", scenario["nbytes"], materialize=False)
         assert not namenode.exists("/f")
 
-    @given(placement_scenarios())
+    @given(placement_scenarios(), st.data())
     @settings(max_examples=200, deadline=None)
-    def test_preferred_node_with_room_comes_first(self, scenario):
-        preferred = scenario["preferred"]
-        assume(preferred in live_names(scenario, with_room=True))
+    def test_preferred_node_with_room_comes_first(self, scenario, data):
+        room = live_names(scenario, with_room=True)
+        assume(room)
+        preferred = data.draw(st.sampled_from(room), label="preferred")
+        scenario = dict(scenario, preferred=preferred)
         _, placed = place(scenario)
         assert placed[0] == preferred
         assert placed == reference_placement(scenario)

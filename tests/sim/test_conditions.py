@@ -1,4 +1,4 @@
-"""Tests for AllOf / AnyOf condition events."""
+"""Tests for AllOf condition events."""
 
 import pytest
 
@@ -20,21 +20,6 @@ def test_all_of_waits_for_every_event():
     assert log == [(5.0, ["a", "b"])]
 
 
-def test_any_of_returns_on_first_event():
-    env = Environment()
-    log = []
-
-    def proc(env):
-        t1 = env.timeout(2, value="fast")
-        t2 = env.timeout(5, value="slow")
-        results = yield env.any_of([t1, t2])
-        log.append((env.now, list(results.values())))
-
-    env.process(proc(env))
-    env.run()
-    assert log == [(2.0, ["fast"])]
-
-
 def test_all_of_empty_triggers_immediately():
     env = Environment()
     log = []
@@ -46,19 +31,6 @@ def test_all_of_empty_triggers_immediately():
     env.process(proc(env))
     env.run()
     assert log == [(0.0, 0)]
-
-
-def test_any_of_empty_triggers_immediately():
-    env = Environment()
-    log = []
-
-    def proc(env):
-        yield env.any_of([])
-        log.append(env.now)
-
-    env.process(proc(env))
-    env.run()
-    assert log == [0.0]
 
 
 def test_condition_value_mapping_interface():
@@ -92,7 +64,7 @@ def test_condition_value_missing_key_raises():
     def proc(env):
         t1 = env.timeout(1)
         t2 = env.timeout(2)
-        results = yield env.any_of([t1, t2])
+        results = yield env.all_of([t1])
         with pytest.raises(KeyError):
             _ = results[t2]
 
@@ -141,19 +113,3 @@ def test_condition_rejects_mixed_environments():
     t_foreign = env2.timeout(1)
     with pytest.raises(ValueError):
         env1.all_of([env1.timeout(1), t_foreign])
-
-
-def test_any_of_collects_simultaneous_events():
-    env = Environment()
-    log = []
-
-    def proc(env):
-        t1 = env.timeout(3, value="a")
-        t2 = env.timeout(3, value="b")
-        results = yield env.any_of([t1, t2])
-        log.append(sorted(results.values()))
-
-    env.process(proc(env))
-    env.run()
-    # At minimum the first of the simultaneous events is present.
-    assert log and "a" in log[0]

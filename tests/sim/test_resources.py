@@ -1,123 +1,8 @@
-"""Tests for Resource, Store, PriorityStore, and Container."""
+"""Tests for Store and PriorityStore."""
 
 import pytest
 
-from repro.sim import (
-    Container,
-    Environment,
-    PriorityItem,
-    PriorityStore,
-    Resource,
-    Store,
-)
-
-
-class TestResource:
-    def test_capacity_must_be_positive(self):
-        env = Environment()
-        with pytest.raises(ValueError):
-            Resource(env, capacity=0)
-
-    def test_serializes_users_beyond_capacity(self):
-        env = Environment()
-        resource = Resource(env, capacity=1)
-        log = []
-
-        def user(env, resource, name, hold):
-            with resource.request() as req:
-                yield req
-                log.append((name, "start", env.now))
-                yield env.timeout(hold)
-                log.append((name, "end", env.now))
-
-        env.process(user(env, resource, "a", 3))
-        env.process(user(env, resource, "b", 2))
-        env.run()
-        assert log == [
-            ("a", "start", 0.0),
-            ("a", "end", 3.0),
-            ("b", "start", 3.0),
-            ("b", "end", 5.0),
-        ]
-
-    def test_capacity_two_allows_concurrency(self):
-        env = Environment()
-        resource = Resource(env, capacity=2)
-        starts = []
-
-        def user(env, resource, name):
-            with resource.request() as req:
-                yield req
-                starts.append((name, env.now))
-                yield env.timeout(5)
-
-        for name in ["a", "b", "c"]:
-            env.process(user(env, resource, name))
-        env.run()
-        assert starts == [("a", 0.0), ("b", 0.0), ("c", 5.0)]
-
-    def test_count_tracks_holders(self):
-        env = Environment()
-        resource = Resource(env, capacity=2)
-        counts = []
-
-        def user(env, resource, arrive):
-            yield env.timeout(arrive)
-            with resource.request() as req:
-                yield req
-                counts.append(resource.count)
-                yield env.timeout(1)
-
-        env.process(user(env, resource, 0.0))
-        env.process(user(env, resource, 0.5))
-        env.run()
-        assert counts == [1, 2]
-        assert resource.count == 0
-
-    def test_fifo_grant_order(self):
-        env = Environment()
-        resource = Resource(env, capacity=1)
-        order = []
-
-        def user(env, resource, name, arrive):
-            yield env.timeout(arrive)
-            with resource.request() as req:
-                yield req
-                order.append(name)
-                yield env.timeout(10)
-
-        env.process(user(env, resource, "first", 0))
-        env.process(user(env, resource, "second", 1))
-        env.process(user(env, resource, "third", 2))
-        env.run()
-        assert order == ["first", "second", "third"]
-
-    def test_cancel_pending_request(self):
-        env = Environment()
-        resource = Resource(env, capacity=1)
-        granted = []
-
-        def holder(env, resource):
-            with resource.request() as req:
-                yield req
-                yield env.timeout(10)
-
-        def impatient(env, resource):
-            req = resource.request()
-            yield env.timeout(1)
-            req.cancel()
-
-        def patient(env, resource):
-            yield env.timeout(2)
-            with resource.request() as req:
-                yield req
-                granted.append(env.now)
-
-        env.process(holder(env, resource))
-        env.process(impatient(env, resource))
-        env.process(patient(env, resource))
-        env.run()
-        assert granted == [10.0]
+from repro.sim import Environment, PriorityItem, PriorityStore, Store
 
 
 class TestStore:
@@ -359,59 +244,3 @@ class TestPriorityStoreCompaction:
         env.run()
         assert got == ["item-3", "item-0"]
         assert store._size() == 2
-
-
-class TestContainer:
-    def test_init_level(self):
-        env = Environment()
-        container = Container(env, capacity=100, init=40)
-        assert container.level == 40
-
-    def test_get_blocks_until_level_sufficient(self):
-        env = Environment()
-        container = Container(env, capacity=100)
-        log = []
-
-        def consumer(env, container):
-            yield container.get(10)
-            log.append(("got", env.now))
-
-        def producer(env, container):
-            yield env.timeout(3)
-            yield container.put(10)
-
-        env.process(consumer(env, container))
-        env.process(producer(env, container))
-        env.run()
-        assert log == [("got", 3.0)]
-
-    def test_put_blocks_at_capacity(self):
-        env = Environment()
-        container = Container(env, capacity=10, init=10)
-        log = []
-
-        def producer(env, container):
-            yield container.put(5)
-            log.append(("put", env.now))
-
-        def consumer(env, container):
-            yield env.timeout(2)
-            yield container.get(5)
-
-        env.process(producer(env, container))
-        env.process(consumer(env, container))
-        env.run()
-        assert log == [("put", 2.0)]
-
-    def test_invalid_amounts_rejected(self):
-        env = Environment()
-        container = Container(env, capacity=10)
-        with pytest.raises(ValueError):
-            container.put(0)
-        with pytest.raises(ValueError):
-            container.get(-1)
-
-    def test_invalid_init_rejected(self):
-        env = Environment()
-        with pytest.raises(ValueError):
-            Container(env, capacity=10, init=20)
