@@ -33,6 +33,7 @@ import sys
 from pathlib import Path
 from typing import List, Optional
 
+from .dst.harness import SABOTAGE_MODES
 from .experiments.report import available_experiments, run_experiments
 
 
@@ -280,12 +281,7 @@ def build_parser() -> argparse.ArgumentParser:
     dst.add_argument(
         "--sabotage",
         default=None,
-        choices=(
-            "evict-to-admit",
-            "fifo-queue",
-            "overcommit-buffer",
-            "disable-repair",
-        ),
+        choices=SABOTAGE_MODES,
         help="plant a bug in the live system (harness self-test)",
     )
     dst.add_argument(

@@ -157,7 +157,7 @@ class Cluster:
 
         #: Observability facade: the metrics registry is always live
         #: (passive bookkeeping); tracing activates via
-        #: ``ObservabilityConfig(enabled=True)``.
+        #: ``ObservabilityConfig(enabled=True)`` or a ``trace_path``.
         self.obs = Observability(self.env, cfg.observability)
         self.obs.register_cluster_pulls(self)
         if cfg.observability.transport_metrics:
@@ -165,7 +165,7 @@ class Cluster:
             # the clean path: counting encodes messages to measure wire
             # size, which the bit-identical default must not pay for.
             self.transport.instrument(self.obs.registry, self.obs)
-        if cfg.observability.enabled:
+        if cfg.observability.enabled or cfg.observability.trace_path is not None:
             self.obs.activate()
             self.obs.attach(self)
 
@@ -476,13 +476,13 @@ class Cluster:
         """Advance the simulation (see :meth:`Environment.run`).
 
         With ``ObservabilityConfig(trace_path=..., metrics_path=...)``
-        the JSONL trace (when tracing is enabled) and the metrics
-        snapshot are written there when this run returns.
+        the JSONL trace and the metrics snapshot are written there when
+        this run returns.
         """
         result = self.env.run(until=until)
         obs = self.obs
         obs_cfg = self.config.observability
-        if obs.active and obs_cfg.trace_path is not None:
+        if obs_cfg.trace_path is not None:
             obs.tracer.dump(obs_cfg.trace_path)
         if obs_cfg.metrics_path is not None:
             obs.registry.write(obs_cfg.metrics_path)

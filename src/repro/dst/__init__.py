@@ -10,8 +10,10 @@ Four pieces, layered:
 * :mod:`~repro.dst.model` — an executable reference model of the Ignem
   master/slave contract, checked differentially against the real system
   at every command boundary via the trace stream;
-* :mod:`~repro.dst.oracles` — end-of-run invariant oracles (do-not-harm,
-  buffer cap, end-state emptiness, post-crash silence, conservation);
+* :mod:`~repro.dst.oracles` — the one table of end-of-run invariant
+  oracles (do-not-harm, buffer cap, end-state emptiness, post-crash
+  silence, conservation, locality index, replication, data loss,
+  tenant fairness);
 * :mod:`~repro.dst.shrinker` / :mod:`~repro.dst.runner` — greedy
   deterministic minimization of failing scenarios and the fuzz/replay
   driver behind ``python -m repro dst``.

@@ -2,10 +2,12 @@
 
 The harness is the glue between the three existing subsystems: it builds
 a :class:`~repro.cluster.Cluster` from a :class:`Scenario`, arms the
-PR 2 :class:`~repro.faults.injector.FaultInjector` with the scenario's
-fault plan, hooks the differential checker onto the master's command
+:class:`~repro.faults.injector.FaultInjector` with the scenario's fault
+plan, hooks the differential checker onto the master's command
 boundary, runs the workload to full drain with "ignem"-category tracing
-live, and evaluates every oracle over the leftovers.
+live (:func:`drain_scenario`), and evaluates every oracle of
+:data:`~repro.dst.oracles.ALL_ORACLES` over the leftovers
+(:func:`run_scenario`).
 
 ``apply_sabotage`` deliberately breaks a live cluster (flip the
 do-not-harm flag, swap the queue policy, raise the real buffer cap) for
@@ -139,7 +141,7 @@ def apply_sabotage(cluster: Cluster, mode: str) -> None:
       scenario's back: usage may exceed the declared cap.
     * ``disable-repair`` — turn the replication monitor off: a permanent
       node loss leaves blocks under-replicated forever, which the
-      replication and fault-invariant oracles must convict.
+      replication oracle must convict.
     """
     if mode not in SABOTAGE_MODES:
         raise ValueError(
@@ -290,10 +292,14 @@ def _fault_timelines(
     return purges, down_windows
 
 
-def run_scenario(
+def drain_scenario(
     scenario: Scenario, sabotage: Optional[str] = None
-) -> ScenarioResult:
-    """Build, fault, run to full drain, and judge one scenario."""
+) -> Tuple[OracleContext, Dict[str, float]]:
+    """Build, fault and run one scenario to full drain.
+
+    Returns everything the oracles judge, plus the serve-traffic counts
+    (empty for a batch-only scenario).
+    """
     cluster, checker = build_cluster(scenario)
     if sabotage is not None:
         apply_sabotage(cluster, sabotage)
@@ -346,6 +352,14 @@ def run_scenario(
         purges=purges,
         down_windows=down_windows,
     )
+    return context, stats
+
+
+def run_scenario(
+    scenario: Scenario, sabotage: Optional[str] = None
+) -> ScenarioResult:
+    """Build, fault, run to full drain, and judge one scenario."""
+    context, stats = drain_scenario(scenario, sabotage)
     reports = run_oracles(context)
     violations = [
         (report.name, message)
@@ -353,6 +367,8 @@ def run_scenario(
         for message in report.violations
     ]
 
+    cluster = context.cluster
+    injector = context.injector
     jobs = cluster.engine.jobs
     registry = cluster.metrics
     monitor = cluster.replication_monitor
@@ -394,7 +410,7 @@ def run_scenario(
         "nodes_joined": sum(
             1 for _, event in injector.applied if event.kind == "join"
         ),
-        "trace_events": len(trace_events),
+        "trace_events": len(context.trace_events),
         "sim_time": cluster.env.now,
     })
     return ScenarioResult(

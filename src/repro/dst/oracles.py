@@ -1,22 +1,26 @@
 """End-of-run invariant oracles over a finished DST scenario.
 
 Every oracle is a pure function ``(OracleContext) -> List[str]`` over
-the run's artifacts: the live cluster, the PR 3 trace stream, the
+the run's artifacts: the live cluster, the trace stream, the
 differential checker's delivery log, and the fault injector's applied
-schedule.  Crucially, oracles judge against the **scenario's declared
-expectations** (``scenario.do_not_harm``, ``scenario.buffer_capacity``),
-never against the live ``IgnemConfig`` — a sabotaged build that flips a
-config flag at runtime must still be convicted by the spec it shipped
-with.
+schedule.  :data:`ALL_ORACLES` is the one table of the paper's
+guarantees, one check each: the differential model (III-A1),
+do-not-harm and the buffer cap (III-A3, III-B2), end-state liveness of
+reference lists (III-A4), post-crash silence (III-A5), byte and event
+conservation, locality-index equivalence, replication restored, no
+data loss, and tenant fairness.  Oracles judge against the
+**scenario's declared expectations** (``scenario.do_not_harm``,
+``scenario.buffer_capacity``), never against the live ``IgnemConfig``
+— a sabotaged build that flips a config flag at runtime must still be
+convicted by the spec it shipped with.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Sequence, Set, Tuple
 
-from ..faults.invariants import InvariantChecker, replication_violations
+from ..faults.invariants import data_loss_violations, replication_violations
 from .model import DifferentialChecker
 from .scenario import Scenario
 
@@ -131,13 +135,24 @@ def oracle_buffer_cap(ctx: OracleContext) -> List[str]:
 
 def oracle_end_state(ctx: OracleContext) -> List[str]:
     """After full drain + forced sweep, no references, bytes, or queued
-    work may survive (III-A4 liveness; crash purges, III-A5)."""
+    work may survive on a live slave (III-A4 liveness), and a down slave
+    holds no reference of a finished job (crash purges, III-A5)."""
     violations = []
+    rm = ctx.cluster.rm
     for name in sorted(ctx.cluster.ignem_slaves):
         slave = ctx.cluster.ignem_slaves[name]
-        if not slave.alive:
-            continue
         refs = slave.referenced_blocks()
+        if not slave.alive:
+            # A down slave gets no forced sweep, but its crash purge must
+            # still have dropped every reference of a finished job.
+            for block_id, jobs in sorted(refs.items()):
+                dead = sorted(job for job in jobs if not rm.job_active(job))
+                if dead:
+                    violations.append(
+                        f"{name}: down slave still holds refs on "
+                        f"{block_id} for finished job(s) {', '.join(dead)}"
+                    )
+            continue
         if refs:
             held = {job for jobs in refs.values() for job in jobs}
             violations.append(
@@ -212,7 +227,8 @@ def oracle_conservation(ctx: OracleContext) -> List[str]:
     collector = cluster.collector
     registry = cluster.metrics
 
-    # (a) per-node byte balance: completed - evicted == resident.
+    # (a) per-node byte balance: completed - evicted == migrated_bytes
+    # == the byte-sum of the resident blocks.
     completed_bytes: Dict[str, float] = {}
     evicted_bytes: Dict[str, float] = {}
     record_outcomes: Dict[str, int] = {}
@@ -231,12 +247,16 @@ def oracle_conservation(ctx: OracleContext) -> List[str]:
     for name in sorted(cluster.ignem_slaves):
         slave = cluster.ignem_slaves[name]
         balance = completed_bytes.get(name, 0.0) - evicted_bytes.get(name, 0.0)
-        if not math.isclose(
-            balance, slave.migrated_bytes, abs_tol=_BYTE_TOLERANCE
-        ):
+        if abs(balance - slave.migrated_bytes) > _BYTE_TOLERANCE:
             violations.append(
                 f"{name}: migrated-evicted byte balance {balance:.0f} != "
-                f"resident {slave.migrated_bytes:.0f}"
+                f"migrated_bytes {slave.migrated_bytes:.0f}"
+            )
+        resident = slave.resident_bytes()
+        if abs(resident - slave.migrated_bytes) > _BYTE_TOLERANCE:
+            violations.append(
+                f"{name}: migrated_bytes {slave.migrated_bytes:.0f} but "
+                f"its resident blocks sum to {resident:.0f}"
             )
 
     # (b) trace stream agrees with the metrics records.
@@ -300,10 +320,34 @@ def oracle_conservation(ctx: OracleContext) -> List[str]:
     return violations
 
 
-def oracle_fault_invariants(ctx: OracleContext) -> List[str]:
-    """The PR 2 :class:`InvariantChecker`, wholesale (byte accounting,
-    reference-list liveness, memory-index equivalence, data loss)."""
-    return InvariantChecker(ctx.cluster).check(ctx.injector)
+def oracle_locality_index(ctx: OracleContext) -> List[str]:
+    """The push-maintained locality index equals a brute-force
+    recomputation from the DataNode caches, per upper tier: node
+    failures leave no stale entry, and a block cached in a middle (e.g.
+    SSD) tier appears in that tier's index and not in the memory
+    index."""
+    cluster = ctx.cluster
+    namenode = cluster.namenode
+    expected: Dict[str, Dict[str, Set[str]]] = {}
+    for name, datanode in cluster.datanodes.items():
+        for tier in datanode.tiers.upper:
+            per_tier = expected.setdefault(tier.spec.name, {})
+            for key in tier.cache.resident_keys():
+                if namenode.is_block(key):
+                    per_tier.setdefault(key, set()).add(name)
+    violations = []
+    for tier_name in sorted(expected):
+        want_map = expected[tier_name]
+        have_map = namenode.locality_index.blocks(tier_name)
+        for block_id in sorted(set(want_map) | set(have_map)):
+            want = want_map.get(block_id, set())
+            have = set(have_map.get(block_id, ()))
+            if want != have:
+                violations.append(
+                    f"{block_id} indexed on {sorted(have)} in tier "
+                    f"{tier_name!r} but resident on {sorted(want)}"
+                )
+    return violations
 
 
 def oracle_replication(ctx: OracleContext) -> List[str]:
@@ -318,26 +362,15 @@ def oracle_replication(ctx: OracleContext) -> List[str]:
 
 
 def oracle_no_data_loss(ctx: OracleContext) -> List[str]:
-    """Zero lost blocks: every block of a ``replication >= 2`` file
-    retains at least one live replica at end of run, unless the run
-    legitimately took down at least as many concurrent servers as the
-    file's replication factor (then all copies may be gone at once and
-    no repair could have sourced one)."""
-    namenode = ctx.cluster.namenode
-    max_down = getattr(ctx.injector, "max_concurrent_down", 0)
-    violations = []
-    for path in namenode.list_files():
-        metadata = namenode.get_file(path)
-        if metadata.replication < 2 or max_down >= metadata.replication:
-            continue
-        for block in metadata.blocks:
-            if not namenode.get_block_locations(block.block_id):
-                violations.append(
-                    f"{block.block_id} ({path}): zero live replicas at "
-                    f"end of run (replication={metadata.replication}, "
-                    f"max {max_down} server(s) concurrently down)"
-                )
-    return violations
+    """Zero lost blocks: every block of a ``replication >= 2`` file keeps
+    at least one live replica, at each crash instant (as the injector
+    recorded) and at end of run — unless at least as many servers as
+    the file's replication factor are down at that instant, when all
+    copies may be gone at once and no repair could have sourced one."""
+    injector = ctx.injector
+    return list(injector.violations) + data_loss_violations(
+        ctx.cluster.namenode, injector.down_nodes, when=ctx.cluster.env.now
+    )
 
 
 def oracle_tenant_fairness(ctx: OracleContext) -> List[str]:
@@ -373,7 +406,7 @@ ALL_ORACLES = (
     ("end_state", oracle_end_state),
     ("post_crash", oracle_post_crash),
     ("conservation", oracle_conservation),
-    ("fault_invariants", oracle_fault_invariants),
+    ("locality_index", oracle_locality_index),
     ("replication", oracle_replication),
     ("no_data_loss", oracle_no_data_loss),
     ("tenant_fairness", oracle_tenant_fairness),

@@ -1,15 +1,11 @@
-"""Deterministic fault injection and invariant checking.
+"""Deterministic fault injection and the replica-count checks.
 
 Seeded fault sweeps (``python -m repro chaos``) and the scripted heal
 demo run through the DST harness (:mod:`repro.dst`).
 """
 
 from .injector import FaultInjector
-from .invariants import (
-    InvariantChecker,
-    data_loss_violations,
-    replication_violations,
-)
+from .invariants import data_loss_violations, replication_violations
 from .schedule import FAULT_KINDS, FaultEvent, FaultSchedule
 
 __all__ = [
@@ -17,7 +13,6 @@ __all__ = [
     "FaultEvent",
     "FaultInjector",
     "FaultSchedule",
-    "InvariantChecker",
     "data_loss_violations",
     "replication_violations",
 ]

@@ -44,10 +44,6 @@ class FaultInjector:
         #: zero live replicas while fewer nodes are down than its
         #: replication factor can tolerate).
         self.violations: List[str] = []
-        self.max_concurrent_down = 0
-        #: ``(completion_time, node)`` per decommission drain that
-        #: finished during the run (scheduled by ``decommission`` events).
-        self.decommissions_completed: List[Tuple[float, str]] = []
         self._down: Set[str] = set()
         self._saved_bandwidth: Dict[str, float] = {}
         self._loss_prob = 0.0
@@ -85,11 +81,15 @@ class FaultInjector:
     # -- handlers ------------------------------------------------------------------
 
     def _apply_crash(self, event: FaultEvent):
+        """Fail a live server and check for data loss at that instant."""
         name = event.target
-        if name in self._down or name in self.cluster.released_nodes:
+        if (
+            name in self._down
+            or name not in self.cluster.datanodes
+            or name in self.cluster.released_nodes
+        ):
             return False
         self._down.add(name)
-        self.max_concurrent_down = max(self.max_concurrent_down, len(self._down))
         self.cluster.fail_node(name)
         self.violations.extend(
             data_loss_violations(
@@ -104,24 +104,10 @@ class FaultInjector:
         self._down.discard(name)
         self.cluster.restart_node(name)
 
-    def _apply_kill(self, event: FaultEvent):
-        """Permanent whole-server loss: a crash that never restarts.
-        Only the replication monitor can restore the replication factor."""
-        name = event.target
-        if (
-            name in self._down
-            or name not in self.cluster.datanodes
-            or name in self.cluster.released_nodes
-        ):
-            return False
-        self._down.add(name)
-        self.max_concurrent_down = max(self.max_concurrent_down, len(self._down))
-        self.cluster.fail_node(name)
-        self.violations.extend(
-            data_loss_violations(
-                self.cluster.namenode, self._down, when=self.cluster.env.now
-            )
-        )
+    #: Permanent whole-server loss: the crash take-down with no restart
+    #: scheduled.  Only the replication monitor can restore the
+    #: replication factor.
+    _apply_kill = _apply_crash
 
     def _apply_join(self, event: FaultEvent):
         name = event.target
@@ -137,11 +123,7 @@ class FaultInjector:
             or name in self.cluster.released_nodes
         ):
             return False
-        done = self.cluster.decommission(name)
-        env = self.cluster.env
-        done.callbacks.append(
-            lambda _event: self.decommissions_completed.append((env.now, name))
-        )
+        self.cluster.decommission(name)
 
     def _apply_master_fail(self, event: FaultEvent):
         master = self.cluster.ignem_master

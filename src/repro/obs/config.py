@@ -22,7 +22,8 @@ class ObservabilityConfig:
     Parameters
     ----------
     enabled:
-        Master switch for tracing instrumentation.
+        Master switch for tracing instrumentation (a ``trace_path``
+        switches it on too).
     categories:
         Trace categories to record (see
         :data:`~repro.obs.trace.ALL_CATEGORIES`).  The default set covers
@@ -31,8 +32,9 @@ class ObservabilityConfig:
         scales with raw event-dispatch volume, so it is opt-in and meant
         for debugging the simulator itself.
     trace_path:
-        When set, :meth:`repro.cluster.Cluster.run` writes the JSONL
-        trace here after the run.
+        When set, tracing is on whatever ``enabled`` says, and
+        :meth:`repro.cluster.Cluster.run` writes the JSONL trace here
+        after the run.
     metrics_path:
         When set, :meth:`repro.cluster.Cluster.run` writes the metrics
         snapshot (JSON) here after the run.

@@ -7,9 +7,9 @@ migration's disk read, whose completion callback used to insert into
 the already-flushed cache.
 """
 
-from repro.faults import InvariantChecker
+from repro.dst.oracles import oracle_locality_index
 from repro.storage import MB
-from tests.fixtures import make_ignem_cluster
+from tests.fixtures import make_ignem_cluster, oracle_context
 
 
 def make_cluster(num_nodes=2, replication=2):
@@ -48,7 +48,7 @@ class TestIndexAfterFailure:
         dead = [n for n, d in cluster.datanodes.items() if not d.alive]
         assert len(dead) == 1
         assert dead[0] not in index_nodes(cluster)
-        assert InvariantChecker(cluster).check_memory_index() == []
+        assert oracle_locality_index(oracle_context(cluster)) == []
 
     def test_crash_after_migration_purges_entries(self):
         cluster = make_cluster()
@@ -64,7 +64,7 @@ class TestIndexAfterFailure:
         cluster.fail_node(victim)
 
         assert victim not in cluster.namenode.memory_nodes(block.block_id)
-        assert InvariantChecker(cluster).check_memory_index() == []
+        assert oracle_locality_index(oracle_context(cluster)) == []
 
     def test_restarted_node_reindexes_fresh_migrations(self):
         cluster = make_cluster(num_nodes=1, replication=1)
@@ -87,4 +87,4 @@ class TestIndexAfterFailure:
         assert cluster.namenode.memory_nodes(block.block_id) == frozenset(
             {"node0"}
         )
-        assert InvariantChecker(cluster).check_memory_index() == []
+        assert oracle_locality_index(oracle_context(cluster)) == []

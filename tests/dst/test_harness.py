@@ -115,7 +115,7 @@ class TestSabotage:
             for result in report.failures
             for name, _ in result.violations
         }
-        assert failing & {"replication", "no_data_loss", "fault_invariants"}
+        assert "replication" in failing
 
 
 class TestElasticFuzz:

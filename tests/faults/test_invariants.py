@@ -1,12 +1,16 @@
-"""InvariantChecker: clean runs pass, corrupted state is flagged."""
+"""The paper's guarantees on hand-built clusters: clean runs pass the
+DST oracles, corrupted state is flagged, and the replica-count helpers
+the injector shares with them hold their rules."""
 
-from repro.faults import (
-    InvariantChecker,
-    data_loss_violations,
-    replication_violations,
+from repro.dst.oracles import (
+    oracle_end_state,
+    oracle_locality_index,
+    oracle_no_data_loss,
+    oracle_replication,
 )
+from repro.faults import data_loss_violations, replication_violations
 from repro.storage import GB, MB
-from tests.fixtures import make_ignem_cluster
+from tests.fixtures import make_ignem_cluster, oracle_context
 
 
 def make_cluster(**kwargs):
@@ -24,15 +28,27 @@ def migrated_cluster():
 
 class TestCleanRun:
     def test_no_violations_on_a_healthy_cluster(self):
-        cluster = migrated_cluster()
-        assert InvariantChecker(cluster).check() == []
+        ctx = oracle_context(migrated_cluster())
+        for oracle in (
+            oracle_locality_index,
+            oracle_replication,
+            oracle_no_data_loss,
+        ):
+            assert oracle(ctx) == []
 
     def test_no_violations_after_eviction(self):
         cluster = migrated_cluster()
         cluster.ignem_master.request_eviction(["/f"], "j1")
         cluster.rm.unregister_job("j1")
         cluster.run()
-        assert InvariantChecker(cluster).check() == []
+        ctx = oracle_context(cluster)
+        for oracle in (
+            oracle_end_state,
+            oracle_locality_index,
+            oracle_replication,
+            oracle_no_data_loss,
+        ):
+            assert oracle(ctx) == []
 
 
 class TestCorruptionDetection:
@@ -44,7 +60,7 @@ class TestCorruptionDetection:
             name for name in cluster.node_names() if name not in holders
         )
         cluster.namenode.locality_index.update(ghost, "mem", block.block_id, True)
-        violations = InvariantChecker(cluster).check_memory_index()
+        violations = oracle_locality_index(oracle_context(cluster))
         assert any(block.block_id in v for v in violations)
 
     def test_dangling_reference_is_flagged(self):
@@ -52,17 +68,22 @@ class TestCorruptionDetection:
         # The job vanishes from the scheduler without ever evicting: the
         # refs it left behind are exactly what III-A4's sweep hunts.
         cluster.rm.unregister_job("j1")
-        violations = InvariantChecker(cluster).check_reference_lists()
-        assert violations
-        assert all("j1" in v for v in violations)
+        violations = oracle_end_state(oracle_context(cluster))
+        assert any("j1" in v for v in violations)
 
-    def test_byte_accounting_mismatch_is_flagged(self):
+    def test_dangling_reference_on_a_down_slave_is_flagged(self):
         cluster = migrated_cluster()
+        cluster.rm.unregister_job("j1")
         slave = next(
-            s for s in cluster.ignem_master.slaves() if s.migrated_bytes > 0
+            s for s in cluster.ignem_master.slaves() if s.reference_count()
         )
-        slave.migrated_bytes += 10 * MB
-        assert InvariantChecker(cluster).check_byte_accounting()
+        # A crash purge that forgot the reference lists.
+        slave.alive = False
+        violations = oracle_end_state(oracle_context(cluster))
+        assert any(
+            "down slave" in v and slave.name in v and "j1" in v
+            for v in violations
+        )
 
 
 class TestDataLoss:
@@ -84,9 +105,23 @@ class TestDataLoss:
         violations = data_loss_violations(cluster.namenode, {"node0"}, when=1.0)
         assert any(block.block_id in v for v in violations)
 
+    def test_end_of_run_exemption_counts_nodes_down_at_the_end(self):
+        # Two servers down at once, then one back: a replication-2 file
+        # that lost every replica is exempt only while both are down.
+        cluster = make_cluster()
+        cluster.client.create_file("/r2", 64 * MB)
+        block = cluster.namenode.file_blocks("/r2")[0]
+        cluster.namenode._locations[block.block_id].clear()
+        injector = oracle_context(cluster).injector
+        injector._down.update({"node0", "node1"})
+        assert oracle_no_data_loss(oracle_context(cluster, injector)) == []
+        injector._down.discard("node1")
+        violations = oracle_no_data_loss(oracle_context(cluster, injector))
+        assert any(block.block_id in v for v in violations)
+
 
 class TestReplicationRestored:
-    """A crash with no restart used to slip past the checker: every
+    """A crash with no restart used to slip past the checks: every
     replica list kept >= 1 entry, so the data-loss invariant stayed
     quiet while blocks sat permanently under-replicated."""
 
@@ -98,7 +133,7 @@ class TestReplicationRestored:
         )[0]
         cluster.fail_node(holder)
         cluster.run()
-        violations = InvariantChecker(cluster).check()
+        violations = oracle_replication(oracle_context(cluster))
         assert any("under-replication" in v for v in violations)
 
     def test_self_healing_clears_the_conviction(self):
@@ -109,7 +144,9 @@ class TestReplicationRestored:
         )[0]
         cluster.fail_node(holder)
         cluster.run()
-        assert InvariantChecker(cluster).check() == []
+        ctx = oracle_context(cluster)
+        assert oracle_replication(ctx) == []
+        assert oracle_no_data_loss(ctx) == []
 
     def test_duplicate_holder_is_convicted(self):
         cluster = make_cluster()

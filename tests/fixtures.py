@@ -9,14 +9,19 @@ testbed, enable Ignem, tweak one knob" — eight near-identical
 * :func:`make_dfs_cluster` — the plain DFS testbed with re-replication
   (no Ignem);
 * :func:`make_sort_bench_cluster` — the sort-workload benchmark cluster
-  with its input pre-materialized.
+  with its input pre-materialized;
+* :func:`oracle_context` — a DST oracle context over a hand-built
+  cluster.
 
 Test-suite defaults differ from production on purpose: ``rpc_latency=0``
 so unit tests can step the clock without 2 ms command skew.  Pass a full
 ``config`` (or ``rpc_latency=...``) to override.
 """
 
+from types import SimpleNamespace
+
 from repro import IgnemConfig, build_paper_testbed
+from repro.faults import FaultInjector, FaultSchedule
 from repro.storage import GB
 
 
@@ -67,3 +72,13 @@ def make_sort_bench_cluster(data_bytes=20 * GB, seed=0, ignem_config=None):
     )
     materialize(cluster, data_bytes)
     return cluster
+
+
+def oracle_context(cluster, injector=None):
+    """Just enough context for the DST oracles that read only the
+    cluster and the fault injector (``end_state``, ``locality_index``,
+    ``replication``, ``no_data_loss``); a fault-free injector by
+    default."""
+    if injector is None:
+        injector = FaultInjector(cluster, FaultSchedule(()))
+    return SimpleNamespace(cluster=cluster, injector=injector)

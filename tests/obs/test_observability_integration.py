@@ -41,6 +41,21 @@ class TestTraceDeterminism:
         _, path = _run_swim_traced(tmp_path, "validated")
         assert validate_trace(path) == []
 
+    def test_trace_path_alone_switches_tracing_on(self, tmp_path):
+        trace_path = tmp_path / "t.jsonl"
+        metrics_path = tmp_path / "m.json"
+        cluster = build_paper_testbed(
+            num_nodes=2,
+            observability=ObservabilityConfig(
+                trace_path=str(trace_path), metrics_path=str(metrics_path)
+            ),
+        )
+        cluster.run(until=5)
+        assert cluster.obs.active
+        assert trace_path.exists()
+        assert validate_trace(trace_path) == []
+        assert json.loads(metrics_path.read_text())
+
 
 class TestZeroOverheadWhenDisabled:
     def test_disabled_by_default_and_writes_nothing(self, tmp_path):

@@ -107,7 +107,7 @@ class TestReplicationConvergence:
                 live = namenode.get_block_locations(block.block_id)
                 if not live:
                     continue  # lost to overlapping kills: data loss,
-                    # exempt here (judged by data_loss_violations)
+                    # exempt here (judged by the no_data_loss oracle)
                 assert len(live) == target, (
                     f"{block.block_id} ended with {len(live)} live "
                     f"replica(s), want {target} "
