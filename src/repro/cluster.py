@@ -296,21 +296,17 @@ class Cluster:
         migrator.start()
         return migrator
 
-    def enable_rereplication(
-        self, max_concurrent_per_source: int = 2, config=None
-    ) -> ReplicationMonitor:
+    def enable_rereplication(self) -> ReplicationMonitor:
         """Attach the self-healing replication monitor.  :meth:`fail_node`,
         :meth:`restart_node`, :meth:`add_datanode`, and
-        :meth:`decommission` notify it automatically; pass a
-        :class:`~repro.dfs.replication.RepairConfig` to tune scheduling."""
+        :meth:`decommission` notify it automatically; its copy limits and
+        retry timing are the constants in :mod:`repro.dfs.replication`."""
         if self.replication_monitor is None:
             self.replication_monitor = ReplicationMonitor(
                 self.env,
                 self.namenode,
                 self.network,
                 rng=self.rng.spawn("re-replication"),
-                max_concurrent_per_source=max_concurrent_per_source,
-                config=config,
                 registry=self.obs.registry,
                 transport=self.transport,
             )

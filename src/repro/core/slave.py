@@ -28,7 +28,7 @@ from ..obs.registry import MetricsRegistry
 from ..scheduler.resource_manager import ResourceManager
 from ..sim.engine import Environment
 from ..sim.events import Event
-from ..sim.resources import PriorityItem, PriorityStore
+from ..sim.resources import PriorityStore
 from ..transport.messages import Ack, EvictMsg, FailoverMsg, MigrateMsg
 from .commands import EvictCommand, MigrateCommand, MigrationWorkItem
 from .config import IgnemConfig
@@ -68,8 +68,6 @@ class IgnemSlave:
         self.tier_queues: Dict[str, PriorityStore] = {
             tier: PriorityStore(env) for tier in destinations
         }
-        #: The default destination tier's queue (the paper's single queue).
-        self.queue: PriorityStore = self.tier_queues[self.config.migration_tier]
         self._refs: Dict[str, Set[str]] = {}
         self._implicit_jobs: Set[str] = set()
         self._migrated: Dict[str, float] = {}
@@ -150,7 +148,7 @@ class IgnemSlave:
             if item.implicit_eviction:
                 self._implicit_jobs.add(item.job_id)
             item.received_at = now
-            queue.put_nowait(PriorityItem(self.policy.priority(item), item))
+            queue.put_nowait(self.policy.priority(item), item)
         return True
 
     def receive_evict(self, command: EvictCommand) -> bool:
@@ -189,7 +187,7 @@ class IgnemSlave:
 
     @property
     def pending_migrations(self) -> int:
-        return sum(len(queue.items) for queue in self.tier_queues.values())
+        return sum(len(queue) for queue in self.tier_queues.values())
 
     @property
     def usage_timeline(self) -> List[Tuple[float, float]]:
@@ -220,7 +218,7 @@ class IgnemSlave:
         self._refs.clear()
         self._implicit_jobs.clear()
         for queue in self.tier_queues.values():
-            queue.remove(lambda _entry: True)
+            queue.clear()
 
     def fail(self) -> None:
         """Kill the slave process; the OS reclaims all pinned memory."""
@@ -244,8 +242,8 @@ class IgnemSlave:
     def _worker(self, tier: str):
         queue = self.tier_queues[tier]
         while True:
-            entry = yield queue.get()
-            yield from self._handle(entry.item)
+            item = yield queue.get()
+            yield from self._handle(item)
 
     def _handle(self, item: MigrationWorkItem):
         block = item.block

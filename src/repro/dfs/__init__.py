@@ -10,7 +10,7 @@ from .client import ClientRead, DFSClient
 from .datanode import DataNode, DataNodeError, ReadHandle
 from .locality_index import LocalityIndex
 from .namenode import NameNode, NameNodeError
-from .replication import RepairConfig, ReplicationMonitor
+from .replication import ReplicationMonitor
 
 __all__ = [
     "LocalityIndex",
@@ -23,7 +23,6 @@ __all__ = [
     "FileMetadata",
     "NameNode",
     "NameNodeError",
-    "RepairConfig",
     "ReplicationMonitor",
     "ReadHandle",
     "split_into_blocks",

@@ -11,9 +11,9 @@ rebalancing toward freshly joined nodes and graceful decommission that
 drains a node's blocks before it is released.
 
 Copies move real bytes through a pipelined chain (HDFS write pipeline):
-one disk read on the source — optionally bandwidth-capped — then a
-store-and-forward hop per destination, each committing its replica into
-the namespace map as soon as it lands.  Concurrency is bounded per
+one disk read on the source, then a store-and-forward hop per
+destination, each committing its replica into the namespace map as soon
+as it lands.  Concurrency is bounded per
 source and per target, failed copies retry with exponential backoff
 (the PR 2 command-machinery discipline), and repairs that cannot make
 progress park on a topology-change event rather than polling, so an
@@ -28,7 +28,6 @@ byte-reproducible per seed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Set
 
 from ..net.network import Network, NetworkError
@@ -44,43 +43,22 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..obs.registry import MetricsRegistry
 
 
-@dataclass(frozen=True)
-class RepairConfig:
-    """Knobs for the repair scheduler (defaults mirror the PR 2 command
-    machinery: bounded retries with exponential backoff)."""
+#: Concurrent outbound repair copies per source node.
+MAX_COPIES_PER_SOURCE = 2
+#: Concurrent inbound repair copies per destination node.
+MAX_COPIES_PER_TARGET = 2
+#: Copy attempts before a block's repair parks on a topology change
+#: (the master's command machinery: bounded retries, exponential backoff).
+MAX_RETRIES = 3
+#: Base retry delay; doubles per attempt.
+BACKOFF = 0.25
+BACKOFF_FACTOR = 2.0
+#: Polite wait while all copy slots on an endpoint are busy.
+POLL_INTERVAL = 0.5
 
-    #: Concurrent outbound copies per source node.
-    max_concurrent_per_source: int = 2
-    #: Concurrent inbound copies per destination node.
-    max_concurrent_per_target: int = 2
-    #: Bandwidth cap (bytes/s) on the repair disk read, or ``None`` for
-    #: the device's fair share (HDFS throttles re-replication so repair
-    #: traffic cannot starve foreground jobs).
-    copy_rate_cap: Optional[float] = None
-    #: Copy attempts before a block's repair is parked/abandoned.
-    max_retries: int = 3
-    #: Base retry delay; doubles per attempt.
-    backoff: float = 0.25
-    backoff_factor: float = 2.0
-    #: Polite wait while all copy slots on an endpoint are busy.
-    poll_interval: float = 0.5
-    #: Background rebalancing toward freshly joined nodes.
-    rebalance: bool = True
 
-    def __post_init__(self) -> None:
-        if self.max_concurrent_per_source < 1:
-            raise ValueError("max_concurrent_per_source must be >= 1")
-        if self.max_concurrent_per_target < 1:
-            raise ValueError("max_concurrent_per_target must be >= 1")
-        if self.max_retries < 0:
-            raise ValueError("max_retries must be >= 0")
-        if self.backoff < 0 or self.backoff_factor < 1.0:
-            raise ValueError("backoff must be >= 0 with factor >= 1")
-        if self.poll_interval <= 0:
-            raise ValueError("poll_interval must be positive")
-
-    def retry_delay(self, attempt: int) -> float:
-        return self.backoff * self.backoff_factor ** max(0, attempt - 1)
+def _retry_delay(attempt: int) -> float:
+    return BACKOFF * BACKOFF_FACTOR ** max(0, attempt - 1)
 
 
 class ReplicationMonitor:
@@ -99,13 +77,9 @@ class ReplicationMonitor:
         namenode: NameNode,
         network: Network,
         rng: Optional[RandomSource] = None,
-        max_concurrent_per_source: int = 2,
-        config: Optional[RepairConfig] = None,
         registry: Optional["MetricsRegistry"] = None,
         transport=None,
     ):
-        if max_concurrent_per_source < 1:
-            raise ValueError("max_concurrent_per_source must be >= 1")
         self.env = env
         self.namenode = namenode
         self.network = network
@@ -114,10 +88,6 @@ class ReplicationMonitor:
         #: itself to the pipeline targets with a one-way
         #: :class:`~repro.transport.messages.ReplicaPipelineMsg`.
         self.transport = transport
-        if config is None:
-            config = RepairConfig(max_concurrent_per_source=max_concurrent_per_source)
-        self.config = config
-        self.max_concurrent_per_source = config.max_concurrent_per_source
         self.registry = registry
         #: Tracing hooks (attached by ``Observability.attach``).
         self.obs: Optional["Observability"] = None
@@ -132,7 +102,6 @@ class ReplicationMonitor:
         self.copy_retries = 0
         self.excess_dropped = 0
         self.rebalance_moves = 0
-        self.decommissions_completed = 0
 
         self._active_by_source: Dict[str, int] = {}
         self._active_by_target: Dict[str, int] = {}
@@ -221,7 +190,7 @@ class ReplicationMonitor:
         if not self.enabled:
             return
         self._schedule_repairs()
-        if not self.config.rebalance or node_name in self._rebalancing:
+        if node_name in self._rebalancing:
             return
         self._rebalancing.add(node_name)
         self.env.process(
@@ -296,7 +265,7 @@ class ReplicationMonitor:
                     attempt = 0
                     continue
                 attempt += 1
-                if attempt > self.config.max_retries:
+                if attempt > MAX_RETRIES:
                     # Out of retries: park until the topology changes
                     # (a restart or loss-window end re-notifies us).
                     yield self._wait_topology()
@@ -304,7 +273,7 @@ class ReplicationMonitor:
                     continue
                 self.copy_retries += 1
                 self._count("copy_retries")
-                yield self.env.timeout(self.config.retry_delay(attempt))
+                yield self.env.timeout(_retry_delay(attempt))
         finally:
             self._repairing.discard(block_id)
 
@@ -401,26 +370,9 @@ class ReplicationMonitor:
         pinned in an upper tier (an Ignem-migrated copy) are never the
         victim — thinning must not fight the migration subsystem."""
         dropped = 0
-        live_nodes = len(self.namenode.live_datanodes())
         for path in self.namenode.list_files():
-            metadata = self.namenode.get_file(path)
-            target = min(metadata.replication, live_nodes)
-            for block in metadata.blocks:
-                while True:
-                    live = self.namenode.get_block_locations(block.block_id)
-                    if len(live) <= target:
-                        break
-                    victim = self._thin_victim(block.block_id, live)
-                    if victim is None:
-                        break  # every excess holder is migration-pinned
-                    self.namenode.remove_block_replica(block.block_id, victim)
-                    self.namenode.datanode(victim).drop_block(block.block_id)
-                    self.excess_dropped += 1
-                    self._count("excess_dropped")
-                    obs = self.obs
-                    if obs is not None:
-                        obs.on_repair_drop(block.block_id, victim, "excess")
-                    dropped += 1
+            for block in self.namenode.get_file(path).blocks:
+                dropped += self._thin_block(block.block_id)
         return dropped
 
     def _thin_block(self, block_id: str) -> int:
@@ -435,7 +387,7 @@ class ReplicationMonitor:
                 break
             victim = self._thin_victim(block_id, live)
             if victim is None:
-                break
+                break  # every excess holder is migration-pinned
             self.namenode.remove_block_replica(block_id, victim)
             self.namenode.datanode(victim).drop_block(block_id)
             self.excess_dropped += 1
@@ -569,7 +521,6 @@ class ReplicationMonitor:
             pending = self._drain_pending(node)
             if not pending:
                 self._decommissioning.pop(node, None)
-                self.decommissions_completed += 1
                 self._count("decommissions_completed")
                 obs = self.obs
                 if obs is not None:
@@ -595,13 +546,13 @@ class ReplicationMonitor:
                 failures = 0
                 continue
             failures += 1
-            if failures > self.config.max_retries:
+            if failures > MAX_RETRIES:
                 yield self._wait_topology()
                 failures = 0
                 continue
             self.copy_retries += 1
             self._count("copy_retries")
-            yield self.env.timeout(self.config.retry_delay(failures))
+            yield self.env.timeout(_retry_delay(failures))
 
     def _drain_pending(self, node: str) -> List[Block]:
         """Blocks on ``node`` that would fall below their replication
@@ -652,24 +603,19 @@ class ReplicationMonitor:
         dn = self.namenode.datanode(source)
         if not dn.alive or not dn.has_block(block.block_id):
             raise DataNodeError(f"repair source {source} lost {block.block_id}")
-        return dn.disk.transfer(
-            block.nbytes,
-            tag=("repair-read", block.block_id),
-            rate_cap=self.config.copy_rate_cap,
-        )
+        return dn.disk.transfer(block.nbytes, tag=("repair-read", block.block_id))
 
     def _acquire(self, source: str, targets: Sequence[str]):
-        cfg = self.config
         while True:
-            busy = self._active_by_source.get(source, 0) >= cfg.max_concurrent_per_source
+            busy = self._active_by_source.get(source, 0) >= MAX_COPIES_PER_SOURCE
             if not busy:
                 busy = any(
-                    self._active_by_target.get(t, 0) >= cfg.max_concurrent_per_target
+                    self._active_by_target.get(t, 0) >= MAX_COPIES_PER_TARGET
                     for t in targets
                 )
             if not busy:
                 break
-            yield self.env.timeout(cfg.poll_interval)
+            yield self.env.timeout(POLL_INTERVAL)
         self._active_by_source[source] = self._active_by_source.get(source, 0) + 1
         for t in targets:
             self._active_by_target[t] = self._active_by_target.get(t, 0) + 1

@@ -31,7 +31,7 @@ from ..faults.injector import FaultInjector
 from ..mapreduce.spec import EngineConfig, JobSpec
 from ..net.network import NetworkError
 from ..obs import ObservabilityConfig
-from ..sim.events import join_all
+from ..sim.events import chain_arrivals, join_all
 from ..sim.rand import RandomSource, derive_seed
 from ..storage.device import MB
 from ..workloads.serve import ZipfSampler
@@ -46,6 +46,9 @@ SABOTAGE_MODES = (
     "overcommit-buffer",
     "disable-repair",
 )
+
+#: The failures a serve read may meet under faults; counted, not raised.
+_SERVE_ERRORS = (NameNodeError, DataNodeError, NetworkError)
 
 #: SWIM-style IO movers: modest per-byte compute (matches swim_runs).
 _MAP_CPU_FACTOR = 0.25
@@ -216,45 +219,48 @@ def serve_requests(
     return requests
 
 
-def _serve_read(cluster, arrival, path, tenant, reader, stats):
-    """One interactive request: read every block of ``path``.
+def _start_serve_traffic(
+    cluster: Cluster, scenario: Scenario, stats: Dict[str, float]
+) -> None:
+    """Replay the scenario's interactive requests: each one reads every
+    block of its object.
 
     Faults may legitimately kill the read (no live replica, serving
     node down): availability is not under test here, migration safety
     is — failed reads are counted, not raised.
     """
-    yield arrival
-    try:
-        metadata = cluster.namenode.get_file(path)
-        reads = [
-            cluster.client.read_block(
-                block, reader, job_id="dst-serve", tenant=tenant
-            )
-            for block in metadata.blocks
-        ]
-        yield join_all(cluster.env, [read.done for read in reads])
-    except (NameNodeError, DataNodeError, NetworkError):
-        stats["serve_failed"] += 1
-        return
-    stats["serve_completed"] += 1
-
-
-def _start_serve_traffic(
-    cluster: Cluster, scenario: Scenario, stats: Dict[str, float]
-) -> None:
     requests = serve_requests(scenario)
     stats["serve_requests"] = len(requests)
     stats["serve_completed"] = 0
     stats["serve_failed"] = 0
-    arrivals = cluster.env.timeout_batch(
-        [arrival for arrival, _path, _tenant, _reader in requests]
-    )
-    for index, (event, request) in enumerate(zip(arrivals, requests)):
+    env = cluster.env
+
+    def finish(join) -> None:
+        if join.ok:
+            stats["serve_completed"] += 1
+        elif isinstance(join.value, _SERVE_ERRORS):
+            stats["serve_failed"] += 1
+        else:
+            raise join.value
+
+    def serve_request(request) -> None:
         _arrival, path, tenant, reader = request
-        cluster.env.process(
-            _serve_read(cluster, event, path, tenant, reader, stats),
-            name=f"dst-serve-{index:03d}",
-        )
+        try:
+            metadata = cluster.namenode.get_file(path)
+            reads = [
+                cluster.client.read_block(
+                    block, reader, job_id="dst-serve", tenant=tenant
+                )
+                for block in metadata.blocks
+            ]
+        except _SERVE_ERRORS:
+            stats["serve_failed"] += 1
+            return
+        join_all(env, [read.done for read in reads]).callbacks.append(finish)
+
+    chain_arrivals(
+        env, ((request[0], request) for request in requests), serve_request
+    )
 
 
 def _fault_timelines(

@@ -437,10 +437,11 @@ class DifferentialChecker:
                 start = 0
                 if not busy and not pending:
                     # The live queue was empty with the worker parked on
-                    # a pending get(): Store.put_nowait hands the batch's
-                    # FIRST item (command order) straight to the getter,
-                    # bypassing the priority order.  Only after that item
-                    # resolves does the worker see the rest, sorted.
+                    # a pending get(): PriorityStore.put_nowait hands the
+                    # batch's FIRST item (command order) straight to the
+                    # getter, bypassing the priority order.  Only after
+                    # that item resolves does the worker see the rest,
+                    # sorted.
                     first = items[0]
                     start = 1
                     if droppable(first.block_id, now) and not visibly_skipped(

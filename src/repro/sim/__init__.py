@@ -28,7 +28,7 @@ from .events import (
 )
 from .process import Process
 from .rand import RandomSource, derive_seed
-from .resources import PriorityItem, PriorityStore, Store
+from .resources import PriorityStore
 
 __all__ = [
     "AllOf",
@@ -37,13 +37,11 @@ __all__ = [
     "Environment",
     "Event",
     "Interrupt",
-    "PriorityItem",
     "PriorityStore",
     "Process",
     "RandomSource",
     "SimulationError",
     "StopSimulation",
-    "Store",
     "Timeout",
     "derive_seed",
     "join_all",

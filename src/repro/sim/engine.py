@@ -3,8 +3,8 @@
 from __future__ import annotations
 
 import gc
-from heapq import heapify, heappop, heappush
-from typing import Any, Generator, Iterable, List, Optional, Union
+from heapq import heappop, heappush
+from typing import Any, Generator, Optional, Union
 
 from .events import (
     NORMAL,
@@ -67,6 +67,11 @@ class Environment:
         """The process currently being executed, if any."""
         return self._active_process
 
+    @property
+    def events_scheduled(self) -> int:
+        """How many events have been put on the queue since creation."""
+        return self._eid
+
     # -- event factories ---------------------------------------------------
 
     def event(self) -> Event:
@@ -123,41 +128,6 @@ class Environment:
         self._eid += 1
         heappush(self._queue, (self.now + delay, NORMAL_KEY + self._eid, event))
         return event
-
-    def timeout_batch(
-        self, delays: Iterable[float], value: Any = None
-    ) -> List[Timeout]:
-        """Create one :class:`Timeout` per delay in a single heap rebuild.
-
-        Pushing N timeouts one at a time costs O(N log(N+M)) comparisons
-        against a queue of M entries; appending them all and re-heapifying
-        costs O(N+M).  Worth it when pre-scheduling a large arrival wave
-        (the scale replay schedules ~10^5 job arrivals up front).  Event
-        ids — and therefore same-instant ordering — are assigned in input
-        order, exactly as sequential ``timeout`` calls would.
-        """
-        queue = self._queue
-        now = self.now
-        eid = self._eid
-        out: List[Timeout] = []
-        append = queue.append
-        for delay in delays:
-            if delay < 0:
-                raise ValueError(f"negative delay {delay}")
-            event = Timeout.__new__(Timeout)
-            event.env = self
-            event.callbacks = []
-            event._value = value
-            event._ok = True
-            event._triggered = True
-            event._processed = False
-            event.delay = delay
-            eid += 1
-            append((now + delay, NORMAL_KEY + eid, event))
-            out.append(event)
-        self._eid = eid
-        heapify(queue)
-        return out
 
     def process(
         self, generator: Generator[Event, Any, Any], name: str = ""

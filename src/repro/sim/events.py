@@ -130,13 +130,6 @@ class Event:
         self.env.schedule(self, priority=NORMAL)
         return self
 
-    def trigger(self, event: "Event") -> None:
-        """Trigger this event with the state of another (for chaining)."""
-        if event._ok:
-            self.succeed(event._value)
-        else:
-            self.fail(event._value)
-
     def _mark_processed(self) -> None:
         self._processed = True
         self.callbacks = None

@@ -214,7 +214,7 @@ def run_scale_replay(config: Optional[ScaleConfig] = None) -> ScaleResult:
         num_nodes=config.num_nodes,
         num_jobs=config.num_jobs,
         seed=config.seed,
-        events=env._eid,
+        events=env.events_scheduled,
         sim_time=env.now,
         jobs_completed=stats.jobs_completed,
         block_reads=stats.block_reads,

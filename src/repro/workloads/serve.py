@@ -486,7 +486,7 @@ def run_serve(config: Optional[ServeConfig] = None) -> ServeResult:
         num_tenants=config.num_tenants,
         seed=config.seed,
         sim_time=env.now,
-        events=env._eid,
+        events=env.events_scheduled,
         requests_served=stats.served,
         flash_requests=sum(1 for request in requests if request.flash),
         p50=histogram.quantile(0.50) if histogram.count else 0.0,

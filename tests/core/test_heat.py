@@ -9,6 +9,7 @@ from repro.core.heat import (
     plan_promotions,
 )
 from repro.dfs.blocks import Block
+from repro.sim.events import chain_arrivals
 from repro.storage import MB
 from tests.fixtures import make_ignem_cluster
 
@@ -160,15 +161,12 @@ class TestPlanPromotions:
 
 def _read_pulse(cluster, blocks, times, tenant="tenant0", reader="node0"):
     """Schedule one read of every block at each absolute time."""
-    env = cluster.env
 
-    def pulse(event):
-        yield event
+    def pulse(_item):
         for block in blocks:
             cluster.client.read_block(block, reader, tenant=tenant)
 
-    for event in env.timeout_batch(list(times)):
-        env.process(pulse(event), name="read-pulse")
+    chain_arrivals(cluster.env, ((time, None) for time in times), pulse)
 
 
 class TestPopularityMigrator:

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.dfs import RepairConfig, ReplicationMonitor
+from repro.dfs.replication import _retry_delay
 from repro.storage import MB
 from tests.fixtures import make_dfs_cluster as make_cluster
 
@@ -94,16 +94,6 @@ class TestRestoration:
         first = cluster.replication_monitor
         second = cluster.enable_rereplication()
         assert first is second
-
-    def test_validation(self):
-        cluster = make_cluster(num_nodes=2)
-        with pytest.raises(ValueError):
-            ReplicationMonitor(
-                cluster.env,
-                cluster.namenode,
-                cluster.network,
-                max_concurrent_per_source=0,
-            )
 
     def test_sequential_failures_keep_data_available(self):
         cluster = make_cluster(num_nodes=6, replication=3)
@@ -252,28 +242,7 @@ class TestElasticity:
             cluster.decommission("node99")
 
 
-class TestRepairConfig:
-    def test_rejects_bad_values(self):
-        with pytest.raises(ValueError):
-            RepairConfig(max_concurrent_per_source=0)
-        with pytest.raises(ValueError):
-            RepairConfig(max_concurrent_per_target=0)
-        with pytest.raises(ValueError):
-            RepairConfig(backoff=-1.0)
-
-    def test_retry_delay_grows_geometrically(self):
-        config = RepairConfig(backoff=0.5, backoff_factor=2.0)
-        assert config.retry_delay(1) == 0.5
-        assert config.retry_delay(2) == 1.0
-        assert config.retry_delay(3) == 2.0
-
-    def test_monitor_accepts_a_custom_config(self):
-        cluster = make_cluster(num_nodes=2)
-        monitor = ReplicationMonitor(
-            cluster.env,
-            cluster.namenode,
-            cluster.network,
-            config=RepairConfig(max_concurrent_per_source=4, rebalance=False),
-        )
-        assert monitor.config.max_concurrent_per_source == 4
-        assert monitor.config.rebalance is False
+def test_retry_delay_grows_geometrically():
+    assert _retry_delay(1) == 0.25
+    assert _retry_delay(2) == 0.5
+    assert _retry_delay(3) == 1.0

@@ -113,9 +113,9 @@ class TestCleanReplays:
         assert replay(delivered, events) == []
 
     def test_idle_worker_takes_first_item_in_command_order(self):
-        # Store.put_nowait hands items[0] straight to the parked getter,
-        # bypassing priority: the big block migrating first is correct
-        # behavior, not an ordering bug.
+        # PriorityStore.put_nowait hands items[0] straight to the parked
+        # getter, bypassing priority: the big block migrating first is
+        # correct behavior, not an ordering bug.
         delivered = [
             item(1.0, "jBig", "blkBig", size=512 * MB, seq=0),
             item(1.0, "jSmall", "blkSmall", size=16 * MB, seq=1),

@@ -12,6 +12,8 @@ from repro.dst import (
     run_scenario,
     serve_requests,
 )
+from repro.dfs.datanode import DataNodeError
+from repro.dst import harness
 from repro.dst.oracles import oracle_tenant_fairness
 from repro.dst.shrinker import shrink_scenario
 from repro.storage import MB
@@ -107,6 +109,20 @@ class TestServeRequests:
         assert serve_requests(ScenarioGenerator(5).generate(0)) == []
 
 
+def _join_then_fail(error):
+    """A ``join_all`` whose join fails with ``error`` once the reads end."""
+    real_join_all = harness.join_all
+
+    def join_all(env, events):
+        failed = env.event()
+        real_join_all(env, events).callbacks.append(
+            lambda _join: failed.fail(error)
+        )
+        return failed
+
+    return join_all
+
+
 class TestMixedScenarioRuns:
     def test_mixed_serve_corpus_scenario_green(self):
         scenario = Scenario.load(CORPUS / "mixed-serve.json")
@@ -116,6 +132,38 @@ class TestMixedScenarioRuns:
         assert result.stats["serve_requests"] == scenario.serve.num_requests
         assert result.stats["serve_completed"] > 0
         assert result.stats["heat_ticks"] > 0
+
+    @pytest.mark.parametrize(
+        "name, completed, failed",
+        [("mixed-serve.json", 39, 2), ("heat-crash-repromote.json", 31, 18)],
+    )
+    def test_every_request_counted_once(self, name, completed, failed):
+        # Faults kill some reads; each request lands in exactly one of
+        # the two counts.
+        result = run_scenario(Scenario.load(CORPUS / name))
+        stats = result.stats
+        assert (stats["serve_completed"], stats["serve_failed"]) == (
+            completed,
+            failed,
+        )
+        assert stats["serve_requests"] == completed + failed
+
+    def test_typed_read_failures_are_counted(self, monkeypatch):
+        monkeypatch.setattr(
+            harness, "join_all", _join_then_fail(DataNodeError("replica lost"))
+        )
+        result = run_scenario(Scenario.load(CORPUS / "mixed-serve.json"))
+        assert result.stats["serve_completed"] == 0
+        assert result.stats["serve_failed"] == result.stats["serve_requests"]
+
+    def test_untyped_read_failure_aborts_the_run(self, monkeypatch):
+        # Only the failures a fault may cause are counted; a bug in the
+        # read path still stops the run.
+        monkeypatch.setattr(
+            harness, "join_all", _join_then_fail(RuntimeError("bug in the read path"))
+        )
+        with pytest.raises(RuntimeError, match="bug in the read path"):
+            run_scenario(Scenario.load(CORPUS / "mixed-serve.json"))
 
     def test_mixed_replay_is_deterministic(self):
         scenario = Scenario.load(CORPUS / "mixed-serve.json")

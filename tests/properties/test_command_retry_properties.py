@@ -120,12 +120,12 @@ def test_retry_machine_matches_the_closed_form(plan):
         real_init(self, *args, **kwargs)
 
     Process.__init__ = counting_init
-    scheduled_before = env._eid
+    scheduled_before = env.events_scheduled
     try:
         master.request_migration(["/f"], "j1")
     finally:
         Process.__init__ = real_init
-    scheduled = env._eid - scheduled_before
+    scheduled = env.events_scheduled - scheduled_before
     delivered_inline = list(delivered)
     cluster.run()
 

@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.sim import Environment, PriorityItem, PriorityStore
+from repro.sim import Environment, PriorityStore
 from repro.dfs.blocks import split_into_blocks
 from repro.storage import MB
 
@@ -60,52 +60,57 @@ class TestClockMonotonicity:
             assert finish_time >= spawn_time
 
 
+def _drain_after_puts(priorities):
+    """Put ``(priority, index)`` for every priority, then drain."""
+    env = Environment()
+    store = PriorityStore(env)
+    for index, priority in enumerate(priorities):
+        store.put_nowait(priority, (priority, index))
+    drained = []
+
+    def consumer(env):
+        yield env.timeout(1)
+        for _ in priorities:
+            item = yield store.get()
+            drained.append(item)
+
+    env.process(consumer(env))
+    env.run()
+    return drained
+
+
 class TestPriorityStoreOrdering:
     @given(st.lists(st.integers(min_value=-1000, max_value=1000), min_size=1, max_size=50))
     @settings(max_examples=80, deadline=None)
     def test_items_leave_in_priority_order(self, priorities):
-        env = Environment()
-        store = PriorityStore(env)
-        drained = []
-
-        def producer(env):
-            for index, priority in enumerate(priorities):
-                yield store.put(PriorityItem(priority, index))
-
-        def consumer(env):
-            yield env.timeout(1)
-            for _ in priorities:
-                item = yield store.get()
-                drained.append(item.priority)
-
-        env.process(producer(env))
-        env.process(consumer(env))
-        env.run()
-        assert drained == sorted(priorities)
+        drained = _drain_after_puts(priorities)
+        assert [priority for priority, _ in drained] == sorted(priorities)
 
     @given(st.lists(st.integers(min_value=0, max_value=5), min_size=2, max_size=40))
     @settings(max_examples=60, deadline=None)
     def test_equal_priorities_preserve_fifo(self, priorities):
-        env = Environment()
-        store = PriorityStore(env)
-        drained = []
-
-        def producer(env):
-            for index, priority in enumerate(priorities):
-                yield store.put(PriorityItem(priority, index))
-
-        def consumer(env):
-            yield env.timeout(1)
-            for _ in priorities:
-                item = yield store.get()
-                drained.append((item.priority, item.item))
-
-        env.process(producer(env))
-        env.process(consumer(env))
-        env.run()
+        drained = _drain_after_puts(priorities)
         for (pa, ia), (pb, ib) in zip(drained, drained[1:]):
             if pa == pb:
                 assert ia < ib
+
+    @given(st.lists(st.integers(min_value=0, max_value=5), min_size=1, max_size=40))
+    @settings(max_examples=60, deadline=None)
+    def test_parked_getter_takes_the_first_put(self, priorities):
+        env = Environment()
+        store = PriorityStore(env)
+        parked = store.get()
+        for index, priority in enumerate(priorities):
+            store.put_nowait(priority, (priority, index))
+        rest = []
+        while len(store):
+            rest.append(store.get().value)
+        assert parked.value == (priorities[0], 0)
+        assert rest == sorted(
+            (priority, index)
+            for index, priority in enumerate(priorities)
+            if index > 0
+        )
 
 
 class TestBlockSplitting:

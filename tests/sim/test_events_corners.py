@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim import Environment, Event, SimulationError
+from repro.sim import Environment, SimulationError
 from repro.sim.events import ConditionValue
 
 
@@ -23,38 +23,6 @@ class TestEventStates:
         env.run()
         assert event.processed
         assert event.value == "v"
-
-    def test_trigger_copies_another_events_outcome(self):
-        env = Environment()
-        source = env.event()
-        source.succeed(123)
-        target = env.event()
-        target.trigger(source)
-        assert target.triggered
-        assert target.value == 123
-
-    def test_trigger_copies_failure(self):
-        env = Environment()
-        source = env.event()
-        error = RuntimeError("nope")
-        source.fail(error)
-        target = env.event()
-        target.trigger(source)
-        assert not target.ok
-        # Drain both failures through waiters so the engine doesn't
-        # re-raise them as unhandled.
-        caught = []
-
-        def waiter(env, ev):
-            try:
-                yield ev
-            except RuntimeError as err:
-                caught.append(err)
-
-        env.process(waiter(env, source))
-        env.process(waiter(env, target))
-        env.run()
-        assert caught == [error, error]
 
     def test_unhandled_failed_event_surfaces_in_run(self):
         env = Environment()

@@ -49,7 +49,7 @@ class TestTimeoutAt:
         assert env.peek() == float("inf")
 
     def test_same_instant_order_follows_creation(self):
-        # timeout, timeout_at and timeout_batch entries landing on one
+        # timeout, timeout_at and pooled_timeout entries landing on one
         # instant dispatch in the order their event ids were drawn.
         env = Environment()
         order = []
@@ -59,12 +59,12 @@ class TestTimeoutAt:
 
         env.timeout_at(2.0).callbacks.append(record("at-1"))
         env.timeout(2.0).callbacks.append(record("rel-2"))
-        for index, event in enumerate(env.timeout_batch([2.0, 2.0])):
-            event.callbacks.append(record(f"batch-{3 + index}"))
+        env.pooled_timeout(2.0).callbacks.append(record("pooled-3"))
+        env.timeout(2.0).callbacks.append(record("rel-4"))
         env.timeout_at(2.0).callbacks.append(record("at-5"))
         env.timeout_at(1.0).callbacks.append(record("early"))
         env.run()
-        assert order == ["early", "at-1", "rel-2", "batch-3", "batch-4", "at-5"]
+        assert order == ["early", "at-1", "rel-2", "pooled-3", "rel-4", "at-5"]
 
 
 class TestChainArrivals:

@@ -123,11 +123,10 @@ class TestDeliveryIdentity:
         cluster.client.migrate(["/f"], "j1")
         assert tapped and all(kind == "migrate" for kind, _ in tapped)
         queued = [
-            entry.item.item
+            queue.get().value
             for slave in cluster.ignem_master.slaves()
             for queue in slave.tier_queues.values()
-            for entry in queue.items
-            if entry.alive
+            for _ in range(len(queue))
         ]
         assert queued
         tapped_items = [
