@@ -77,7 +77,7 @@ def main() -> None:
     print(f"  {query.query_id:<12} {session.results[0].duration:7.1f}s (Hive)")
 
     retried = cluster.rm.tasks_retried
-    copies = cluster.replication_monitor.copies_completed
+    copies = cluster.metrics.counter("dfs.repair.copies_completed").value
     ram_reads = sum(1 for r in cluster.collector.block_reads if r.source == "ram")
     resident = sum(s.migrated_bytes for s in cluster.ignem_slaves.values())
     print(f"\ntasks retried after the node kill: {retried}")

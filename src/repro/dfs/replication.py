@@ -76,8 +76,8 @@ class ReplicationMonitor:
         env: Environment,
         namenode: NameNode,
         network: Network,
+        registry: "MetricsRegistry",
         rng: Optional[RandomSource] = None,
-        registry: Optional["MetricsRegistry"] = None,
         transport=None,
     ):
         self.env = env
@@ -95,13 +95,6 @@ class ReplicationMonitor:
         #: a no-op so DST can prove the oracles convict a cluster that
         #: does not heal.
         self.enabled = True
-
-        self.copies_completed = 0
-        self.copies_failed = 0
-        self.copies_discarded = 0
-        self.copy_retries = 0
-        self.excess_dropped = 0
-        self.rebalance_moves = 0
 
         self._active_by_source: Dict[str, int] = {}
         self._active_by_target: Dict[str, int] = {}
@@ -158,15 +151,15 @@ class ReplicationMonitor:
         """Schedule re-replication for every under-replicated block.
 
         Returns the number of repair processes scheduled.  Blocks with no
-        surviving replica are unrecoverable (counted in
-        :attr:`copies_failed`).
+        surviving replica are unrecoverable (counted by
+        ``dfs.repair.copies_failed``).
         """
         self._notify_topology()
         if not self.enabled:
             return 0
         lost = len(self.missing_blocks())
         if lost:
-            self._fail(lost)
+            self._count("copies_failed", lost)
         return self._schedule_repairs()
 
     def handle_node_restart(self, node_name: str) -> int:
@@ -249,7 +242,7 @@ class ReplicationMonitor:
                 if not live:
                     # Every holder died while we were repairing.  If one
                     # restarts, handle_node_restart re-scans.
-                    self._fail(need)
+                    self._count("copies_failed", need)
                     return
                 candidates = self._repair_candidates(block)
                 if not candidates:
@@ -271,7 +264,6 @@ class ReplicationMonitor:
                     yield self._wait_topology()
                     attempt = 0
                     continue
-                self.copy_retries += 1
                 self._count("copy_retries")
                 yield self.env.timeout(_retry_delay(attempt))
         finally:
@@ -355,11 +347,9 @@ class ReplicationMonitor:
                 # would destroy the winner's replica while the NameNode
                 # still lists the holder.  Only unregistered bytes go.
                 self.namenode.datanode(target).drop_block(block_id)
-            self.copies_discarded += 1
             self._count("copies_discarded")
             return False
         self.namenode.add_block_replica(block_id, target)
-        self.copies_completed += 1
         self._count("copies_completed")
         return True
 
@@ -390,7 +380,6 @@ class ReplicationMonitor:
                 break  # every excess holder is migration-pinned
             self.namenode.remove_block_replica(block_id, victim)
             self.namenode.datanode(victim).drop_block(block_id)
-            self.excess_dropped += 1
             self._count("excess_dropped")
             obs = self.obs
             if obs is not None:
@@ -435,7 +424,6 @@ class ReplicationMonitor:
                 if node in live and donor in live and len(live) > 1:
                     self.namenode.remove_block_replica(block.block_id, donor)
                     self.namenode.datanode(donor).drop_block(block.block_id)
-                    self.rebalance_moves += 1
                     self._count("rebalance_moves")
                     obs = self.obs
                     if obs is not None:
@@ -550,7 +538,6 @@ class ReplicationMonitor:
                 yield self._wait_topology()
                 failures = 0
                 continue
-            self.copy_retries += 1
             self._count("copy_retries")
             yield self.env.timeout(_retry_delay(failures))
 
@@ -668,10 +655,5 @@ class ReplicationMonitor:
 
     # -- counters ----------------------------------------------------------------
 
-    def _fail(self, n: int) -> None:
-        self.copies_failed += n
-        self._count("copies_failed", n)
-
     def _count(self, name: str, n: int = 1) -> None:
-        if self.registry is not None:
-            self.registry.counter(f"dfs.repair.{name}").inc(n)
+        self.registry.counter(f"dfs.repair.{name}").inc(n)

@@ -9,7 +9,8 @@ Four pieces, layered:
   ``python -m repro chaos``;
 * :mod:`~repro.dst.model` — an executable reference model of the Ignem
   master/slave contract, checked differentially against the real system
-  at every command boundary via the trace stream;
+  at every command boundary and, after the run, against the collector's
+  migration and eviction records;
 * :mod:`~repro.dst.oracles` — the one table of end-of-run invariant
   oracles (do-not-harm, buffer cap, end-state emptiness, post-crash
   silence, conservation, locality index, replication, data loss,

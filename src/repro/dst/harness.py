@@ -4,9 +4,9 @@ The harness is the glue between the three existing subsystems: it builds
 a :class:`~repro.cluster.Cluster` from a :class:`Scenario`, arms the
 :class:`~repro.faults.injector.FaultInjector` with the scenario's fault
 plan, hooks the differential checker onto the master's command
-boundary, runs the workload to full drain with "ignem"-category tracing
-live (:func:`drain_scenario`), and evaluates every oracle of
-:data:`~repro.dst.oracles.ALL_ORACLES` over the leftovers
+boundary, runs the workload to full drain (:func:`drain_scenario`), and
+evaluates every oracle of :data:`~repro.dst.oracles.ALL_ORACLES` over
+the leftovers — the live cluster and its collector's records
 (:func:`run_scenario`).
 
 ``apply_sabotage`` deliberately breaks a live cluster (flip the
@@ -17,7 +17,6 @@ bug proves nothing.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
@@ -30,7 +29,6 @@ from ..dfs.namenode import NameNodeError
 from ..faults.injector import FaultInjector
 from ..mapreduce.spec import EngineConfig, JobSpec
 from ..net.network import NetworkError
-from ..obs import ObservabilityConfig
 from ..sim.events import chain_arrivals, join_all
 from ..sim.rand import RandomSource, derive_seed
 from ..storage.device import MB
@@ -91,9 +89,6 @@ def build_cluster(scenario: Scenario) -> Tuple[Cluster, DifferentialChecker]:
             seed=scenario.seed,
             tier_preset=scenario.tier_preset,
             engine=EngineConfig(output_replication=1),
-            observability=ObservabilityConfig(
-                enabled=True, categories=("ignem", "repair")
-            ),
         )
     )
     cluster.enable_ignem(
@@ -338,14 +333,6 @@ def drain_scenario(
         if slave.alive:
             slave.cleanup_dead_jobs(force=True)
 
-    trace_events = [
-        json.loads(line) for line in cluster.obs.tracer.lines()
-    ]
-    lanes = {
-        event["tid"]: event["args"]["name"]
-        for event in trace_events
-        if event.get("ph") == "M" and event.get("name") == "thread_name"
-    }
     purges, down_windows = _fault_timelines(injector, cluster, scenario.ha)
 
     context = OracleContext(
@@ -353,8 +340,6 @@ def drain_scenario(
         cluster=cluster,
         checker=checker,
         injector=injector,
-        trace_events=trace_events,
-        lanes=lanes,
         purges=purges,
         down_windows=down_windows,
     )
@@ -406,17 +391,22 @@ def run_scenario(
             "ignem.slave.migrations_completed"
         ).value,
         "repair_enabled": monitor.enabled,
-        "repair_copies": monitor.copies_completed,
-        "repair_retries": monitor.copy_retries,
-        "repair_excess_dropped": monitor.excess_dropped,
-        "rebalance_moves": monitor.rebalance_moves,
+        "repair_copies": registry.counter(
+            "dfs.repair.copies_completed"
+        ).value,
+        "repair_retries": registry.counter("dfs.repair.copy_retries").value,
+        "repair_excess_dropped": registry.counter(
+            "dfs.repair.excess_dropped"
+        ).value,
+        "rebalance_moves": registry.counter(
+            "dfs.repair.rebalance_moves"
+        ).value,
         "under_replicated": len(monitor.under_replicated_blocks()),
         "missing_blocks": len(monitor.missing_blocks()),
         "decommissions_completed": len(cluster.decommission_log),
         "nodes_joined": sum(
             1 for _, event in injector.applied if event.kind == "join"
         ),
-        "trace_events": len(context.trace_events),
         "sim_time": cluster.env.now,
     })
     return ScenarioResult(

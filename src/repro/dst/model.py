@@ -9,12 +9,13 @@ real implementation from the outside:
   slave's synchronous state change (reference-list update on migrate,
   reference drop on evict) and the one-replica-per-block rule, and logs
   the delivery for the post-run replay;
-* **post-run**, over the PR 3 trace stream: a reference slave per node
-  replays the logged deliveries against the observed
-  ``ignem.migration`` / ``ignem.eviction`` events, simulating the exact
-  worker loop — pop the minimum-priority item, silently drop it if its
-  block is already resident, otherwise demand a matching trace event —
-  which checks migration *order* (smallest-job-first with
+* **post-run**, over the collector's records: a reference slave per
+  node replays the logged deliveries against the observed
+  :class:`~repro.metrics.records.MigrationRecord` and
+  :class:`~repro.metrics.records.EvictionRecord` stream, simulating the
+  exact worker loop — pop the minimum-priority item, silently drop it if
+  its block is already resident, otherwise demand a matching migration
+  record — which checks migration *order* (smallest-job-first with
   submission-time tie-break), non-preemption (one worker, one busy
   window at a time), work-conservation (a queued item never rots
   unserved), and queue-wait accounting.
@@ -35,12 +36,14 @@ and delivery order are all unchanged by the message-passing refactor.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Sequence, Set, Tuple
 
-#: Times are reconstructed from trace microseconds and rounded
-#: queue-waits; everything inside one simulated instant lands within
-#: this window.
+from ..metrics.records import EvictionRecord, MigrationRecord
+
+#: Slack for same-instant comparisons between an eviction and a
+#: dequeue; everything inside one simulated instant lands within this
+#: window.
 _TIME_EPS = 1e-5
 #: Sort-key quantum: distinct simulated instants differ by at least an
 #: RPC latency (2ms), far above the float noise this absorbs.
@@ -80,23 +83,6 @@ class DeliveredItem:
     #: Destination tier: each (node, tier) pair has its own ordered
     #: queue and worker set, so the replay partitions on both.
     tier: str = "mem"
-
-
-@dataclass(frozen=True)
-class PopEvent:
-    """One observed dequeue: an ``ignem.migration`` trace event."""
-
-    node: str
-    job_id: str
-    block_id: str
-    outcome: str
-    queue_wait: float
-    #: When the slave's handling of this item ended (span end for
-    #: completed migrations, the instant itself otherwise) — the moment
-    #: the worker becomes free again.
-    t_end: float
-    #: Span start (completed only): when bytes began moving.
-    t_start: Optional[float] = None
 
 
 class DifferentialChecker:
@@ -183,66 +169,33 @@ class DifferentialChecker:
         for targets in self._targets.values():
             targets.discard(node)
 
-    # -- post-run: trace replay ---------------------------------------------------
+    # -- post-run: record replay --------------------------------------------------
 
     def replay(
         self,
-        trace_events: Sequence[dict],
-        lanes: Dict[int, str],
+        migrations: Sequence[MigrationRecord],
+        evictions: Sequence[EvictionRecord],
         purges: Sequence[Tuple[float, str]],
     ) -> List[str]:
         """Replay the run per node; returns (and records) violations.
 
-        ``trace_events`` is the parsed JSONL trace in file order (which,
-        per node, is dequeue order: same-instant events keep execution
-        order, and a span's start always follows the previous pop's end
-        on a one-worker slave).  ``purges`` are the (time, node) pairs at
-        which the live slave dropped its whole queue (crash, or a master
+        ``migrations`` and ``evictions`` are the collector's records in
+        report order (which, per node and tier, is dequeue order: a
+        one-worker slave reports each item when its handling ends, before
+        the next pop).  ``purges`` are the (time, node) pairs at which
+        the live slave dropped its whole queue (crash, or a master
         restart/failover purge).
         """
         # Each (node, destination-tier) pair runs its own queue + worker
-        # set, so the replay partitions on both; trace events without a
-        # tier arg (pre-tier traces) land in the default "mem" partition.
-        pops: Dict[Tuple[str, str], List[PopEvent]] = {}
-        evictions: Dict[Tuple[str, str], List[Tuple[float, str]]] = {}
-
-        for event in trace_events:
-            name = event.get("name")
-            node = lanes.get(event.get("tid"))
-            if node is None:
-                continue
-            if name == "ignem.migration":
-                args = event["args"]
-                key = (node, args.get("tier", "mem"))
-                ts = event["ts"] / 1e6
-                if event.get("ph") == "X":
-                    pops.setdefault(key, []).append(
-                        PopEvent(
-                            node=node,
-                            job_id=args["job"],
-                            block_id=args["block"],
-                            outcome=args["outcome"],
-                            queue_wait=args["queue_wait"],
-                            t_end=ts + event.get("dur", 0.0) / 1e6,
-                            t_start=ts,
-                        )
-                    )
-                else:
-                    pops.setdefault(key, []).append(
-                        PopEvent(
-                            node=node,
-                            job_id=args["job"],
-                            block_id=args["block"],
-                            outcome=args["outcome"],
-                            queue_wait=args["queue_wait"],
-                            t_end=ts,
-                        )
-                    )
-            elif name == "ignem.eviction" and event.get("ph") == "i":
-                key = (node, event["args"].get("tier", "mem"))
-                evictions.setdefault(key, []).append(
-                    (event["ts"] / 1e6, event["args"]["block"])
-                )
+        # set, so the replay partitions on both.
+        pops: Dict[Tuple[str, str], List[MigrationRecord]] = {}
+        for record in migrations:
+            pops.setdefault((record.node, record.tier), []).append(record)
+        evicted: Dict[Tuple[str, str], List[Tuple[float, str]]] = {}
+        for record in evictions:
+            evicted.setdefault((record.node, record.tier), []).append(
+                (record.time, record.block_id)
+            )
 
         deliveries: Dict[Tuple[str, str], List[DeliveredItem]] = {}
         for item in self.delivered:
@@ -253,20 +206,13 @@ class DifferentialChecker:
         for when, node in purges:
             purge_map.setdefault(node, []).append(when)
 
-        keys = set(deliveries) | {k for k in pops if pops[k]}
-        keys |= {
-            (node, tier)
-            for node in purge_map
-            for (n, tier) in set(deliveries) | set(pops)
-            if n == node
-        }
-        for node, tier in sorted(keys):
+        for node, tier in sorted(set(deliveries) | set(pops)):
             label = node if tier == "mem" else f"{node}[{tier}]"
             self._replay_node(
                 label,
                 deliveries.get((node, tier), []),
                 pops.get((node, tier), []),
-                evictions.get((node, tier), []),
+                evicted.get((node, tier), []),
                 purge_map.get(node, []),
             )
         return self.violations
@@ -277,7 +223,7 @@ class DifferentialChecker:
         self,
         node: str,
         delivered: List[DeliveredItem],
-        pops: List[PopEvent],
+        pops: List[MigrationRecord],
         evictions: List[Tuple[float, str]],
         purges: List[float],
     ) -> None:
@@ -314,7 +260,7 @@ class DifferentialChecker:
         for pop_i, pop in enumerate(pops):
             if pop.outcome == "completed":
                 events.append(
-                    (round(pop.t_end, _QUANT), 0, idx, "add", (pop_i, pop))
+                    (round(pop.end, _QUANT), 0, idx, "add", (pop_i, pop))
                 )
                 idx += 1
         heap = events
@@ -357,13 +303,13 @@ class DifferentialChecker:
                 observed.block_id,
             ) == (entry.job_id, entry.block_id)
 
-        def occupy(observed: PopEvent) -> None:
+        def occupy(observed: MigrationRecord) -> None:
             nonlocal busy
             busy = True
             counter[0] += 1
             heapq.heappush(
                 heap,
-                (round(observed.t_end, _QUANT), 3, counter[0], "free", observed),
+                (round(observed.end, _QUANT), 3, counter[0], "free", observed),
             )
 
         def serve(entry: DeliveredItem, now: float) -> bool:
@@ -466,7 +412,7 @@ class DifferentialChecker:
                 last_evicted[block_id] = when
             elif kind == "add":
                 pop_i, pop = payload
-                now = pop.t_end
+                now = pop.end
                 if pop.block_id in resident:
                     self.violations.append(
                         f"[double-migration] {node}: {pop.block_id} "
@@ -474,7 +420,7 @@ class DifferentialChecker:
                     )
                 resident[pop.block_id] = pop_i
             elif kind == "free":
-                now = payload.t_end
+                now = payload.end
                 busy = False
             # Defer the drain while more same-instant arrivals or purges
             # are queued: the live worker sees the full instant's

@@ -1,12 +1,12 @@
 """End-of-run invariant oracles over a finished DST scenario.
 
 Every oracle is a pure function ``(OracleContext) -> List[str]`` over
-the run's artifacts: the live cluster, the trace stream, the
+the run's artifacts: the live cluster and its collector's records, the
 differential checker's delivery log, and the fault injector's applied
 schedule.  :data:`ALL_ORACLES` is the one table of the paper's
 guarantees, one check each: the differential model (III-A1),
 do-not-harm and the buffer cap (III-A3, III-B2), end-state liveness of
-reference lists (III-A4), post-crash silence (III-A5), byte and event
+reference lists (III-A4), post-crash silence (III-A5), byte and record
 conservation, locality-index equivalence, replication restored, no
 data loss, and tenant fairness.  Oracles judge against the
 **scenario's declared expectations** (``scenario.do_not_harm``,
@@ -26,7 +26,7 @@ from .scenario import Scenario
 
 #: Float slack for byte sums built from fractional final blocks.
 _BYTE_TOLERANCE = 1.0
-#: Slack around fault instants when classifying trace events.
+#: Slack around fault instants when classifying records.
 _TIME_EPS = 1e-5
 
 
@@ -38,10 +38,6 @@ class OracleContext:
     cluster: object
     checker: DifferentialChecker
     injector: object
-    #: Parsed JSONL trace events, file order.
-    trace_events: Sequence[dict]
-    #: tid -> lane name for the trace events.
-    lanes: Dict[int, str]
     #: (time, node) pairs at which the live slave's queue was purged.
     purges: Sequence[Tuple[float, str]]
     #: node -> [(down_at, up_at)] whole-server outage windows.
@@ -58,22 +54,14 @@ class OracleReport:
         return not self.violations
 
 
-def _migration_events(ctx: OracleContext):
-    for event in ctx.trace_events:
-        if event.get("name") == "ignem.migration":
-            yield ctx.lanes.get(event.get("tid")), event
-
-
-def _eviction_events(ctx: OracleContext):
-    for event in ctx.trace_events:
-        if event.get("name") == "ignem.eviction":
-            yield ctx.lanes.get(event.get("tid")), event
-
-
 def oracle_differential(ctx: OracleContext) -> List[str]:
-    """Replay the reference model against the trace stream (III-A1)."""
+    """Replay the reference model against the migration and eviction
+    records (III-A1)."""
+    collector = ctx.cluster.collector
     return list(
-        ctx.checker.replay(ctx.trace_events, ctx.lanes, ctx.purges)
+        ctx.checker.replay(
+            collector.migrations, collector.evictions, ctx.purges
+        )
     )
 
 
@@ -89,12 +77,6 @@ def oracle_do_not_harm(ctx: OracleContext) -> List[str]:
                 f"({record.nbytes:.0f}B) evicted to admit newer work at "
                 f"t={record.time:.3f} despite the scenario's do-not-harm "
                 f"guarantee"
-            )
-    for node, event in _eviction_events(ctx):
-        if event["args"].get("reason") == "preempted":
-            violations.append(
-                f"{node}: trace shows a 'preempted' eviction of "
-                f"{event['args']['block']} at t={event['ts'] / 1e6:.3f}"
             )
     return violations
 
@@ -188,20 +170,19 @@ def oracle_post_crash(ctx: OracleContext) -> List[str]:
                 return True
         return False
 
-    for node, event in _migration_events(ctx):
-        ts = event["ts"] / 1e6
-        if node is not None and in_outage(node, ts):
+    collector = ctx.cluster.collector
+    for record in collector.migrations:
+        if in_outage(record.node, record.start):
             violations.append(
-                f"{node}: ignem.migration "
-                f"({event['args'].get('outcome')}) at t={ts:.3f} while "
-                f"the server was down"
+                f"{record.node}: migration of {record.block_id} "
+                f"({record.outcome}) at t={record.start:.3f} while the "
+                f"server was down"
             )
-    for node, event in _eviction_events(ctx):
-        ts = event["ts"] / 1e6
-        if node is not None and in_outage(node, ts):
+    for record in collector.evictions:
+        if in_outage(record.node, record.time):
             violations.append(
-                f"{node}: eviction of {event['args']['block']} at "
-                f"t={ts:.3f} while the server was down"
+                f"{record.node}: eviction of {record.block_id} at "
+                f"t={record.time:.3f} while the server was down"
             )
     for item in ctx.checker.delivered:
         if in_outage(item.node, item.time):
@@ -220,8 +201,9 @@ def oracle_post_crash(ctx: OracleContext) -> List[str]:
 
 
 def oracle_conservation(ctx: OracleContext) -> List[str]:
-    """Bytes and events must balance across the three reporting paths:
-    metrics records, the trace stream, and the registry counters."""
+    """Bytes and counts must balance across the reporting paths: the
+    collector's records, the slaves' byte ledgers, and the registry
+    counters."""
     violations = []
     cluster = ctx.cluster
     collector = cluster.collector
@@ -259,24 +241,7 @@ def oracle_conservation(ctx: OracleContext) -> List[str]:
                 f"its resident blocks sum to {resident:.0f}"
             )
 
-    # (b) trace stream agrees with the metrics records.
-    trace_outcomes: Dict[str, int] = {}
-    for _node, event in _migration_events(ctx):
-        outcome = event["args"]["outcome"]
-        trace_outcomes[outcome] = trace_outcomes.get(outcome, 0) + 1
-    if trace_outcomes != record_outcomes:
-        violations.append(
-            f"trace migration outcomes {trace_outcomes} != collector "
-            f"records {record_outcomes}"
-        )
-    trace_evictions = sum(1 for _ in _eviction_events(ctx))
-    if trace_evictions != len(collector.evictions):
-        violations.append(
-            f"{trace_evictions} eviction instants in the trace but "
-            f"{len(collector.evictions)} eviction records"
-        )
-
-    # (c) registry counters agree with both.
+    # (b) registry counters agree with the records.
     counter_map = {
         "completed": "ignem.slave.migrations_completed",
         "skipped": "ignem.slave.migrations_skipped",
@@ -302,7 +267,7 @@ def oracle_conservation(ctx: OracleContext) -> List[str]:
                 f"{count} eviction records"
             )
 
-    # (d) every completed job actually read its whole input.
+    # (c) every completed job actually read its whole input.
     reads_by_job: Dict[str, set] = {}
     for record in collector.block_reads:
         reads_by_job.setdefault(record.job_id, set()).add(record.block_id)

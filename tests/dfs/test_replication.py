@@ -40,8 +40,7 @@ class TestRestoration:
         victim = cluster.namenode.get_block_locations(block.block_id)[0]
         cluster.fail_node(victim)
         cluster.run()
-        monitor = cluster.replication_monitor
-        assert monitor.copies_completed > 0
+        assert cluster.metrics.counter("dfs.repair.copies_completed").value > 0
         for blk in cluster.namenode.file_blocks("/f"):
             live = cluster.namenode.get_block_locations(blk.block_id)
             assert len(live) == 2
@@ -86,8 +85,9 @@ class TestRestoration:
         )[0]
         cluster.fail_node(holder)
         cluster.run()
-        assert cluster.replication_monitor.copies_failed >= 1
-        assert cluster.replication_monitor.copies_completed == 0
+        registry = cluster.metrics
+        assert registry.counter("dfs.repair.copies_failed").value >= 1
+        assert registry.counter("dfs.repair.copies_completed").value == 0
 
     def test_enable_rereplication_idempotent(self):
         cluster = make_cluster()
@@ -133,9 +133,8 @@ class TestThinning:
         cluster.run()  # repair restores every block to 2 replicas
         cluster.restart_node(victim)
         cluster.run()  # the revived copies push blocks to 3: thin back
-        monitor = cluster.replication_monitor
-        assert monitor.excess_dropped > 0
-        assert monitor.over_replicated_blocks() == []
+        assert cluster.metrics.counter("dfs.repair.excess_dropped").value > 0
+        assert cluster.replication_monitor.over_replicated_blocks() == []
         for blk in cluster.namenode.file_blocks("/f"):
             live = cluster.namenode.get_block_locations(blk.block_id)
             assert len(live) == 2
@@ -162,8 +161,7 @@ class TestElasticity:
         cluster.client.create_file("/b", 256 * MB)
         name = cluster.add_datanode().name
         cluster.run()
-        monitor = cluster.replication_monitor
-        assert monitor.rebalance_moves > 0
+        assert cluster.metrics.counter("dfs.repair.rebalance_moves").value > 0
         assert cluster.namenode.datanode(name).disk_used > 0
         # Rebalancing moves, never duplicates: every block still holds
         # exactly its replication factor.

@@ -16,8 +16,10 @@ from repro.dst import (
     ScenarioJob,
     apply_sabotage,
     build_cluster,
+    run_oracles,
     run_scenario,
 )
+from repro.dst.harness import drain_scenario
 from repro.storage import GB, MB
 
 CORPUS = pathlib.Path(__file__).parent / "corpus"
@@ -53,9 +55,13 @@ class TestCleanRun:
         assert result.stats["jobs_completed"] == 1
         assert result.stats["jobs_failed"] == 0
         assert result.stats["migrations_completed"] >= 1
-        assert result.stats["trace_events"] > 0
         # One report per oracle, all clean.
         assert all(report.ok for report in result.reports)
+
+    def test_judged_cluster_runs_untraced(self):
+        # The oracles judge the collector's records, never a trace.
+        cluster, _ = build_cluster(tiny_scenario())
+        assert cluster.obs.active is False
 
     def test_run_is_deterministic(self):
         first = run_scenario(tiny_scenario())
@@ -74,9 +80,16 @@ class TestSabotage:
         # The corpus scenario was shrunk under exactly this sabotage:
         # a full buffer plus a second job forces an evict-to-admit.
         scenario = Scenario.load(CORPUS / "buffer-pressure.json")
-        result = run_scenario(scenario, sabotage="evict-to-admit")
-        assert not result.ok
-        assert "do_not_harm" in {name for name, _ in result.violations}
+        context, _stats = drain_scenario(scenario, sabotage="evict-to-admit")
+        preempted = [
+            record
+            for record in context.cluster.collector.evictions
+            if record.reason == "preempted"
+        ]
+        assert preempted
+        reports = {report.name: report for report in run_oracles(context)}
+        # One message per preempted eviction: each fact is reported once.
+        assert len(reports["do_not_harm"].violations) == len(preempted)
 
     def test_fifo_queue_convicted_by_differential_model(self):
         report = DstRunner(seed=0, sabotage="fifo-queue").fuzz(

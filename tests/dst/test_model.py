@@ -1,20 +1,19 @@
-"""Reference model unit tests: priority spec + synthetic trace replays.
+"""Reference model unit tests: priority spec + synthetic record replays.
 
 Each replay case hand-builds the two inputs the differential checker
-sees in production — the command-boundary delivery log and the parsed
-``ignem.migration`` trace events — and asserts exactly which violations
+sees in production — the command-boundary delivery log and the
+collector's migration records — and asserts exactly which violations
 the worker simulation raises.
 """
 
 from repro.dst import DifferentialChecker, reference_priority
 from repro.dst.model import DeliveredItem
+from repro.metrics import MigrationRecord
 from repro.storage import MB
 
 import pytest
 
 NODE = "node0"
-TID = 7
-LANES = {TID: NODE}
 
 
 class TestReferencePriority:
@@ -58,42 +57,30 @@ def item(time, job, block, *, size=64 * MB, submitted=0.0, hint=0, seq=0):
 
 
 def span(t_start, dur, job, block, queue_wait, outcome="completed"):
-    """A completed-migration span, as the tracer emits it."""
-    return {
-        "name": "ignem.migration",
-        "ph": "X",
-        "ts": t_start * 1e6,
-        "dur": dur * 1e6,
-        "tid": TID,
-        "args": {
-            "job": job,
-            "block": block,
-            "outcome": outcome,
-            "queue_wait": queue_wait,
-        },
-    }
+    """A completed migration: bytes moved from ``t_start`` for ``dur``."""
+    return MigrationRecord(
+        job_id=job,
+        block_id=block,
+        node=NODE,
+        nbytes=64 * MB,
+        enqueued_at=t_start,
+        start=t_start,
+        end=t_start + dur,
+        outcome=outcome,
+        tier="mem",
+        queue_wait=queue_wait,
+    )
 
 
 def instant(t, job, block, queue_wait, outcome):
-    """A non-migrating pop (dropped/skipped), an instant event."""
-    return {
-        "name": "ignem.migration",
-        "ph": "i",
-        "ts": t * 1e6,
-        "tid": TID,
-        "args": {
-            "job": job,
-            "block": block,
-            "outcome": outcome,
-            "queue_wait": queue_wait,
-        },
-    }
+    """A non-migrating pop (skipped/cancelled): starts and ends at ``t``."""
+    return span(t, 0.0, job, block, queue_wait, outcome)
 
 
-def replay(delivered, events, purges=()):
+def replay(delivered, migrations, purges=()):
     checker = DifferentialChecker("smallest-job-first")
     checker.delivered.extend(delivered)
-    return checker.replay(events, LANES, list(purges))
+    return checker.replay(migrations, [], list(purges))
 
 
 class TestCleanReplays:

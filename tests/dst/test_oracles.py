@@ -4,8 +4,8 @@ An oracle that has never been seen to convict anything may check
 nothing.  Each case drains the mixed-serve corpus scenario (serve
 traffic, heat policy, a crash/restart, an HA failover), checks that the
 clean run passes every oracle, plants one corruption in the finished
-cluster or in the judged artifacts, and asserts the named oracle
-convicts it.  The corruption lives here, in the test, never behind a
+cluster (its records included) or in the judged artifacts, and asserts
+the named oracle convicts it.  The corruption lives here, in the test, never behind a
 flag in the product.
 """
 
@@ -29,12 +29,6 @@ def drained_context():
     scenario = Scenario.load(CORPUS / "mixed-serve.json")
     context, _stats = drain_scenario(scenario)
     return context
-
-
-def _first_event(ctx, name):
-    return next(
-        event for event in ctx.trace_events if event.get("name") == name
-    )
 
 
 def _some_slave(ctx):
@@ -62,10 +56,9 @@ def _finished_job(ctx):
 
 
 def drop_migration_event(ctx):
-    """A migration the slave performed vanishes from the trace stream."""
-    dropped = _first_event(ctx, "ignem.migration")
-    events = [event for event in ctx.trace_events if event is not dropped]
-    return dataclasses.replace(ctx, trace_events=events)
+    """A migration the slave performed vanishes from the records."""
+    del ctx.cluster.collector.migrations[0]
+    return ctx
 
 
 def record_preempted_eviction(ctx):
@@ -111,11 +104,9 @@ def leave_reference_on_down_slave(ctx):
 
 def migrate_during_outage(ctx):
     """A slave that kept migrating while its server was down."""
-    event = _first_event(ctx, "ignem.migration")
-    node = ctx.lanes[event["tid"]]
-    when = event["ts"] / 1e6
+    record = ctx.cluster.collector.migrations[0]
     windows = dict(ctx.down_windows)
-    windows[node] = [(when - 1.0, when + 1.0)]
+    windows[record.node] = [(record.start - 1.0, record.start + 1.0)]
     return dataclasses.replace(ctx, down_windows=windows)
 
 

@@ -117,7 +117,10 @@ class TestRepairTraceSpans:
             for e in events
             if e.get("name") == "dfs.repair.copy" and e.get("ph") == "X"
         ]
-        assert len(copies) == cluster.replication_monitor.copies_completed
+        assert (
+            len(copies)
+            == cluster.metrics.counter("dfs.repair.copies_completed").value
+        )
         assert all(e["args"]["outcome"] == "completed" for e in copies)
         assert {e["args"]["reason"] for e in copies} == {
             "repair",
@@ -134,12 +137,7 @@ class TestRepairTraceSpans:
 
     def test_repair_metrics_mirror_monitor_counters(self, tmp_path):
         cluster, _ = self._repaired_cluster(tmp_path, "metrics")
-        monitor = cluster.replication_monitor
         registry = cluster.metrics
-        assert (
-            registry.counter("dfs.repair.copies_completed").value
-            == monitor.copies_completed
-        )
         assert (
             registry.counter("dfs.repair.decommissions_completed").value == 1
         )

@@ -176,6 +176,29 @@ class TestTraceMatchesRecords:
         assert {e.tier for e in collector.evictions} == {"mem", "ssd"}
         _assert_trace_matches_records(cluster, trace_path)
 
+    def test_slave_crash_mid_migration(self, tmp_path):
+        trace_path = tmp_path / "crash.jsonl"
+        cluster = build_paper_testbed(
+            seed=0,
+            num_nodes=3,
+            replication=1,
+            ignem=True,
+            observability=_tracing(trace_path),
+        )
+        cluster.client.create_file("/f", 512 * MB, preferred_node="node0")
+        cluster.rm.register_job("j")
+        cluster.ignem_master.request_migration(["/f"], "j")
+        cluster.run(until=2.0)  # three blocks landed, the fourth is moving
+        cluster.fail_node("node0")
+        cluster.run(until=10.0)
+        cluster.restart_node("node0")
+        cluster.run()
+        collector = cluster.collector
+        outcomes = [m.outcome for m in collector.migrations]
+        assert outcomes.count("completed") == 3 and "cancelled" in outcomes
+        assert [e.reason for e in collector.evictions] == ["failure"] * 3
+        _assert_trace_matches_records(cluster, trace_path)
+
     def test_job_submitted_before_tracing_starts_is_traced(self, tmp_path):
         cluster = build_paper_testbed(seed=0, num_nodes=4, ignem=True)
         cluster.client.create_file("/in", 256 * MB)

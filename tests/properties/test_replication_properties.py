@@ -130,7 +130,7 @@ class TestReplicationConvergence:
             namenode = cluster.namenode
             return (
                 cluster.env.now,
-                cluster.replication_monitor.copies_completed,
+                cluster.metrics.counter("dfs.repair.copies_completed").value,
                 {
                     block.block_id: sorted(
                         namenode.get_block_locations(block.block_id)
