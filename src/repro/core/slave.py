@@ -341,7 +341,7 @@ class IgnemSlave:
 
     def _on_block_read(self, block: Block, job_id: Optional[str]) -> None:
         """DataNode read-path hook: implicit eviction (paper III-B2)."""
-        if job_id is None or job_id not in self._implicit_jobs:
+        if job_id not in self._implicit_jobs:
             return
         self._remove_ref(block.block_id, job_id, reason="implicit")
 

@@ -97,8 +97,10 @@ class DataNode:
 
         self._blocks: Dict[str, Block] = {}
         #: Read-path hook: called with (block, job_id) after each block
-        #: read served by this node.  Ignem's slave uses it for implicit
-        #: eviction; HDFS read calls carry the job ID (paper III-B2).
+        #: read served by this node on behalf of a job.  Ignem's slave
+        #: uses it for implicit eviction; HDFS read calls carry the job
+        #: ID (paper III-B2).  Job-less reads (serve traffic) never
+        #: call it.
         self.on_block_read: Optional[Callable[[Block, Optional[str]], None]] = None
         #: Residency-delta subscriber (the NameNode's tier index);
         #: receives ``(node_name, tier_name, key, resident)``.
@@ -241,7 +243,7 @@ class DataNode:
             if self.cache_reads:
                 self.cache.insert(block.block_id, block.nbytes, pinned=False)
 
-        if self.on_block_read is not None:
+        if job_id is not None and self.on_block_read is not None:
             hook = self.on_block_read
             # Guarded on success *and* liveness: a read aborted by node
             # failure must not drive implicit eviction on the dead slave.

@@ -199,12 +199,6 @@ class NameNode:
         if listener not in self.read_listeners:
             self.read_listeners.append(listener)
 
-    def unsubscribe_reads(
-        self, listener: Callable[[Block, Optional[str]], None]
-    ) -> None:
-        if listener in self.read_listeners:
-            self.read_listeners.remove(listener)
-
     def publish_read(self, block: Block, tenant: Optional[str]) -> None:
         """Fan one read event out to every subscribed listener."""
         for listener in self.read_listeners:

@@ -151,6 +151,40 @@ class Environment:
             (self.now + delay, (priority << PRIORITY_SHIFT) + self._eid, event),
         )
 
+    def fire(self, event: Event, value: Any = None) -> None:
+        """Succeed ``event`` with ``value`` and run its callbacks in place.
+
+        The event is processed inside the current dispatch instead of
+        being queued behind it: nothing is queued, no event id is
+        consumed, and an installed monitor sees the event once, as if
+        the run loop had popped it.  Call it only as the last act of a
+        dispatch (a device wakeup completing its transfer), so the
+        callbacks find the caller's state settled.  They then run ahead
+        of the other events already queued for this instant instead of
+        behind them.  Like :meth:`Event.succeed`, it raises
+        :class:`SimulationError` if the event was already triggered.
+
+        >>> env = Environment()
+        >>> done = env.event()
+        >>> done.callbacks.append(lambda event: print(env.now, event.value))
+        >>> env.fire(done, "moved")
+        0.0 moved
+        >>> done.processed, env.events_scheduled
+        (True, 0)
+        """
+        if event._triggered:
+            raise SimulationError(f"{event!r} has already been triggered")
+        event._ok = True
+        event._value = value
+        event._triggered = True
+        callbacks = event.callbacks
+        event._processed = True
+        event.callbacks = None
+        if self.monitor is not None:
+            self.monitor(self.now, event, callbacks)
+        for callback in callbacks:
+            callback(event)
+
     def peek(self) -> float:
         """Time of the next scheduled event, or ``inf`` if none remain."""
         if not self._queue:

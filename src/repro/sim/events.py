@@ -58,8 +58,10 @@ class Event:
 
     Events move through three states: *untriggered* (just created),
     *triggered* (value decided, queued on the engine), and *processed*
-    (callbacks executed).  Waiting on an already-processed event resumes
-    the waiter immediately at the current simulation time.
+    (callbacks executed).  ``Environment.fire`` takes an untriggered event
+    straight to processed inside the current dispatch, without queueing
+    it.  Waiting on an already-processed event resumes the waiter
+    immediately at the current simulation time.
     """
 
     __slots__ = ("env", "callbacks", "_value", "_ok", "_triggered", "_processed")

@@ -88,6 +88,20 @@ class TestReadPath:
         env.run()
         assert calls == [(blk.block_id, "job-7")]
 
+    def test_jobless_read_never_calls_hook(self):
+        env = Environment()
+        node = make_node(env)
+        blk = block()
+        node.store_block(blk)
+        calls = []
+        node.on_block_read = lambda b, job_id: calls.append((b.block_id, job_id))
+
+        handle = node.read_block(blk)
+        assert handle.done.callbacks == []
+        env.run()
+        assert handle.done.processed
+        assert calls == []
+
     def test_cache_reads_flag_populates_cache(self):
         env = Environment()
         node = make_node(env, cache_reads=True)

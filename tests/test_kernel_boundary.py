@@ -7,7 +7,10 @@ how the kernel orders or dispatches events — a wall-clock environment,
 a seeded tie order — has one place to change.  Outside
 ``src/repro/sim/`` the queue (``_queue``) and the event-id counter
 (``_eid``) are off limits; ``Environment.events_scheduled`` reads the
-count.  This test convicts regressions statically.
+count.  Processing an event (marking it processed and dropping its
+callback list) is the run loop's job, or ``Environment.fire``'s for an
+event processed inside the current dispatch.  This test convicts
+regressions statically.
 """
 
 import pathlib
@@ -22,18 +25,32 @@ KERNEL = SRC / "sim"
 
 PRIVATE = re.compile(r"\._(queue|eid)\b")
 
+#: Marking an event processed, which only the run loop and
+#: ``Environment.fire`` may do.
+PROCESSES = re.compile(r"\._processed\s*=\s*True\b|\.callbacks\s*=\s*None\b")
 
-def test_only_the_kernel_touches_its_queue():
-    offenders = []
+
+def offenders(pattern):
+    """``path:line: text`` of every line outside the kernel matching
+    ``pattern``."""
+    found = []
     for path in sorted(SRC.rglob("*.py")):
         if KERNEL in path.parents:
             continue
         for number, line in enumerate(path.read_text().splitlines(), start=1):
-            if PRIVATE.search(line):
-                offenders.append(f"{path.relative_to(SRC)}:{number}: {line.strip()}")
-    assert not offenders, (
-        "kernel internals used outside repro.sim:\n" + "\n".join(offenders)
-    )
+            if pattern.search(line):
+                found.append(f"{path.relative_to(SRC)}:{number}: {line.strip()}")
+    return found
+
+
+def test_only_the_kernel_touches_its_queue():
+    found = offenders(PRIVATE)
+    assert not found, "kernel internals used outside repro.sim:\n" + "\n".join(found)
+
+
+def test_only_the_kernel_processes_events():
+    found = offenders(PROCESSES)
+    assert not found, "events processed outside repro.sim:\n" + "\n".join(found)
 
 
 def test_events_scheduled_counts_every_schedule():
