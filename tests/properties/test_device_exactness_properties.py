@@ -10,9 +10,14 @@ keeps the earlier algorithm — a separate done event per transfer, a
 the general reshare on every change — and generated plans must finish at
 ``==``-equal times, in the same order, with the same integrals and the
 same number of dispatched kernel events.
+
+Both devices follow the ordering rule of DESIGN.md §8: a wakeup
+processes the transfers it completes in place (``Environment.fire``),
+ahead of the events already queued for that instant; a transfer that
+completes on admission (zero bytes) is queued.
 """
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.sim import Environment
 from repro.sim.events import Event
@@ -151,7 +156,7 @@ class ReferenceDevice:
         self._reschedule()
         for record in finished:
             record.remaining = 0.0
-            record.done.succeed(record)
+            self.env.fire(record.done, record)
             record.done = None
 
 
@@ -222,6 +227,16 @@ bandwidth_changes = st.one_of(
 class TestMatchesReference:
     @given(plans, latencies, alphas, bandwidth_changes)
     @settings(max_examples=250, deadline=None)
+    # A wakeup-completed transfer (index 10) finishing at the instant of
+    # a zero-byte one queued just before the wakeup (index 9): the
+    # in-place completion runs first.
+    @example(
+        plan=[(0.0, 0.0, None)] * 9
+        + [(1.0, 0.0, None), (0.0, 512 * 1024.0, 512 * 1024.0)],
+        latency=0.0,
+        alpha=0.0,
+        bandwidth_change=None,
+    )
     def test_trajectories_are_identical(
         self, plan, latency, alpha, bandwidth_change
     ):
