@@ -12,8 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
-import numpy as np
-
 from ..workloads.google_trace import TaskUsageInterval
 
 
@@ -29,12 +27,16 @@ class UtilizationTimeline:
     def mean(self) -> float:
         if not self.utilization:
             raise ValueError("empty timeline")
+        import numpy as np
+
         return float(np.mean(self.utilization))
 
     @property
     def peak(self) -> float:
         if not self.utilization:
             raise ValueError("empty timeline")
+        import numpy as np
+
         return float(np.max(self.utilization))
 
 
@@ -47,6 +49,8 @@ def server_utilization(
     """Per-server utilization timelines via the paper's method."""
     if duration <= 0 or window <= 0 or resolution <= 0:
         raise ValueError("duration, window, and resolution must be positive")
+    import numpy as np
+
     num_ticks = int(round(duration / resolution))
     per_server: Dict[int, np.ndarray] = {}
 
@@ -83,6 +87,8 @@ def mean_utilization_timeline(
     """The Fig 4 'mean of N servers' curve."""
     if not timelines:
         raise ValueError("no timelines")
+    import numpy as np
+
     series = [np.asarray(t.utilization) for t in timelines.values()]
     length = min(len(s) for s in series)
     stacked = np.stack([s[:length] for s in series])
@@ -102,4 +108,6 @@ def overall_mean_utilization(timelines: Dict[int, UtilizationTimeline]) -> float
     values: List[float] = []
     for timeline in timelines.values():
         values.extend(timeline.utilization)
+    import numpy as np
+
     return float(np.mean(values))

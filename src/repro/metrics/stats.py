@@ -1,21 +1,27 @@
-"""Summary-statistic helpers shared by analyses, experiments, and benches."""
+"""Summary-statistic helpers shared by analyses, experiments, and benches.
+
+numpy is imported inside the helpers that use it, so importing this
+module does not load numpy.
+"""
 
 from __future__ import annotations
 
 from typing import Iterable, List, Sequence, Tuple
 
-import numpy as np
-
 
 def mean(values: Sequence[float]) -> float:
     if not len(values):
         raise ValueError("mean of empty sequence")
+    import numpy as np
+
     return float(np.mean(values))
 
 
 def median(values: Sequence[float]) -> float:
     if not len(values):
         raise ValueError("median of empty sequence")
+    import numpy as np
+
     return float(np.median(values))
 
 
@@ -24,6 +30,8 @@ def percentile(values: Sequence[float], q: float) -> float:
         raise ValueError("percentile of empty sequence")
     if not 0 <= q <= 100:
         raise ValueError(f"q must be in [0, 100], got {q}")
+    import numpy as np
+
     return float(np.percentile(values, q))
 
 
@@ -52,6 +60,8 @@ def histogram(
     """Relative-frequency histogram: (bin edges, frequencies summing to 1)."""
     if not len(values):
         raise ValueError("histogram of empty sequence")
+    import numpy as np
+
     counts, edges = np.histogram(values, bins=bins, range=range_)
     total = counts.sum()
     freqs = (counts / total) if total else counts.astype(float)

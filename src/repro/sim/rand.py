@@ -8,9 +8,10 @@ pass it (or children spawned from it) down explicitly.
 from __future__ import annotations
 
 import random
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy
 
 
 class RandomSource:
@@ -19,12 +20,25 @@ class RandomSource:
     ``spawn`` derives independent child sources from a name, so distinct
     subsystems (e.g. the SWIM generator vs. replica placement) draw from
     independent streams and adding draws to one does not perturb another.
+
+    The numpy ``Generator`` is built, and numpy imported, at the first
+    access to :attr:`np`: a run that draws no numpy number never loads
+    numpy.  It depends only on the seed, so when it is built does not
+    change its stream.
     """
 
     def __init__(self, seed: int = 0):
         self.seed = int(seed)
         self.py = random.Random(self.seed)
-        self.np = np.random.default_rng(self.seed)
+        self._np: Optional[numpy.random.Generator] = None
+
+    @property
+    def np(self) -> numpy.random.Generator:
+        if self._np is None:
+            import numpy
+
+            self._np = numpy.random.default_rng(self.seed)
+        return self._np
 
     def spawn(self, name: str) -> "RandomSource":
         """Derive a child source keyed by ``name`` (stable across runs)."""

@@ -12,10 +12,12 @@ failover announcements — is a typed message
 * :class:`~repro.transport.aio.AsyncioTransport` — the same protocol
   over real TCP sockets on localhost, used by ``python -m repro real``
   (:mod:`~repro.transport.real`).
+
+The package does not import the asyncio backend, so a simulated run
+never loads asyncio; import it from :mod:`repro.transport.aio`.
 """
 
 from ..net.network import NetworkError
-from .aio import AsyncioTransport
 from .base import Transport
 from .messages import (
     PROTOCOL_VERSION,
@@ -44,12 +46,10 @@ from .messages import (
     decode,
     encode,
 )
-from .real import RealResult, run_real_demo
 from .sim import SimTransport
 
 __all__ = [
     "Ack",
-    "AsyncioTransport",
     "BlockPlacement",
     "BlockReadReply",
     "BlockReadRequest",
@@ -72,11 +72,9 @@ __all__ = [
     "NetworkError",
     "PROTOCOL_VERSION",
     "PromoteBlocksRequest",
-    "RealResult",
     "ReplicaPipelineMsg",
     "SimTransport",
     "Transport",
     "decode",
     "encode",
-    "run_real_demo",
 ]

@@ -15,6 +15,22 @@ def spec_cluster(**engine_kwargs):
 
 
 class TestSpeculativeExecution:
+    def test_slowed_disk_reads_at_the_slowed_bandwidth(self):
+        """The tests below cripple node0's disk by assigning its
+        bandwidth; a lone read must then run at the slowed rate."""
+        cluster = spec_cluster()
+        block = cluster.client.create_file(
+            "/in", 64 * MB, replication=1, preferred_node="node0"
+        ).blocks[0]
+        slow = cluster.datanodes["node0"].disk
+        slow.bandwidth = slow.bandwidth / 100
+        read = cluster.client.read_block(block, "node0")
+        assert (read.source, read.serving_node) == ("hdd", "node0")
+        finished = []
+        read.done.callbacks.append(lambda _event: finished.append(cluster.env.now))
+        cluster.run()
+        assert finished == [slow.latency + block.nbytes / slow.bandwidth]
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             EngineConfig(speculative_slowdown=1.0)

@@ -20,7 +20,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.net import NetworkError
-from repro.transport import AsyncioTransport, aio
+from repro.transport import aio
+from repro.transport.aio import AsyncioTransport
 from repro.transport.messages import (
     Ack,
     BlockReadReply,

@@ -13,7 +13,8 @@ import threading
 import pytest
 
 from repro.net import NetworkError
-from repro.transport import AsyncioTransport, SimTransport
+from repro.transport import SimTransport
+from repro.transport.aio import AsyncioTransport
 from repro.transport.messages import (
     Ack,
     BlockReadReply,

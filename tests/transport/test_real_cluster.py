@@ -9,7 +9,7 @@ import threading
 
 import pytest
 
-from repro.transport import AsyncioTransport
+from repro.transport.aio import AsyncioTransport
 from repro.transport.real import (
     DataNodeService,
     NameNodeService,

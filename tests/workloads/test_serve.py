@@ -136,6 +136,30 @@ class TestRunServe:
         result = run_serve(config)
         assert result.batch_jobs_completed == 3
 
+    def test_slo_pulls_match_result(self, monkeypatch):
+        import repro.workloads.serve as serve_module
+
+        clusters = []
+
+        class RecordingCluster(serve_module.Cluster):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                clusters.append(self)
+
+        monkeypatch.setattr(serve_module, "Cluster", RecordingCluster)
+        result = run_serve(ServeConfig(**SMALL, policy="heat", seed=0))
+        pulls = clusters[0].metrics.snapshot()["pulls"]
+        assert result.p50 > 0
+        assert {
+            name: pulls[f"serve.slo.{name}"]
+            for name in ("p50", "p99", "p999", "mean")
+        } == {
+            "p50": result.p50,
+            "p99": result.p99,
+            "p999": result.p999,
+            "mean": result.mean,
+        }
+
     def test_format_mentions_percentiles(self):
         result = run_serve(ServeConfig(**SMALL, policy="heat", seed=0))
         text = format_serve_result(result)
