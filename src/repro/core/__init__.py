@@ -17,13 +17,12 @@ from .heat import (
 )
 from .master import IgnemMaster
 from .policy import (
+    POLICIES,
     BenefitAware,
     FifoOrder,
     MigrationPolicy,
     SmallestJobFirst,
-    available_policies,
     make_policy,
-    register,
 )
 from .slave import IgnemSlave
 
@@ -40,11 +39,10 @@ __all__ = [
     "MigrateCommand",
     "MigrationPolicy",
     "MigrationWorkItem",
+    "POLICIES",
     "PopularityMigrator",
     "PromotionCandidate",
     "SmallestJobFirst",
-    "available_policies",
     "make_policy",
     "plan_promotions",
-    "register",
 ]

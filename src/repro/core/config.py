@@ -7,7 +7,7 @@ from typing import Optional, Tuple
 
 from ..storage.device import GB, MB
 from ..storage.tiers import MEM
-from .policy import available_policies
+from .policy import POLICIES
 
 
 @dataclass(frozen=True)
@@ -113,7 +113,7 @@ class IgnemConfig:
             raise ValueError("cleanup_threshold must be in (0, 1]")
         if self.rpc_latency < 0:
             raise ValueError("rpc_latency must be non-negative")
-        if self.policy not in available_policies():
+        if self.policy not in POLICIES:
             raise ValueError(f"unknown policy {self.policy!r}")
         if not self.migration_tier:
             raise ValueError("migration_tier must be non-empty")

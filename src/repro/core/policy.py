@@ -9,45 +9,17 @@ Three built-in policies:
   different jobs can potentially use this information to prioritize jobs
   which will benefit more."
 
-Policies are selected *by name* through a registry: :func:`register`
-maps a name to a factory ``(reverse_within_job: bool) -> MigrationPolicy``
-and :func:`make_policy` instantiates one.  ``IgnemConfig`` validates its
-``policy`` field against :func:`available_policies`, so an experiment
-(or test ablation) can plug in a new ordering without touching config or
-slave code.
+Policies are selected *by name*: :data:`POLICIES` maps each name to its
+class, and :func:`make_policy` instantiates one.  ``IgnemConfig``
+validates its ``policy`` field against the same map.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Tuple
+from typing import Dict, Tuple, Type
 
 from ..storage.device import MB
 from .commands import MigrationWorkItem
-
-#: Registered policy factories, keyed by policy name.
-_REGISTRY: Dict[str, Callable[[bool], "MigrationPolicy"]] = {}
-
-
-def register(name: str, factory: Callable[[bool], "MigrationPolicy"]) -> None:
-    """Register a policy factory under ``name`` (last write wins, so a
-    test can shadow a built-in and restore it afterwards)."""
-    if not name:
-        raise ValueError("policy name must be non-empty")
-    _REGISTRY[name] = factory
-
-
-def available_policies() -> Tuple[str, ...]:
-    """The registered policy names, sorted."""
-    return tuple(sorted(_REGISTRY))
-
-
-def make_policy(name: str, reverse_within_job: bool = True) -> "MigrationPolicy":
-    factory = _REGISTRY.get(name)
-    if factory is None:
-        known = ", ".join(available_policies())
-        raise ValueError(f"unknown migration policy {name!r} (known: {known})")
-    return factory(reverse_within_job)
-
 
 class MigrationPolicy:
     """Orders the per-slave migration queue; lower keys migrate first."""
@@ -136,6 +108,15 @@ class BenefitAware(MigrationPolicy):
         )
 
 
-register(SmallestJobFirst.name, SmallestJobFirst)
-register(FifoOrder.name, FifoOrder)
-register(BenefitAware.name, BenefitAware)
+#: The built-in policies, keyed by name.
+POLICIES: Dict[str, Type[MigrationPolicy]] = {
+    cls.name: cls for cls in (SmallestJobFirst, FifoOrder, BenefitAware)
+}
+
+
+def make_policy(name: str, reverse_within_job: bool = True) -> MigrationPolicy:
+    cls = POLICIES.get(name)
+    if cls is None:
+        known = ", ".join(sorted(POLICIES))
+        raise ValueError(f"unknown migration policy {name!r} (known: {known})")
+    return cls(reverse_within_job)

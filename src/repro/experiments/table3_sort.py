@@ -6,6 +6,7 @@ from typing import Dict, Optional
 
 from ..cluster import build_paper_testbed
 from ..core.config import IgnemConfig
+from ..metrics.collector import MetricsCollector
 from ..workloads.sort import SORT_INPUT_BYTES, make_sort_spec, materialize
 from .common import ComparisonTable, make_comparison
 
@@ -17,8 +18,9 @@ def run_sort_once(
     seed: int = 0,
     input_bytes: float = SORT_INPUT_BYTES,
     ignem_config: Optional[IgnemConfig] = None,
-) -> float:
-    """One sort run under one configuration; returns job duration."""
+) -> MetricsCollector:
+    """One sort run under one configuration; returns its collector, whose
+    one job record is the sort."""
     if mode not in ("hdfs", "ignem", "ram"):
         raise ValueError(f"unknown mode {mode!r}")
     cluster = build_paper_testbed(
@@ -27,15 +29,15 @@ def run_sort_once(
     materialize(cluster, input_bytes)
     if mode == "ram":
         cluster.pin_all_inputs()
-    job = cluster.engine.submit_job(make_sort_spec(input_bytes))
+    cluster.engine.submit_job(make_sort_spec(input_bytes))
     cluster.run()
-    return cluster.collector.job(job.job_id).duration
+    return cluster.collector
 
 
 def table3_sort(seed: int = 0, input_bytes: float = SORT_INPUT_BYTES) -> ComparisonTable:
     """Table III: sort duration under the three configurations."""
     values: Dict[str, float] = {
-        mode: run_sort_once(mode, seed=seed, input_bytes=input_bytes)
+        mode: run_sort_once(mode, seed=seed, input_bytes=input_bytes).jobs[0].duration
         for mode in ("hdfs", "ignem", "ram")
     }
     return make_comparison(

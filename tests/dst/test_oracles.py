@@ -102,12 +102,41 @@ def leave_reference_on_down_slave(ctx):
     return ctx
 
 
+def leave_queued_work(ctx):
+    """A drained slave with a migration still queued (work conservation)."""
+    queue = next(iter(_some_slave(ctx).tier_queues.values()))
+    queue._heap.append((0, 0, "stale-item"))
+    return ctx
+
+
+def resident_block_without_reference(ctx):
+    """A block kept in the buffer after its last reference was dropped."""
+    _some_slave(ctx)._migrated["blk-orphan"] = 0.0
+    return ctx
+
+
+def _outage_around(ctx, node, when):
+    windows = dict(ctx.down_windows)
+    windows[node] = [(when - 1.0, when + 1.0)]
+    return dataclasses.replace(ctx, down_windows=windows)
+
+
 def migrate_during_outage(ctx):
     """A slave that kept migrating while its server was down."""
     record = ctx.cluster.collector.migrations[0]
-    windows = dict(ctx.down_windows)
-    windows[record.node] = [(record.start - 1.0, record.start + 1.0)]
-    return dataclasses.replace(ctx, down_windows=windows)
+    return _outage_around(ctx, record.node, record.start)
+
+
+def evict_during_outage(ctx):
+    """A slave that dropped a block while its server was down."""
+    record = ctx.cluster.collector.evictions[0]
+    return _outage_around(ctx, record.node, record.time)
+
+
+def accept_evict_command_during_outage(ctx):
+    """An evict command delivered to a server that was down."""
+    when, node, _job_id, _blocks = ctx.checker.evict_deliveries[0]
+    return _outage_around(ctx, node, when)
 
 
 def skew_byte_balance(ctx):
@@ -119,6 +148,19 @@ def skew_byte_balance(ctx):
 def phantom_resident_block(ctx):
     """A block resident in the buffer that the ledger never counted."""
     _some_slave(ctx)._migrated["blk-phantom"] = 10 * MB
+    return ctx
+
+
+def bump_completed_counter(ctx):
+    """A completed migration counted with no record behind it."""
+    ctx.cluster.metrics.counter("ignem.slave.migrations_completed").inc()
+    return ctx
+
+
+def bump_eviction_counter(ctx):
+    """An eviction counted with no record behind it."""
+    reason = ctx.cluster.collector.evictions[0].reason
+    ctx.cluster.metrics.counter(f"ignem.slave.evictions.{reason}").inc()
     return ctx
 
 
@@ -180,9 +222,15 @@ CASES = [
     ("buffer_cap", fill_undeclared_tier),
     ("end_state", leave_reference_on_live_slave),
     ("end_state", leave_reference_on_down_slave),
+    ("end_state", leave_queued_work),
+    ("end_state", resident_block_without_reference),
     ("post_crash", migrate_during_outage),
+    ("post_crash", evict_during_outage),
+    ("post_crash", accept_evict_command_during_outage),
     ("conservation", skew_byte_balance),
     ("conservation", phantom_resident_block),
+    ("conservation", bump_completed_counter),
+    ("conservation", bump_eviction_counter),
     ("conservation", lose_block_reads),
     ("locality_index", ghost_index_entry),
     ("replication", double_list_holder),

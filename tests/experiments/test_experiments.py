@@ -22,7 +22,7 @@ from repro.experiments import (
     table2_task_duration,
 )
 from repro.experiments.common import MODES
-from repro.hive import get_query
+from repro.hive import TPCDS_QUERIES, get_query, query_input_bytes
 from repro.storage import GB
 
 
@@ -106,7 +106,8 @@ class TestSwimExperimentsSmall:
 class TestStandaloneExperiments:
     def test_sort_modes_ordered(self):
         durations = {
-            mode: run_sort_once(mode, seed=0, input_bytes=4 * GB) for mode in MODES
+            mode: run_sort_once(mode, seed=0, input_bytes=4 * GB).jobs[0].duration
+            for mode in MODES
         }
         assert durations["hdfs"] > durations["ram"]
         assert durations["ignem"] < durations["hdfs"]
@@ -156,19 +157,37 @@ class TestHiveExperiment:
         with pytest.raises(ValueError):
             run_query_once(get_query("q3"), "floppy")
 
+    def test_catalog_inputs_span_small_to_large(self):
+        # Fig 9b: q3 reads the least, q29 the most, over 5x more.
+        ordered = sorted(TPCDS_QUERIES, key=query_input_bytes)
+        assert ordered[0].query_id == "q3"
+        assert ordered[-1].query_id == "q29"
+        assert query_input_bytes(ordered[-1]) > 5 * query_input_bytes(ordered[0])
+
 
 class TestSectionTwoStudies:
     def test_leadtime_study_small(self):
         study = run_leadtime_study(seed=0, num_jobs=2000)
         assert 0.7 <= study.sufficient_fraction <= 0.9
         assert "Fig 3" in study.format()
+        ratios, fractions = study.cdf()
+        assert ratios == sorted(ratios)
+        assert 0 < fractions[-1] <= 1.0
 
     def test_utilization_study_small(self):
         study = run_utilization_study(seed=0, num_servers=5, duration=6 * 3600)
         assert 0.0 < study.overall_mean < 0.15
         assert "Fig 4" in study.format()
+        # One 5-minute window per 300s.
+        assert len(study.mean_timeline.utilization) == 6 * 3600 // 300
 
     def test_block_read_study_small(self):
         study = run_block_read_study(seed=0, num_jobs=15)
         assert study.read_ratio("hdd") > study.read_ratio("ssd") > 1
         assert "Fig 1/2" in study.format()
+        edges, freqs = study.read_histogram("hdd")
+        assert len(edges) == len(freqs) + 1
+        assert sum(freqs) == pytest.approx(1.0)
+        values, fractions = study.mapper_cdf("hdd")
+        assert values == sorted(values)
+        assert fractions[-1] == pytest.approx(1.0)

@@ -33,6 +33,15 @@ class TestReportRunner:
             "table2",
             "table3",
             "ablation-priority",
+            "ablation-do-not-harm",
+            "ablation-implicit-eviction",
+            "ablation-migration-concurrency",
+            "ablation-replica-choice",
+            "ablation-reverse-order",
+            "extension-benefit-aware",
+            "extension-busy-throttle",
+            "extension-cluster-utilization",
+            "extension-speculation",
         ):
             assert expected in names
 
@@ -45,6 +54,12 @@ class TestReportRunner:
         series = (tmp_path / "fig3_series.csv").read_text().splitlines()
         assert series[0] == "read_over_lead_ratio,cdf"
         assert len(series) > 10
+
+    def test_subset_run_writes_no_claims(self, tmp_path):
+        run_experiments(["extension-speculation"], out_dir=tmp_path)
+        payload = json.loads((tmp_path / "extension_speculation.json").read_text())
+        assert set(payload) == {"hdfs", "hdfs+spec", "ignem", "ignem+spec"}
+        assert not (tmp_path / "claims.json").exists()
 
     def test_unknown_experiment_raises(self, tmp_path):
         with pytest.raises(KeyError):

@@ -1,15 +1,12 @@
-"""Shared cluster builders for the test and benchmark suites.
+"""Shared cluster builders for the test suite.
 
-Before this module, every suite carried its own copy of "build a paper
-testbed, enable Ignem, tweak one knob" — eight near-identical
-``make_cluster`` functions.  The builders below are the single source:
+One copy of "build a paper testbed, enable Ignem, tweak one knob" for
+every test module:
 
 * :func:`make_ignem_cluster` — the Ignem-enabled testbed (optionally as
   an HA pair, optionally with the re-replication monitor);
 * :func:`make_dfs_cluster` — the plain DFS testbed with re-replication
   (no Ignem);
-* :func:`make_sort_bench_cluster` — the sort-workload benchmark cluster
-  with its input pre-materialized;
 * :func:`oracle_context` — a DST oracle context over a hand-built
   cluster.
 
@@ -22,7 +19,6 @@ from types import SimpleNamespace
 
 from repro import IgnemConfig, build_paper_testbed
 from repro.faults import FaultInjector, FaultSchedule
-from repro.storage import GB
 
 
 def make_ignem_cluster(
@@ -60,17 +56,6 @@ def make_dfs_cluster(num_nodes=4, replication=2, seed=3):
         num_nodes=num_nodes, replication=replication, seed=seed
     )
     cluster.enable_rereplication()
-    return cluster
-
-
-def make_sort_bench_cluster(data_bytes=20 * GB, seed=0, ignem_config=None):
-    """Sort-workload benchmark cluster with its input materialized."""
-    from repro.workloads.sort import materialize
-
-    cluster = build_paper_testbed(
-        seed=seed, ignem=True, ignem_config=ignem_config
-    )
-    materialize(cluster, data_bytes)
     return cluster
 
 
