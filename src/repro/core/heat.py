@@ -177,20 +177,19 @@ class HeatEstimator:
 
     def max_heat(self, now: float) -> float:
         """The hottest tracked block's decayed heat (0.0 when empty)."""
-        best = 0.0
-        for block_id in self._heat:
-            value = self.heat(block_id, now)
-            if value > best:
-                best = value
-        return best
+        return max(self.heats(now).values(), default=0.0)
 
-    def items(self, now: float) -> List[Tuple[str, float]]:
-        """All tracked blocks as ``(block_id, heat)``, hottest first
-        (ties broken by block id, for determinism)."""
-        decayed = [
-            (block_id, self.heat(block_id, now)) for block_id in self._heat
-        ]
-        decayed.sort(key=lambda pair: (-pair[1], pair[0]))
+    def heats(self, now: float) -> Dict[str, float]:
+        """Every tracked block's decayed heat at time ``now``, in one
+        pass (the same arithmetic as :meth:`heat`)."""
+        half_life = self.half_life
+        stamps = self._stamp
+        decayed = {}
+        for block_id, value in self._heat.items():
+            delta = now - stamps[block_id]
+            if delta > 0:
+                value *= 0.5 ** (delta / half_life)
+            decayed[block_id] = value
         return decayed
 
     def dominant_tenant(self, block_id: str) -> Optional[str]:
@@ -428,13 +427,16 @@ class PopularityMigrator:
                 self._c_expired.inc()
                 self._request_demotion([block_id], config.owner)
 
-        # 2. Demote cooled (or deleted) promoted blocks.
+        # 2. Demote cooled (or deleted) promoted blocks.  Each tracked
+        #    block's heat is decayed to ``now`` once, for this step and
+        #    the next.
+        heats = estimator.heats(now)
         demote: List[str] = []
         for block_id in sorted(self.promoted):
             if not namenode.is_block(block_id):
                 demote.append(block_id)
                 estimator.forget(block_id)
-            elif estimator.heat(block_id, now) < config.demote_threshold:
+            elif heats.get(block_id, 0.0) < config.demote_threshold:
                 demote.append(block_id)
         if demote:
             for block_id in demote:
@@ -452,15 +454,16 @@ class PopularityMigrator:
             block_id = candidate.block.block_id
             if block_id in seen or not namenode.is_block(block_id):
                 continue
-            if estimator.heat(block_id, now) < config.promote_threshold:
+            if heats.get(block_id, 0.0) < config.promote_threshold:
                 continue  # cooled while queued; it can re-qualify later
             seen.add(block_id)
             candidates.append(candidate)
-        for block_id, heat in estimator.items(now):
-            if heat < config.promote_threshold:
-                break
-            if block_id in seen:
-                continue
+        hot = sorted(
+            (-heat, block_id)
+            for block_id, heat in heats.items()
+            if heat >= config.promote_threshold and block_id not in seen
+        )
+        for _heat, block_id in hot:
             if not namenode.is_block(block_id):
                 estimator.forget(block_id)
                 continue
@@ -468,7 +471,6 @@ class PopularityMigrator:
             if block is None:
                 continue
             tenant = estimator.dominant_tenant(block_id) or "default"
-            seen.add(block_id)
             candidates.append(PromotionCandidate(block, tenant))
         if not candidates:
             return

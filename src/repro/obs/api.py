@@ -320,8 +320,9 @@ class Observability:
 
     # -- hook methods called by instrumented components ----------------------------
 
-    def on_net_transfer(self, src, dst, nbytes, tag, done: Event) -> None:
-        """Network.transfer hook: span from issue to completion."""
+    def on_net_transfer(self, src, dst, nbytes, tag, legs) -> None:
+        """Network.transfer_legs hook: span from issue until the last leg
+        completes or the first one fails."""
         tracer = self.tracer
         if tracer is None or not tracer.enabled("net"):
             return
@@ -329,8 +330,8 @@ class Observability:
         hist = self._h_net
         env = self.env
 
-        def finish(event):
-            if hist is not None and event._ok:
+        def close(ok):
+            if hist is not None and ok:
                 hist.observe(env.now - start)
             tracer.complete(
                 "net.transfer",
@@ -342,11 +343,24 @@ class Observability:
                     "dst": dst,
                     "bytes": round(nbytes),
                     "tag": _fmt_tag(tag),
-                    "ok": bool(event._ok),
+                    "ok": ok,
                 },
             )
 
-        self._subscribe(done, finish)
+        if not legs:
+            close(True)
+            return
+        pending = [len(legs)]
+
+        def finish(event):
+            if not pending[0]:
+                return  # an earlier leg failed and closed the span
+            pending[0] = pending[0] - 1 if event._ok else 0
+            if not pending[0]:
+                close(bool(event._ok))
+
+        for leg in legs:
+            self._subscribe(leg, finish)
 
     def on_dfs_read(
         self, source, serving, reader, block, done: Event

@@ -93,16 +93,19 @@ class TestHeatEstimator:
         assert estimator.dominant_tenant(block.block_id) == "a"
         assert estimator.dominant_tenant("untracked") is None
 
-    def test_items_sorted_hottest_first(self):
-        estimator = HeatEstimator(half_life=1000.0)
+    def test_heats_match_per_block_heat(self):
+        estimator = HeatEstimator(half_life=10.0)
         estimator.record(_block(0), "a", now=0.0)
         for _ in range(3):
-            estimator.record(_block(1), "a", now=0.0)
-        items = estimator.items(0.0)
-        assert [bid for bid, _ in items] == [
-            _block(1).block_id,
-            _block(0).block_id,
-        ]
+            estimator.record(_block(1), "a", now=4.0)
+        estimator.record(_block(2), "a", now=9.0)
+        for now in (9.0, 12.5):
+            assert estimator.heats(now) == {
+                _block(i).block_id: estimator.heat(_block(i).block_id, now)
+                for i in range(3)
+            }
+        assert estimator.max_heat(12.5) == estimator.heat(_block(1).block_id, 12.5)
+        assert HeatEstimator().heats(0.0) == {}
 
     def test_max_tracked_drops_coldest(self):
         estimator = HeatEstimator(half_life=1000.0, max_tracked=10)

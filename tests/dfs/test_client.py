@@ -2,8 +2,11 @@
 
 import pytest
 
-from repro.dfs import NameNodeError
-from repro.storage import MB
+from repro.dfs import DFSClient, DataNode, NameNode, NameNodeError
+from repro.net import Network, NetworkError
+from repro.sim import Environment, RandomSource
+from repro.sim.events import join_all
+from repro.storage import GB, MB
 
 
 def run_read(env, client, block, reader_node, job_id=None):
@@ -109,6 +112,83 @@ class TestReplicaSelection:
         env.run()
         ram = run_read(env, client, block, reader_node=local)
         assert ram["duration"] < disk["duration"] / 10
+
+
+def two_node_read():
+    """An idle two-node cluster holding one 64 MB block on one node;
+    returns ``(env, client, network, block, serving, reader)``."""
+    env = Environment()
+    network = Network(env)
+    namenode = NameNode(rng=RandomSource(7), replication=1)
+    for node in ("node0", "node1"):
+        network.add_node(node)
+        namenode.register_datanode(DataNode(env, node, cache_capacity=8 * GB))
+    client = DFSClient(env, namenode, network, rng=RandomSource(11))
+    block = client.create_file("/f", 64 * MB, preferred_node="node0").blocks[0]
+    return env, client, network, block, "node0", "node1"
+
+
+def finish_time(env, done):
+    """Run to the end; the time ``done`` fired, or its error."""
+    seen = []
+    done.callbacks.append(
+        lambda event: seen.append(env.now if event.ok else event.value)
+    )
+    env.run()
+    return seen[0]
+
+
+class TestFlattenedRemoteRead:
+    """A remote read joins the replica read and both NIC legs at once."""
+
+    def test_one_event_fewer_than_a_nested_join_same_finish(self):
+        env, client, _network, block, serving, reader = two_node_read()
+        read = client.read_block(block, reader)
+        assert read.serving_node == serving
+        flat_at = finish_time(env, read.done)
+        flat_events = env.events_scheduled
+
+        # The same read joined as (replica read, joined transfer).
+        env, client, network, block, serving, reader = two_node_read()
+        handle = client.namenode.datanode(serving).read_block(block)
+        net = network.transfer(
+            serving, reader, block.nbytes, tag=("read", block.block_id)
+        )
+        nested_at = finish_time(env, join_all(env, (handle.done, net)))
+
+        assert flat_at == nested_at > 0
+        assert flat_events == env.events_scheduled - 1
+
+    @pytest.mark.parametrize("victim", ["serving", "reader"])
+    def test_endpoint_failure_mid_read_fails_done(self, victim):
+        env, client, network, block, serving, reader = two_node_read()
+        read = client.read_block(block, reader)
+        node = serving if victim == "serving" else reader
+        env.timeout(0.01).callbacks.append(lambda _event: network.fail_node(node))
+        error = finish_time(env, read.done)
+        assert isinstance(error, NetworkError)
+        assert node in str(error)
+
+    def test_lost_transfer_fails_the_read_after_detection(self):
+        env, client, network, block, _serving, reader = two_node_read()
+        network.fault_hook = lambda src, dst, nbytes: (True, 0.0)
+        read = client.read_block(block, reader)
+        fail_at = []
+        read.done.callbacks.append(
+            lambda event: fail_at.append((env.now, type(event.value)))
+        )
+        env.run()
+        assert fail_at == [(network.loss_detect_timeout, NetworkError)]
+
+    def test_delayed_transfer_delivers_the_read_late(self):
+        env, client, _network, block, _serving, reader = two_node_read()
+        clean_at = finish_time(env, client.read_block(block, reader).done)
+        env, client, network, block, _serving, reader = two_node_read()
+        network.fault_hook = lambda src, dst, nbytes: (False, 0.5)
+        delayed_at = finish_time(env, client.read_block(block, reader).done)
+        # The delay outlasts the disk read; the NIC legs follow it.
+        assert delayed_at == pytest.approx(0.5 + block.nbytes / network.bandwidth)
+        assert delayed_at > clean_at
 
 
 class TestWrites:

@@ -135,3 +135,57 @@ class TestFaultHook:
         env.process(reader(env), name="reader")
         env.run()
         assert outcomes == [pytest.approx(1 * MB / (100 * MB))]
+
+
+def settle(env, legs):
+    """Run to the end; each leg's ``(time, ok)`` as it completed."""
+    outcomes = [None] * len(legs)
+    for index, leg in enumerate(legs):
+        leg.callbacks.append(
+            lambda event, index=index: outcomes.__setitem__(
+                index, (env.now, event.ok)
+            )
+        )
+    env.run()
+    return outcomes
+
+
+class TestTransferLegs:
+    """The events ``transfer_legs`` hands to a caller's own join."""
+
+    def test_clean_path_is_one_leg_per_nic(self, env, network):
+        assert settle(env, network.transfer_legs("node0", "node1", 1 * MB)) == [
+            (pytest.approx(0.01), True),
+            (pytest.approx(0.01), True),
+        ]
+
+    def test_same_node_copy_has_no_legs(self, network):
+        assert network.transfer_legs("node0", "node0", 1 * MB) == ()
+
+    def test_down_node_is_one_refused_leg(self, env, network):
+        network.fail_node("node1")
+        (leg,) = network.transfer_legs("node0", "node1", 1 * MB)
+        assert settle(env, (leg,)) == [(0.0, False)]
+        assert isinstance(leg.value, NetworkError)
+
+    def test_lost_message_is_one_leg_failing_after_detection(self, env, network):
+        network.fault_hook = lambda src, dst, nbytes: (True, 0.0)
+        (leg,) = network.transfer_legs("node0", "node1", 1 * MB)
+        assert settle(env, (leg,)) == [(network.loss_detect_timeout, False)]
+        assert isinstance(leg.value, NetworkError)
+
+    def test_delay_is_one_leg_delivering_late(self, env, network):
+        network.fault_hook = lambda src, dst, nbytes: (False, 0.5)
+        legs = network.transfer_legs("node0", "node1", 1 * MB)
+        assert settle(env, legs) == [(pytest.approx(0.5 + 0.01), True)]
+
+    def test_failing_an_endpoint_mid_transfer_fails_its_leg(self, env, network):
+        send, recv = network.transfer_legs("node0", "node1", 100 * MB)
+        env.timeout(0.25).callbacks.append(
+            lambda _event: network.fail_node("node1")
+        )
+        outcomes = settle(env, (send, recv))
+        # The dead node's leg fails at the kill; the live NIC drains.
+        assert outcomes[1] == (0.25, False)
+        assert isinstance(recv.value, NetworkError)
+        assert outcomes[0][1] is True

@@ -4,12 +4,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.heat import (
+    HeatConfig,
     HeatEstimator,
+    PopularityMigrator,
     PromotionCandidate,
     plan_promotions,
 )
 from repro.dfs.blocks import Block
 from repro.storage import MB
+from repro.storage.tiers import MEM
 
 
 def _block(index, nbytes=64 * MB):
@@ -168,3 +171,244 @@ class TestPlannerProperties:
         )
         assert granted == candidates
         assert not overflow
+
+
+# -- the policy tick against a reference --------------------------------------
+
+
+def reference_tick(migrator):
+    """The tick as first written: every promoted block's heat is decayed
+    through ``HeatEstimator.heat`` for demotion, and the whole tracked
+    table is decayed again and sorted hottest first for candidates."""
+    now = migrator.env.now
+    migrator._tick_count += 1
+    migrator._c_ticks.inc()
+    config = migrator.config
+    estimator = migrator.estimator
+    namenode = migrator.namenode
+
+    for block_id in sorted(migrator._outstanding):
+        issued, _nbytes, tier = migrator._outstanding[block_id]
+        if not namenode.is_block(block_id):
+            migrator._finish_outstanding(block_id)
+            estimator.forget(block_id)
+        elif namenode.locality_index.nodes(block_id, tier):
+            migrator._finish_outstanding(block_id)
+            migrator.promoted[block_id] = tier
+        elif migrator._tick_count - issued >= config.request_ttl_ticks:
+            migrator._finish_outstanding(block_id)
+            migrator._c_expired.inc()
+            migrator._request_demotion([block_id], config.owner)
+
+    demote = []
+    for block_id in sorted(migrator.promoted):
+        if not namenode.is_block(block_id):
+            demote.append(block_id)
+            estimator.forget(block_id)
+        elif estimator.heat(block_id, now) < config.demote_threshold:
+            demote.append(block_id)
+    if demote:
+        for block_id in demote:
+            migrator.promoted.pop(block_id)
+        migrator._c_demotions.inc(len(demote))
+        migrator._request_demotion(demote, config.owner)
+
+    candidates = []
+    seen = set(migrator.promoted) | set(migrator._outstanding)
+    deferred, migrator._deferred = migrator._deferred, []
+    for candidate in deferred:
+        block_id = candidate.block.block_id
+        if block_id in seen or not namenode.is_block(block_id):
+            continue
+        if estimator.heat(block_id, now) < config.promote_threshold:
+            continue
+        seen.add(block_id)
+        candidates.append(candidate)
+    table = [(block_id, estimator.heat(block_id, now)) for block_id in estimator._heat]
+    table.sort(key=lambda pair: (-pair[1], pair[0]))
+    for block_id, heat in table:
+        if heat < config.promote_threshold:
+            break
+        if block_id in seen:
+            continue
+        if not namenode.is_block(block_id):
+            estimator.forget(block_id)
+            continue
+        block = estimator.block(block_id)
+        if block is None:
+            continue
+        tenant = estimator.dominant_tenant(block_id) or "default"
+        seen.add(block_id)
+        candidates.append(PromotionCandidate(block, tenant))
+    if not candidates:
+        return
+
+    granted, spend, overflow = plan_promotions(
+        candidates,
+        config.tenant_tick_bytes,
+        config.max_outstanding_bytes,
+        migrator._outstanding_bytes,
+    )
+    for candidate, _reason in overflow:
+        migrator._overflow(candidate)
+    if not granted:
+        return
+    migrator._request_promotion(
+        [candidate.block for candidate in granted], config.owner, migrator.dst_tier
+    )
+    for candidate in granted:
+        migrator._outstanding[candidate.block.block_id] = (
+            migrator._tick_count,
+            candidate.block.nbytes,
+            migrator.dst_tier,
+        )
+        migrator._outstanding_bytes += candidate.block.nbytes
+    migrator._c_promotions.inc(len(granted))
+    migrator.fairness_log.append(
+        {
+            "tick": migrator._tick_count,
+            "time": now,
+            "granted": {tenant: spend[tenant] for tenant in sorted(spend)},
+        }
+    )
+
+
+class _Clock:
+    now = 0.0
+
+
+class _Namespace:
+    """The two NameNode queries a tick makes."""
+
+    def __init__(self, deleted, resident):
+        self.deleted = deleted
+        self.locality_index = self
+        self.resident = resident
+
+    def is_block(self, block_id):
+        return block_id not in self.deleted
+
+    def nodes(self, block_id, tier):
+        return ["node0"] if block_id in self.resident else []
+
+
+class _Outbox:
+    def __init__(self):
+        self.sent = []
+
+    def request(self, endpoint, message):
+        self.sent.append((endpoint, message))
+
+
+class _Jobs:
+    def register_job(self, job_id):
+        pass
+
+
+#: Per-block policy state: 0 untracked by the policy, 1 promoted,
+#: 2 outstanding, 3 deferred.
+block_states = st.lists(
+    st.tuples(
+        st.integers(min_value=0, max_value=3),
+        st.integers(min_value=0, max_value=2),  # deferred tenant
+        st.sampled_from([16, 64, 256]),  # size in MB
+        st.booleans(),  # deleted
+        st.booleans(),  # resident (settles an outstanding promotion)
+        st.integers(min_value=0, max_value=9),  # outstanding since tick
+    ),
+    min_size=8,
+    max_size=8,
+)
+
+
+def _migrator(config, reads, states, now, tick_count):
+    sizes = {index: size * MB for index, (_s, _t, size, *_rest) in enumerate(states)}
+    deleted = set()
+    resident = set()
+    for index, (_s, _t, _size, gone, settled, _since) in enumerate(states):
+        block_id = _block(index).block_id
+        if gone:
+            deleted.add(block_id)
+        if settled:
+            resident.add(block_id)
+    migrator = PopularityMigrator(
+        _Clock(), _Namespace(deleted, resident), _Jobs(), config,
+        default_tier=MEM, transport=_Outbox(),
+    )
+    migrator.env.now = now
+    migrator._tick_count = tick_count
+    for block_index, tenant_index, when in reads:
+        migrator.estimator.record(
+            _block(block_index, sizes[block_index]), f"t{tenant_index}", when
+        )
+    for index, (state, tenant, _size, _gone, _settled, since) in enumerate(states):
+        block = _block(index, sizes[index])
+        if state == 1:
+            migrator.promoted[block.block_id] = MEM
+        elif state == 2:
+            migrator._outstanding[block.block_id] = (
+                min(since, tick_count), block.nbytes, MEM
+            )
+            migrator._outstanding_bytes += block.nbytes
+        elif state == 3:
+            migrator._deferred.append(PromotionCandidate(block, f"t{tenant}"))
+    return migrator
+
+
+def _observed(migrator):
+    counters = ("ticks", "promotions", "demotions", "shed", "queued", "expired")
+    return {
+        "sent": migrator.transport.sent,
+        "fairness_log": migrator.fairness_log,
+        "promoted": migrator.promoted,
+        "outstanding": migrator._outstanding,
+        "outstanding_bytes": migrator._outstanding_bytes,
+        "deferred": [(c.block, c.tenant) for c in migrator._deferred],
+        "tracked": migrator.estimator.heats(migrator.env.now),
+        "counters": [
+            migrator.metrics.value(f"heat.policy.{name}") for name in counters
+        ],
+    }
+
+
+class TestTickProperties:
+    @given(
+        st.lists(
+            st.tuples(
+                st.integers(min_value=0, max_value=7),
+                st.integers(min_value=0, max_value=2),
+                st.floats(min_value=0.0, max_value=60.0, allow_nan=False),
+            ),
+            max_size=60,
+        ),
+        block_states,
+        st.floats(min_value=0.0, max_value=120.0, allow_nan=False),
+        st.integers(min_value=0, max_value=12),
+        st.floats(min_value=0.5, max_value=4.0),
+        st.floats(min_value=0.0, max_value=0.99),
+        st.sampled_from([64, 300, 1024]),
+        st.sampled_from([128, 512, 4096]),
+        st.sampled_from(["queue", "shed"]),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_tick_matches_the_reference(
+        self, reads, states, now, tick_count, promote, demote_share,
+        tenant_mb, admit_mb, overload,
+    ):
+        """Decaying each block once per tick and sorting only the fresh
+        hot candidates demotes, promotes (blocks, order, tenants),
+        defers and logs exactly what the full-table tick did."""
+        config = HeatConfig(
+            half_life=10.0,
+            promote_threshold=promote,
+            demote_threshold=promote * demote_share,
+            tenant_tick_bytes=tenant_mb * MB,
+            max_outstanding_bytes=admit_mb * MB,
+            overload=overload,
+            request_ttl_ticks=4,
+        )
+        ticked = _migrator(config, reads, states, now, tick_count)
+        ticked._tick()
+        reference = _migrator(config, reads, states, now, tick_count)
+        reference_tick(reference)
+        assert _observed(ticked) == _observed(reference)
