@@ -257,3 +257,39 @@ class TestRegistryCounters:
         # so the counters carry across the failover.
         assert registry.value("ignem.master.migration_requests") == 2
         assert registry.value("ignem.master.commands_sent") > 0
+
+
+class TestNetTransferSpans:
+    def test_one_span_per_transfer_closed_by_its_legs(self, tmp_path):
+        """A transfer's span ends when its last NIC leg completes, or at
+        the first leg's failure; a same-node copy ends at once."""
+        trace_path = tmp_path / "net.jsonl"
+        cluster = build_paper_testbed(
+            seed=3,
+            num_nodes=4,
+            observability=ObservabilityConfig(
+                enabled=True, trace_path=str(trace_path), categories=("net",)
+            ),
+        )
+        network = cluster.network
+        node0, node1, node2, node3 = cluster.node_names()
+        network.transfer(node0, node1, 64 * MB, tag="whole")
+        network.transfer(node0, node0, 64 * MB, tag="loopback")
+        cut = network.transfer(node2, node3, 640 * MB, tag="cut")
+        cut.callbacks.append(lambda _event: None)  # its failure is waited on
+        cluster.env.timeout(0.1).callbacks.append(
+            lambda _event: network.fail_node(node3)
+        )
+        cluster.run()
+        spans = collections.defaultdict(list)
+        for line in trace_path.read_text().splitlines():
+            event = json.loads(line)
+            if event.get("name") == "net.transfer":
+                spans[event["args"]["tag"]].append(
+                    (event["args"]["ok"], event["dur"] / 1e6)
+                )
+        assert spans == {
+            "whole": [(True, pytest.approx(64 * MB / network.bandwidth))],
+            "loopback": [(True, 0.0)],
+            "cut": [(False, pytest.approx(0.1))],
+        }
