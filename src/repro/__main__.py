@@ -6,8 +6,6 @@ Usage::
     python -m repro run table1 fig6 --out results/ --seed 0
     python -m repro all --out results/
     python -m repro trace swim-ignem --out results/ --num-jobs 40
-    python -m repro profile --mode ignem --num-jobs 200 --top 30
-    python -m repro profile --workload scale --nodes 1000 --jobs 10000
     python -m repro scale --nodes 10000 --jobs 100000
     python -m repro serve --policy heat --requests 1200
     python -m repro chaos --seeds 10 --elasticity
@@ -86,57 +84,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--sim-events",
         action="store_true",
         help="also trace kernel event dispatch (very verbose)",
-    )
-
-    profile = sub.add_parser(
-        "profile",
-        parents=[common],
-        help="cProfile one SWIM run (the perf-tuning entry point)",
-        description=(
-            "Run run_swim() under cProfile and print the hottest functions. "
-            "Wall-clock measurements and comparisons against another "
-            "tree belong to perfbench/run.py and perfbench/sweep.py; this "
-            "command answers the follow-up question of *where* the time "
-            "goes."
-        ),
-    )
-    profile.add_argument(
-        "--workload",
-        default="swim",
-        choices=("swim", "scale", "serve"),
-        help=(
-            "what to profile: the SWIM run, the trace-scale replay, or "
-            "the interactive serving replay"
-        ),
-    )
-    profile.add_argument(
-        "--mode", default="ignem", choices=("hdfs", "ignem", "ram")
-    )
-    profile.add_argument("--num-jobs", type=int, default=200)
-    profile.add_argument("--top", type=int, default=30, help="rows to print")
-    profile.add_argument(
-        "--sort",
-        default="tottime",
-        choices=("tottime", "cumtime", "ncalls"),
-        help="stat to sort by",
-    )
-    profile.add_argument(
-        "--nodes",
-        type=int,
-        default=1000,
-        help="cluster size for --workload scale",
-    )
-    profile.add_argument(
-        "--jobs",
-        type=int,
-        default=10_000,
-        help="trace rows for --workload scale",
-    )
-    profile.add_argument(
-        "--requests",
-        type=int,
-        default=1200,
-        help="requests for --workload serve",
     )
 
     # Workload subcommands: each flag's dest is a config field, and a
@@ -360,55 +307,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def run_profile(args) -> int:
-    import cProfile
-    import pstats
-
-    if args.workload == "scale":
-        from .workloads.scale import ScaleConfig, run_scale_replay
-
-        config = ScaleConfig(
-            num_nodes=args.nodes, num_jobs=args.jobs, seed=args.seed
-        )
-        # One warm run would double an already-long replay, so the scale
-        # profile goes in cold; import/setup cost is negligible next to
-        # millions of dispatched events.
-        profiler = cProfile.Profile()
-        profiler.enable()
-        run_scale_replay(config)
-        profiler.disable()
-        pstats.Stats(profiler).sort_stats(args.sort).print_stats(args.top)
-        return 0
-
-    if args.workload == "serve":
-        from .workloads.serve import ServeConfig, run_serve
-
-        serve_config = ServeConfig(
-            num_requests=args.requests, seed=args.seed
-        )
-        profiler = cProfile.Profile()
-        profiler.enable()
-        run_serve(serve_config)
-        profiler.disable()
-        pstats.Stats(profiler).sort_stats(args.sort).print_stats(args.top)
-        return 0
-
-    from .experiments.swim_runs import clear_cache, run_swim
-
-    # Warm run first: imports and one-time allocations would otherwise
-    # dominate the profile and hide the simulation kernel.
-    clear_cache()
-    run_swim(args.mode, seed=args.seed, num_jobs=args.num_jobs)
-    clear_cache()
-
-    profiler = cProfile.Profile()
-    profiler.enable()
-    run_swim(args.mode, seed=args.seed, num_jobs=args.num_jobs)
-    profiler.disable()
-    pstats.Stats(profiler).sort_stats(args.sort).print_stats(args.top)
-    return 0
-
-
 def _write_report(out: str, name: str, payload: dict, text: str) -> None:
     """Write ``<name>.json``/``<name>.txt`` under ``out`` and print the
     report."""
@@ -556,8 +454,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         for name in available_experiments():
             print(f"  {name}")
         return 0
-    if args.command == "profile":
-        return run_profile(args)
     if args.command == "scale":
         return run_scale_command(args)
     if args.command == "serve":

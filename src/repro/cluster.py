@@ -33,6 +33,11 @@ from .storage.tiers import MEM, build_tier_set
 from .transport.sim import SimTransport
 
 
+#: Capacity of a middle SSD tier when the tier preset includes one above
+#: the backing disk.
+SSD_CAPACITY = 256 * GB
+
+
 @dataclass(frozen=True)
 class ClusterConfig:
     """Testbed shape; defaults mirror the paper's 8-server cluster."""
@@ -45,15 +50,10 @@ class ClusterConfig:
     #: ``"mem-hdd"`` is the paper's testbed, ``"mem-ssd"`` puts the
     #: backing store on SSD, ``"mem-ssd-hdd"`` adds a middle SSD tier.
     tier_preset: str = "mem-hdd"
-    #: Capacity of a middle SSD tier when ``tier_preset`` includes one
-    #: above the backing disk (ignored otherwise).
-    ssd_capacity: float = 256 * GB
     heartbeat_interval: float = 3.0
     block_size: float = 64 * MB
     replication: int = 3
     network_bandwidth: float = TEN_GBPS
-    #: Delay-scheduling patience (0 disables; plain Hadoop FIFO).
-    locality_wait: float = 0.0
     seed: int = 0
     engine: EngineConfig = field(default_factory=EngineConfig)
     #: Structured tracing + metrics (disabled by default; see
@@ -70,8 +70,6 @@ class ClusterConfig:
             raise ValueError(
                 f"unknown tier_preset {self.tier_preset!r} (known: {known})"
             )
-        if self.ssd_capacity <= 0:
-            raise ValueError("ssd_capacity must be positive")
 
     def tier_specs(self):
         """The resolved tier hierarchy (a tuple of ``TierSpec``)."""
@@ -110,9 +108,7 @@ class Cluster:
         # residency deltas into the NameNode's index, and the scheduler's
         # per-node candidate buckets subscribe to the same feed.
         self.rm = ResourceManager(
-            self.env,
-            locality_wait=cfg.locality_wait,
-            locality_index=self.namenode.locality_index,
+            self.env, locality_index=self.namenode.locality_index
         )
         self.datanodes: Dict[str, DataNode] = {}
         stagger = cfg.heartbeat_interval / max(1, cfg.num_nodes)
@@ -160,11 +156,6 @@ class Cluster:
         #: ``ObservabilityConfig(enabled=True)`` or a ``trace_path``.
         self.obs = Observability(self.env, cfg.observability)
         self.obs.register_cluster_pulls(self)
-        if cfg.observability.transport_metrics:
-            # Opt-in transport.* counters + trace spans.  Never bound on
-            # the clean path: counting encodes messages to measure wire
-            # size, which the bit-identical default must not pay for.
-            self.transport.instrument(self.obs.registry, self.obs)
         if cfg.observability.enabled or cfg.observability.trace_path is not None:
             self.obs.activate()
             self.obs.attach(self)
@@ -179,7 +170,7 @@ class Cluster:
         capacities = {MEM: cfg.ram_capacity, bottom.name: cfg.disk_capacity}
         for spec in specs:
             if spec.name not in capacities:
-                capacities[spec.name] = cfg.ssd_capacity
+                capacities[spec.name] = SSD_CAPACITY
         return DataNode(
             self.env,
             name,

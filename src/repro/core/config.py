@@ -5,9 +5,27 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
-from ..storage.device import GB, MB
+from ..storage.device import GB
 from ..storage.tiers import MEM
 from .policy import POLICIES
+
+#: Occupancy fraction of the fullest destination tier at which a slave
+#: asks the scheduler which jobs are still alive and purges references
+#: held by dead jobs (III-A4).
+CLEANUP_THRESHOLD = 0.9
+#: Seconds between re-checks while the ``busy_threshold`` throttle holds
+#: a migration back.
+BUSY_POLL_INTERVAL = 0.5
+#: The master→slave command channel: an unacknowledged command (slave
+#: down, message lost) is retried after ``COMMAND_TIMEOUT`` plus an
+#: exponential backoff (``COMMAND_BACKOFF * COMMAND_BACKOFF_FACTOR **
+#: attempt``), at most ``COMMAND_MAX_RETRIES`` times, before the master
+#: re-routes the block's migration to another live replica holder
+#: (graceful degradation, III-A5).
+COMMAND_TIMEOUT = 0.5
+COMMAND_MAX_RETRIES = 3
+COMMAND_BACKOFF = 0.25
+COMMAND_BACKOFF_FACTOR = 2.0
 
 
 @dataclass(frozen=True)
@@ -18,9 +36,6 @@ class IgnemConfig:
       Section III-B2: "Ignem limits the amount of migrated data to a
       configurable maximum threshold").  The paper's worst-case analysis
       (II-C2) shows 12.5GB suffices; we default to 16GB headroom.
-    * ``cleanup_threshold`` — occupancy fraction at which a slave asks the
-      cluster scheduler which jobs are still alive and purges references
-      held by dead jobs (III-A4).
     * ``rpc_latency`` — simulated latency of one batched master<->slave or
       client->master RPC (III-A6 batches commands to amortize this).
     * ``policy`` — migration-queue ordering: ``"smallest-job-first"``
@@ -43,23 +58,8 @@ class IgnemConfig:
       relates Ignem to Aqueduct's bounded-impact migration): when set,
       a slave defers starting a migration while its disk already serves
       at least this many foreground streams, re-checking every
-      ``busy_poll_interval`` seconds.  ``None`` keeps the paper's purely
+      ``BUSY_POLL_INTERVAL`` seconds.  ``None`` keeps the paper's purely
       work-conserving behaviour.
-    * ``migration_read_rate`` — optional per-slave ceiling (bytes/s) on
-      the mmap/mlock migration read path.  ``None`` (default) lets a lone
-      migration stream use the disk's full sequential bandwidth.  The
-      paper's Fig 8 numbers imply the authors' mlock page-in path ran at
-      only ~25-45MB/s per slave (2GB fully migrated in a ~10s lead across
-      8 servers); setting a cap models that variant.  No experiment
-      sets it: the Fig 8 harness runs uncapped.
-    * ``command_timeout`` / ``command_max_retries`` / ``command_backoff``
-      / ``command_backoff_factor`` — robustness of the master→slave
-      command channel: an unacknowledged command (slave down, message
-      lost) is retried after ``command_timeout`` plus an exponential
-      backoff (``command_backoff * command_backoff_factor**attempt``),
-      at most ``command_max_retries`` times, before the master falls
-      back to re-routing the block's migration to another live replica
-      holder (graceful degradation, III-A5).
     * ``migration_tier`` — the destination tier migrations land in by
       default (the paper's design migrates into ``mem``; an SSD capacity
       tier is a preset choice on multi-tier hierarchies).
@@ -72,20 +72,13 @@ class IgnemConfig:
     """
 
     buffer_capacity: float = 16 * GB
-    cleanup_threshold: float = 0.9
     rpc_latency: float = 0.002
     policy: str = "smallest-job-first"
     migration_concurrency: int = 1
     do_not_harm: bool = True
     reverse_within_job: bool = True
     replicas_to_migrate: int = 1
-    migration_read_rate: Optional[float] = None
     busy_threshold: Optional[int] = None
-    busy_poll_interval: float = 0.5
-    command_timeout: float = 0.5
-    command_max_retries: int = 3
-    command_backoff: float = 0.25
-    command_backoff_factor: float = 2.0
     migration_tier: str = MEM
     tier_buffer_capacities: Optional[Tuple[Tuple[str, float], ...]] = None
 
@@ -109,8 +102,6 @@ class IgnemConfig:
     def __post_init__(self) -> None:
         if self.buffer_capacity <= 0:
             raise ValueError("buffer_capacity must be positive")
-        if not 0 < self.cleanup_threshold <= 1:
-            raise ValueError("cleanup_threshold must be in (0, 1]")
         if self.rpc_latency < 0:
             raise ValueError("rpc_latency must be non-negative")
         if self.policy not in POLICIES:
@@ -138,15 +129,3 @@ class IgnemConfig:
             raise ValueError("replicas_to_migrate must be >= 1")
         if self.busy_threshold is not None and self.busy_threshold < 1:
             raise ValueError("busy_threshold must be >= 1 or None")
-        if self.busy_poll_interval <= 0:
-            raise ValueError("busy_poll_interval must be positive")
-        if self.migration_read_rate is not None and self.migration_read_rate <= 0:
-            raise ValueError("migration_read_rate must be positive or None")
-        if self.command_timeout <= 0:
-            raise ValueError("command_timeout must be positive")
-        if self.command_max_retries < 0:
-            raise ValueError("command_max_retries must be >= 0")
-        if self.command_backoff < 0:
-            raise ValueError("command_backoff must be non-negative")
-        if self.command_backoff_factor < 1:
-            raise ValueError("command_backoff_factor must be >= 1")

@@ -15,10 +15,11 @@ Three pieces:
   associativity), which is what makes the promotion decisions
   reproducible no matter how concurrent readers interleave within a
   policy tick.
-* :class:`HeatConfig` — the policy knobs (half-life, thresholds, tick
-  cadence, per-tenant fairness caps, admission control).
+* :class:`HeatConfig` — the policy knobs (half-life, tick cadence,
+  per-tenant fairness cap); the thresholds and the admission budget are
+  module constants.
 * :class:`PopularityMigrator` — the tick loop.  It owns a synthetic
-  "job" (``config.owner``) so the promoted blocks ride the *existing*
+  "job" (:data:`OWNER`) so the promoted blocks ride the *existing*
   Ignem machinery end to end: master batching/retry/reroute, slave
   queues, do-not-harm accounting, buffer caps, and cleanup sweeps all
   apply unchanged.  No new command types, no slave changes.
@@ -44,6 +45,28 @@ from ..storage.device import GB, MB
 from ..storage.tiers import MEM
 
 
+#: Heat above which a block is promoted.  A read-per-half-life steady
+#: state holds heat ~2.0, so this means "accessed faster than once per
+#: half-life".
+PROMOTE_THRESHOLD = 2.0
+#: Heat below which a promoted block is demoted.
+DEMOTE_THRESHOLD = 0.5
+#: Admission control: total bytes of promotions in flight (requested,
+#: not yet resident).  Over-budget candidates queue for the next tick;
+#: one that can never fit under the caps is shed.
+MAX_OUTSTANDING_BYTES = 4 * GB
+#: A promotion that has not become resident after this many ticks is
+#: written off (and its queued work cancelled) so a crashed or saturated
+#: slave cannot pin the admission budget forever.
+REQUEST_TTL_TICKS = 8
+#: The synthetic job id the policy's migrations run under; registered
+#: with the scheduler so slave cleanup sweeps keep the promoted blocks.
+OWNER = "heat-policy"
+#: Cap on tracked blocks; the coldest ~10% are dropped when exceeded
+#: (heat estimation stays O(working set), not O(namespace)).
+MAX_TRACKED = 100_000
+
+
 @dataclass(frozen=True)
 class HeatConfig:
     """Tunables for the popularity-driven migration policy.
@@ -51,70 +74,24 @@ class HeatConfig:
     * ``half_life`` — seconds for a block's heat to decay by half with
       no accesses.  Each read adds 1.0 heat.
     * ``tick_interval`` — seconds between policy decisions.
-    * ``promote_threshold`` / ``demote_threshold`` — heat above which a
-      block is promoted, and below which a promoted block is demoted.
-      A read-per-half-life steady state holds heat ~2.0, so the default
-      promote threshold means "accessed faster than once per half-life".
-    * ``dst_tier`` — destination tier for promotions; ``None`` follows
-      the Ignem config's ``migration_tier`` (``mem`` by default).
     * ``tenant_tick_bytes`` — per-tenant fairness cap: bytes of
       promotion bandwidth one tenant may receive per tick.  A single hot
       tenant cannot starve the others' promotions.
-    * ``max_outstanding_bytes`` — admission control: total bytes of
-      promotions in flight (requested, not yet resident).  Above it new
-      promotions are shed or queued per ``overload``.
-    * ``overload`` — ``"queue"`` defers over-cap candidates to the next
-      tick; ``"shed"`` drops them (they re-qualify on their own if still
-      hot later).
-    * ``request_ttl_ticks`` — a promotion that has not become resident
-      after this many ticks is written off (and its queued work
-      cancelled) so a crashed or saturated slave cannot pin the
-      admission budget forever.
-    * ``owner`` — the synthetic job id the policy's migrations run
-      under; registered with the scheduler so slave cleanup sweeps keep
-      the promoted blocks.
-    * ``max_tracked`` — cap on tracked blocks; the coldest ~10% are
-      dropped when exceeded (heat estimation stays O(working set), not
-      O(namespace)).
+
+    Promotions land in the Ignem config's ``migration_tier``.
     """
 
     half_life: float = 60.0
     tick_interval: float = 5.0
-    promote_threshold: float = 2.0
-    demote_threshold: float = 0.5
-    dst_tier: Optional[str] = None
     tenant_tick_bytes: float = 512 * MB
-    max_outstanding_bytes: float = 4 * GB
-    overload: str = "queue"
-    request_ttl_ticks: int = 8
-    owner: str = "heat-policy"
-    max_tracked: int = 100_000
 
     def __post_init__(self) -> None:
         if self.half_life <= 0:
             raise ValueError("half_life must be positive")
         if self.tick_interval <= 0:
             raise ValueError("tick_interval must be positive")
-        if self.promote_threshold <= 0:
-            raise ValueError("promote_threshold must be positive")
-        if not 0 <= self.demote_threshold < self.promote_threshold:
-            raise ValueError(
-                "demote_threshold must be in [0, promote_threshold)"
-            )
         if self.tenant_tick_bytes <= 0:
             raise ValueError("tenant_tick_bytes must be positive")
-        if self.max_outstanding_bytes <= 0:
-            raise ValueError("max_outstanding_bytes must be positive")
-        if self.overload not in ("queue", "shed"):
-            raise ValueError(
-                f"overload must be 'queue' or 'shed', got {self.overload!r}"
-            )
-        if self.request_ttl_ticks < 1:
-            raise ValueError("request_ttl_ticks must be >= 1")
-        if not self.owner:
-            raise ValueError("owner must be non-empty")
-        if self.max_tracked < 1:
-            raise ValueError("max_tracked must be >= 1")
 
 
 class HeatEstimator:
@@ -129,11 +106,10 @@ class HeatEstimator:
     float addition order).
     """
 
-    def __init__(self, half_life: float = 60.0, max_tracked: int = 100_000):
+    def __init__(self, half_life: float = 60.0):
         if half_life <= 0:
             raise ValueError("half_life must be positive")
         self.half_life = half_life
-        self.max_tracked = max_tracked
         self._heat: Dict[str, float] = {}
         self._stamp: Dict[str, float] = {}
         self._blocks: Dict[str, Block] = {}
@@ -160,7 +136,7 @@ class HeatEstimator:
         self._blocks[block_id] = block
         counts = self._tenants.setdefault(block_id, {})
         counts[tenant] = counts.get(tenant, 0) + 1
-        if len(self._heat) > self.max_tracked:
+        if len(self._heat) > MAX_TRACKED:
             self._evict_coldest(now)
 
     # -- queries ----------------------------------------------------------------
@@ -218,7 +194,7 @@ class HeatEstimator:
         """Drop the coldest ~10% so tracking stays bounded."""
         victims = sorted(
             self._heat, key=lambda block_id: (self.heat(block_id, now), block_id)
-        )[: max(1, self.max_tracked // 10)]
+        )[: max(1, MAX_TRACKED // 10)]
         for block_id in victims:
             self.forget(block_id)
 
@@ -273,7 +249,7 @@ class PopularityMigrator:
 
     Wire-up (done by ``Cluster.enable_heat_migration``): subscribe
     :meth:`on_read` to the NameNode's read events, then :meth:`start`.
-    All migrations run under the synthetic job ``config.owner`` through
+    All migrations run under the synthetic job :data:`OWNER` through
     the ordinary Ignem master APIs, so every existing robustness
     mechanism (command retry, do-not-harm, cleanup sweeps, per-tier
     caps) governs promoted blocks too.
@@ -297,11 +273,8 @@ class PopularityMigrator:
         #: protocol messages.
         self.transport = transport
         self.config = config or HeatConfig()
-        self.dst_tier = self.config.dst_tier or default_tier
-        self.estimator = HeatEstimator(
-            half_life=self.config.half_life,
-            max_tracked=self.config.max_tracked,
-        )
+        self.dst_tier = default_tier
+        self.estimator = HeatEstimator(half_life=self.config.half_life)
         self.enabled = True
         #: block_id -> destination tier, for promotions that completed.
         self.promoted: Dict[str, str] = {}
@@ -357,7 +330,7 @@ class PopularityMigrator:
 
     def start(self) -> None:
         """Register the policy's owner job and start the tick loop."""
-        self.rm.register_job(self.config.owner)
+        self.rm.register_job(OWNER)
         self.env.process(self._loop(), name="heat-policy")
 
     def shutdown(self) -> None:
@@ -370,15 +343,15 @@ class PopularityMigrator:
         self.enabled = False
         leftovers = sorted(set(self.promoted) | set(self._outstanding))
         if leftovers:
-            self._request_demotion(leftovers, self.config.owner)
+            self._request_demotion(leftovers, OWNER)
         self.promoted.clear()
         self._outstanding.clear()
         self._outstanding_bytes = 0.0
         self._deferred.clear()
         if self._parked is not None and not self._parked.triggered:
             self._parked.succeed(None)
-        if self.rm.job_active(self.config.owner):
-            self.rm.unregister_job(self.config.owner)
+        if self.rm.job_active(OWNER):
+            self.rm.unregister_job(OWNER)
 
     # -- the loop ----------------------------------------------------------------
 
@@ -388,7 +361,7 @@ class PopularityMigrator:
         un-parks us) can change that — heat only decays with time."""
         if self.promoted or self._outstanding or self._deferred:
             return False
-        return self.estimator.max_heat(self.env.now) < self.config.promote_threshold
+        return self.estimator.max_heat(self.env.now) < PROMOTE_THRESHOLD
 
     def _loop(self):
         while self.enabled:
@@ -422,10 +395,10 @@ class PopularityMigrator:
             elif namenode.locality_index.nodes(block_id, tier):
                 self._finish_outstanding(block_id)
                 self.promoted[block_id] = tier
-            elif self._tick_count - issued >= config.request_ttl_ticks:
+            elif self._tick_count - issued >= REQUEST_TTL_TICKS:
                 self._finish_outstanding(block_id)
                 self._c_expired.inc()
-                self._request_demotion([block_id], config.owner)
+                self._request_demotion([block_id], OWNER)
 
         # 2. Demote cooled (or deleted) promoted blocks.  Each tracked
         #    block's heat is decayed to ``now`` once, for this step and
@@ -436,13 +409,13 @@ class PopularityMigrator:
             if not namenode.is_block(block_id):
                 demote.append(block_id)
                 estimator.forget(block_id)
-            elif heats.get(block_id, 0.0) < config.demote_threshold:
+            elif heats.get(block_id, 0.0) < DEMOTE_THRESHOLD:
                 demote.append(block_id)
         if demote:
             for block_id in demote:
                 self.promoted.pop(block_id)
             self._c_demotions.inc(len(demote))
-            self._request_demotion(demote, config.owner)
+            self._request_demotion(demote, OWNER)
 
         # 3. Gather candidates: deferred (re-validated) first — they were
         #    hot before the queue backed up — then fresh heat, hottest
@@ -454,14 +427,14 @@ class PopularityMigrator:
             block_id = candidate.block.block_id
             if block_id in seen or not namenode.is_block(block_id):
                 continue
-            if heats.get(block_id, 0.0) < config.promote_threshold:
+            if heats.get(block_id, 0.0) < PROMOTE_THRESHOLD:
                 continue  # cooled while queued; it can re-qualify later
             seen.add(block_id)
             candidates.append(candidate)
         hot = sorted(
             (-heat, block_id)
             for block_id, heat in heats.items()
-            if heat >= config.promote_threshold and block_id not in seen
+            if heat >= PROMOTE_THRESHOLD and block_id not in seen
         )
         for _heat, block_id in hot:
             if not namenode.is_block(block_id):
@@ -479,7 +452,7 @@ class PopularityMigrator:
         granted, spend, overflow = plan_promotions(
             candidates,
             config.tenant_tick_bytes,
-            config.max_outstanding_bytes,
+            MAX_OUTSTANDING_BYTES,
             self._outstanding_bytes,
         )
         for candidate, _reason in overflow:
@@ -488,7 +461,7 @@ class PopularityMigrator:
             return
         self._request_promotion(
             [candidate.block for candidate in granted],
-            config.owner,
+            OWNER,
             self.dst_tier,
         )
         for candidate in granted:
@@ -513,12 +486,10 @@ class PopularityMigrator:
 
     def _overflow(self, candidate: PromotionCandidate) -> None:
         """An over-cap candidate is queued for the next tick when it can
-        ever fit under both caps, shed otherwise (or always, in shed
-        mode)."""
-        fits = candidate.nbytes <= min(
-            self.config.tenant_tick_bytes, self.config.max_outstanding_bytes
-        )
-        if self.config.overload == "queue" and fits:
+        ever fit under both caps, shed otherwise."""
+        if candidate.nbytes <= min(
+            self.config.tenant_tick_bytes, MAX_OUTSTANDING_BYTES
+        ):
             self._deferred.append(candidate)
             self._c_queued.inc()
         else:

@@ -28,7 +28,13 @@ from ..transport.messages import (
     PromoteBlocksRequest,
 )
 from .commands import EvictCommand, MigrateCommand, MigrationWorkItem
-from .config import IgnemConfig
+from .config import (
+    COMMAND_BACKOFF,
+    COMMAND_BACKOFF_FACTOR,
+    COMMAND_MAX_RETRIES,
+    COMMAND_TIMEOUT,
+    IgnemConfig,
+)
 from .slave import IgnemSlave
 
 
@@ -360,7 +366,7 @@ class IgnemMaster:
 
         Delivery is acknowledged: an unacked command (slave down or
         message lost) is retried with timeout + exponential backoff, and
-        after ``command_max_retries`` the failure handler re-routes or
+        after ``COMMAND_MAX_RETRIES`` the failure handler re-routes or
         abandons the work (see :class:`_CommandTimer`).  ``tried``
         carries the nodes already attempted for this work so a re-route
         never bounces between dead slaves.  With zero latency and no
@@ -470,8 +476,8 @@ class _CommandTimer:
 
     Each attempt decides through ``rpc_fault`` whether it is lost when it
     is sent, and arrives ``rpc_latency`` later.  A lost or refused
-    attempt arms the next one after ``command_timeout + command_backoff *
-    command_backoff_factor ** attempt``; after ``command_max_retries``
+    attempt arms the next one after ``COMMAND_TIMEOUT + COMMAND_BACKOFF *
+    COMMAND_BACKOFF_FACTOR ** attempt``; after ``COMMAND_MAX_RETRIES``
     retries the master's failure handler re-routes or abandons the work.
     A fault-free command therefore costs one kernel event.  A timer whose
     master has died, or restarted, since the command was sent neither
@@ -526,9 +532,8 @@ class _CommandTimer:
         master = self.master
         if not self.lost and master._deliver(self.node, self.kind, self.command):
             return
-        cfg = master.config
         attempt = self.attempt
-        if attempt >= cfg.command_max_retries:
+        if attempt >= COMMAND_MAX_RETRIES:
             master._command_failed(self.node, self.kind, self.command, self.tried)
             return
         master._c_retries.inc()
@@ -537,8 +542,7 @@ class _CommandTimer:
                 "retry", self.node, self.kind, self.command.job_id
             )
         master.env.timeout(
-            cfg.command_timeout
-            + cfg.command_backoff * cfg.command_backoff_factor ** attempt
+            COMMAND_TIMEOUT + COMMAND_BACKOFF * COMMAND_BACKOFF_FACTOR**attempt
         ).callbacks.append(self._retry)
 
     def _retry(self, _event) -> None:

@@ -31,7 +31,7 @@ from ..sim.events import Event
 from ..sim.resources import PriorityStore
 from ..transport.messages import Ack, EvictMsg, FailoverMsg, MigrateMsg
 from .commands import EvictCommand, MigrateCommand, MigrationWorkItem
-from .config import IgnemConfig
+from .config import BUSY_POLL_INTERVAL, CLEANUP_THRESHOLD, IgnemConfig
 from .policy import MigrationPolicy, make_policy
 
 
@@ -303,7 +303,7 @@ class IgnemSlave:
                 and self.datanode.migration_source(block_id, tier).active_transfers
                 >= self.config.busy_threshold
             ):
-                yield self.env.timeout(self.config.busy_poll_interval)
+                yield self.env.timeout(BUSY_POLL_INTERVAL)
                 if not self._refs.get(block_id):
                     self._record_migration(item, enqueued_at, outcome="skipped")
                     return
@@ -313,9 +313,7 @@ class IgnemSlave:
             self._record_migration(item, enqueued_at, outcome="cancelled")
             return
         try:
-            yield self.datanode.migrate_block_to_tier(
-                block, tier, rate_cap=self.config.migration_read_rate
-            )
+            yield self.datanode.migrate_block_to_tier(block, tier)
         except DataNodeError:
             # The DataNode died mid-read: the partial pages are gone with
             # the process; the worker survives to serve post-restart work.
@@ -378,7 +376,7 @@ class IgnemSlave:
     def cleanup_dead_jobs(self, force: bool = False) -> None:
         """Liveness sweep (paper III-A4): drop references held by jobs the
         scheduler no longer knows.  Normally gated on memory pressure
-        (``cleanup_threshold``); ``force=True`` sweeps unconditionally —
+        (``CLEANUP_THRESHOLD``); ``force=True`` sweeps unconditionally —
         the post-run invariant checker uses it to settle leaked state.
         """
         if self.rm is None:
@@ -390,7 +388,7 @@ class IgnemSlave:
                 self.tier_bytes[tier] / self.config.buffer_capacity_for(tier)
                 for tier in self.tier_bytes
             )
-            if occupancy < self.config.cleanup_threshold:
+            if occupancy < CLEANUP_THRESHOLD:
                 return
         dead_jobs = {
             job_id

@@ -193,8 +193,10 @@ class DFSClient:
             for node in self.namenode.get_block_locations(block.block_id):
                 self.namenode.datanode(node).absorb_write(block)
                 if node != writer_node:
-                    pending.append(
-                        self.network.transfer(
+                    # The copy's own legs, not a join of them: one join
+                    # for the whole pipeline.
+                    pending.extend(
+                        self.network.transfer_legs(
                             writer_node, node, block.nbytes, tag=("write", path)
                         )
                     )

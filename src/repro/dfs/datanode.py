@@ -291,17 +291,14 @@ class DataNode:
                 return tier.device
         return self.disk
 
-    def migrate_block_to_tier(
-        self, block: Block, dst_tier: str, rate_cap: Optional[float] = None
-    ) -> Event:
+    def migrate_block_to_tier(self, block: Block, dst_tier: str) -> Event:
         """Read a block sequentially from below and pin it in ``dst_tier``.
 
         This is the mmap+mlock path of paper Section III-B1 generalized
         across tiers: the data lands pinned in the destination tier's
-        cache, locked against page-out.  The page-fault-driven read path
-        is self-limited well below raw device bandwidth, which
-        ``rate_cap`` models; the slack stays available to foreground
-        readers.  The returned event fires when the block is fully
+        cache, locked against page-out.  The read shares the source
+        device like any other stream.  The returned event fires when the
+        block is fully
         resident.  If a lower upper tier held the block, its copy is
         released on arrival (a replica occupies one upper tier at a
         time).
@@ -316,9 +313,7 @@ class DataNode:
             done.succeed(None)
             return done
         source = self.migration_source(block.block_id, dst_tier)
-        done = source.transfer(
-            block.nbytes, tag=("migrate", block.block_id), rate_cap=rate_cap
-        )
+        done = source.transfer(block.nbytes, tag=("migrate", block.block_id))
 
         # Guarded pin-in: the node's failure fails every transfer on its
         # devices, including one still in its latency window, but a read

@@ -8,7 +8,7 @@ from ..dfs.client import DFSClient
 from ..metrics.collector import MetricsCollector
 from ..scheduler.resource_manager import ResourceManager
 from ..sim.engine import Environment
-from ..sim.events import Event
+from ..sim.events import Event, join_all
 from .job import MRJob
 from .spec import EngineConfig, JobSpec
 
@@ -99,7 +99,7 @@ class MapReduceEngine:
                     implicit_eviction=implicit_eviction,
                 )
                 jobs_completed.append(job.completed)
-            yield self.env.all_of(jobs_completed)
+            yield join_all(self.env, jobs_completed)
             all_done.succeed(None)
 
         self.env.process(driver(), name="workload-driver")

@@ -14,7 +14,15 @@ from ..scheduler.containers import TaskRequest
 from ..scheduler.resource_manager import ResourceManager
 from ..sim.engine import Environment
 from ..sim.events import Event, Timeout, join_all
-from .spec import EngineConfig, JobSpec
+from .spec import (
+    MAP_CPU_BYTES_PER_SEC,
+    REDUCE_CPU_BYTES_PER_SEC,
+    SPECULATIVE_MAX_FRACTION,
+    SPECULATIVE_MIN_COMPLETED,
+    SPECULATIVE_POLL_INTERVAL,
+    EngineConfig,
+    JobSpec,
+)
 
 #: Shuffle-fetch retry budget before declaring a map output lost.
 _SHUFFLE_RETRIES = 3
@@ -259,7 +267,7 @@ class MRJob:
         cfg = self.config
         speculated: set = set()
         total = len(map_tasks)
-        budget = max(1, int(cfg.speculative_max_fraction * total))
+        budget = max(1, int(SPECULATIVE_MAX_FRACTION * total))
         while True:
             if len(speculated) >= budget:
                 return
@@ -270,7 +278,7 @@ class MRJob:
             ]
             if not pending:
                 return
-            threshold_count = cfg.speculative_min_completed * total
+            threshold_count = SPECULATIVE_MIN_COMPLETED * total
             if len(self._map_durations) >= threshold_count and self._map_durations:
                 ordered = sorted(self._map_durations)
                 median = ordered[len(ordered) // 2]
@@ -297,7 +305,7 @@ class MRJob:
                             avoid=avoid,
                         )
                         self.rm.submit(duplicate)
-            yield Timeout(self.env, cfg.speculative_poll_interval)
+            yield Timeout(self.env, SPECULATIVE_POLL_INTERVAL)
 
     def _run_map(
         self,
@@ -332,11 +340,10 @@ class MRJob:
             )
         )
 
-        cpu_rate = self.config.map_cpu_bytes_per_sec
         if self.spec.map_cpu_factor > 0 and block.nbytes > 0:
             yield Timeout(
                 self.env,
-                block.nbytes * self.spec.map_cpu_factor / cpu_rate
+                block.nbytes * self.spec.map_cpu_factor / MAP_CPU_BYTES_PER_SEC,
             )
 
         # With speculative execution two attempts may race; only the
@@ -527,7 +534,7 @@ class MRJob:
                 self.env,
                 share
                 * self.spec.reduce_cpu_factor
-                / self.config.reduce_cpu_bytes_per_sec
+                / REDUCE_CPU_BYTES_PER_SEC
             )
 
         out_share = (

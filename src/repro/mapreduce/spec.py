@@ -2,10 +2,23 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence, Tuple
 
 from ..storage.device import MB
+
+#: Mapper compute throughput applied to its input bytes, covering
+#: deserialization + user code.
+MAP_CPU_BYTES_PER_SEC = 400 * MB
+#: Reducer compute throughput applied to its shuffle share.
+REDUCE_CPU_BYTES_PER_SEC = 200 * MB
+#: Speculation starts once this fraction of a job's maps have finished.
+SPECULATIVE_MIN_COMPLETED = 0.5
+#: Seconds between straggler checks.
+SPECULATIVE_POLL_INTERVAL = 1.0
+#: At most this fraction of a job's maps may get duplicate attempts
+#: (Hadoop similarly caps speculation to bound wasted work).
+SPECULATIVE_MAX_FRACTION = 0.25
 
 
 @dataclass(frozen=True)
@@ -51,32 +64,24 @@ class EngineConfig:
       lead-time for migration (Section II-C1).
     * ``job_commit_overhead`` — output commit + AM teardown after the last
       task finishes.
-    * ``map_cpu_bytes_per_sec`` — mapper compute throughput applied to its
-      input bytes, covering deserialization + user code.
-    * ``reduce_cpu_bytes_per_sec`` — reducer compute throughput applied to
-      its shuffle share.
     * speculative execution knobs — see the field comments below.
+
+    The CPU rates and the speculation cadence and budget are module
+    constants (``MAP_CPU_BYTES_PER_SEC`` and friends).
     """
 
     task_startup_overhead: float = 0.2
     job_submit_overhead: float = 4.0
     job_commit_overhead: float = 6.0
-    map_cpu_bytes_per_sec: float = 400 * MB
-    reduce_cpu_bytes_per_sec: float = 200 * MB
     #: Replication factor for job output files.
     output_replication: int = 1
     #: Hadoop-style speculative execution for map stragglers: once
-    #: ``speculative_min_completed`` of a job's maps have finished, any
+    #: ``SPECULATIVE_MIN_COMPLETED`` of a job's maps have finished, any
     #: running map slower than ``speculative_slowdown`` x the median gets
     #: a duplicate attempt; the first finisher wins (the loser's work is
     #: wasted, as in Hadoop without task kill).
     speculative_execution: bool = False
     speculative_slowdown: float = 1.5
-    speculative_min_completed: float = 0.5
-    speculative_poll_interval: float = 1.0
-    #: At most this fraction of a job's maps may get duplicate attempts
-    #: (Hadoop similarly caps speculation to bound wasted work).
-    speculative_max_fraction: float = 0.25
 
     def __post_init__(self) -> None:
         if (
@@ -85,15 +90,7 @@ class EngineConfig:
             or self.job_commit_overhead < 0
         ):
             raise ValueError("overheads must be non-negative")
-        if self.map_cpu_bytes_per_sec <= 0 or self.reduce_cpu_bytes_per_sec <= 0:
-            raise ValueError("cpu rates must be positive")
         if self.output_replication < 1:
             raise ValueError("output replication must be >= 1")
         if self.speculative_slowdown <= 1.0:
             raise ValueError("speculative_slowdown must be > 1")
-        if not 0 <= self.speculative_min_completed <= 1:
-            raise ValueError("speculative_min_completed must be in [0, 1]")
-        if self.speculative_poll_interval <= 0:
-            raise ValueError("speculative_poll_interval must be positive")
-        if not 0 < self.speculative_max_fraction <= 1:
-            raise ValueError("speculative_max_fraction must be in (0, 1]")

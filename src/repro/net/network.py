@@ -119,8 +119,8 @@ class Network:
         legs = self.transfer_legs(src, dst, nbytes, tag)
         if len(legs) == 1:
             return legs[0]
-        # Callers synchronize on the pair and never read the value, so a
-        # bare countdown join beats the general AllOf condition.
+        # Callers synchronize on the pair and never read the value: a
+        # countdown join.
         return join_all(self.env, legs)
 
     def transfer_legs(

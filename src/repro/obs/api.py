@@ -555,22 +555,6 @@ class Observability:
             args={"node": node, "blocks_moved": blocks_moved},
         )
 
-    # -- transport hooks ---------------------------------------------------------------
-
-    def on_transport_message(self, endpoint: str, kind: str, nbytes: int) -> None:
-        """Transport delivery hook (bound only when
-        ``ObservabilityConfig.transport_metrics`` is on): one instant
-        event per message, tagged with endpoint, kind, and wire size."""
-        tracer = self.tracer
-        if tracer is None or not tracer.enabled("transport"):
-            return
-        tracer.instant(
-            "transport.message",
-            "transport",
-            lane="transport",
-            args={"endpoint": endpoint, "kind": kind, "nbytes": nbytes},
-        )
-
     # -- Ignem hooks ------------------------------------------------------------------
 
     def on_master_command(self, what: str, node: str, kind: str, job_id: str) -> None:

@@ -38,16 +38,9 @@ class ObservabilityConfig:
     metrics_path:
         When set, :meth:`repro.cluster.Cluster.run` writes the metrics
         snapshot (JSON) here after the run.
-    transport_metrics:
-        Bind ``transport.*`` send/receive/bytes counters (and, when
-        tracing is active, per-message trace events) onto the cluster's
-        message transport.  Off by default: counting a message encodes
-        it to measure wire size, a cost — and a metrics-snapshot
-        difference — the bit-identical clean path must not carry.
     """
 
     enabled: bool = False
     categories: FrozenSet[str] = DEFAULT_CATEGORIES
     trace_path: Optional[str] = None
     metrics_path: Optional[str] = None
-    transport_metrics: bool = False

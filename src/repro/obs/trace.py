@@ -35,7 +35,6 @@ ALL_CATEGORIES: FrozenSet[str] = frozenset(
         "ignem",
         "scheduler",
         "job",
-        "transport",
     }
 )
 DEFAULT_CATEGORIES: FrozenSet[str] = ALL_CATEGORIES - {"sim"}

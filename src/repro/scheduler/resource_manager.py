@@ -52,11 +52,6 @@ class ResourceManager:
     Tasks only start at heartbeats — the queueing plus heartbeat latency
     is precisely the lead-time Ignem exploits.
 
-    ``locality_wait`` enables delay scheduling (Zaharia et al.): a task
-    that has locality *somewhere* is held back from non-local placement
-    until it has waited at least that long, at the cost of slot idling.
-    The default of 0 disables it (plain Hadoop FIFO behaviour).
-
     **Candidate buckets.**  A task's memory locality is the set of nodes
     the memory-locality index reports for its ``input_block_id`` (a
     cluster passes its NameNode's index; a standalone RM owns an empty
@@ -72,16 +67,12 @@ class ResourceManager:
     def __init__(
         self,
         env: Environment,
-        locality_wait: float = 0.0,
         max_task_attempts: int = 3,
         locality_index: Optional[LocalityIndex] = None,
     ):
-        if locality_wait < 0:
-            raise ValueError("locality_wait must be non-negative")
         if max_task_attempts < 1:
             raise ValueError("max_task_attempts must be >= 1")
         self.env = env
-        self.locality_wait = float(locality_wait)
         self.max_task_attempts = max_task_attempts
         self._nodes: Dict[str, NodeManager] = {}
         #: Registration index per node name, fixing the wake order.
@@ -296,27 +287,10 @@ class ResourceManager:
         task = self._bucket_min(self._disk_buckets.get(node_name), node_name)
         if task is not None:
             return task
-        # Pass 3: FIFO, optionally gated by delay scheduling.
-        locality_wait = self.locality_wait
-        if locality_wait <= 0:
-            for task in self._pending:
-                if node_name not in task.excluded_nodes:
-                    return task
-            return None
-        now = self.env.now
-        index = self._locality_index
+        # Pass 3: FIFO.
         for task in self._pending:
-            if node_name in task.excluded_nodes:
-                continue
-            block_id = task.input_block_id
-            has_locality = bool(task.disk_nodes) or (
-                block_id is not None and bool(index.nodes(block_id))
-            )
-            submitted = task.submitted_at
-            waited = 0.0 if submitted is None else now - submitted
-            if has_locality and waited < locality_wait:
-                continue
-            return task
+            if node_name not in task.excluded_nodes:
+                return task
         return None
 
     def _bucket_min(

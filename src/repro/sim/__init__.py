@@ -17,9 +17,6 @@ A small, self-contained, generator-based DES in the style of SimPy:
 
 from .engine import Environment, StopSimulation
 from .events import (
-    AllOf,
-    Condition,
-    ConditionValue,
     Event,
     Interrupt,
     SimulationError,
@@ -31,9 +28,6 @@ from .rand import RandomSource, derive_seed
 from .resources import PriorityStore
 
 __all__ = [
-    "AllOf",
-    "Condition",
-    "ConditionValue",
     "Environment",
     "Event",
     "Interrupt",

@@ -10,7 +10,6 @@ from .events import (
     NORMAL,
     NORMAL_KEY,
     PRIORITY_SHIFT,
-    AllOf,
     Event,
     PooledTimeout,
     SimulationError,
@@ -134,10 +133,6 @@ class Environment:
     ) -> Process:
         """Start a new process running ``generator``."""
         return Process(self, generator, name=name)
-
-    def all_of(self, events) -> AllOf:
-        """Event that triggers when all of ``events`` have triggered."""
-        return AllOf(self, events)
 
     # -- scheduling ---------------------------------------------------------
 

@@ -179,10 +179,10 @@ class PooledTimeout(Timeout):
     Created via ``Environment.pooled_timeout``; the dispatch loop returns
     the object to the pool immediately after running its callbacks, so a
     pooled timeout must be **fire-and-forget**: no caller may retain the
-    reference past processing (e.g. inside a :class:`Condition`) — it
-    would alias a future, recycled wakeup.  Periodic kernel-internal
-    wakeups (device reschedules, heartbeat grid sleeps, replay drivers)
-    use this to avoid one allocation per event.
+    reference past processing — it would alias a future, recycled
+    wakeup.  Periodic kernel-internal wakeups (device reschedules,
+    heartbeat grid sleeps, replay drivers) use this to avoid one
+    allocation per event.
 
     ``cancel()`` retracts a speculative wakeup: the dispatch loop skips
     the callbacks entirely and recycles the object without re-entering
@@ -216,16 +216,14 @@ class PooledTimeout(Timeout):
 
 
 def join_all(env: "Environment", events: Iterable[Event]) -> Event:
-    """Event that fires once every child has fired (lightweight ``AllOf``).
+    """Event that fires once every child has fired: the kernel's one join.
 
-    The hot fan-in points of the stack — remote block reads, shuffle
-    fetches, write replication — join events purely for synchronization
-    and never look at the result value.  The generic :class:`Condition`
-    machinery allocates a :class:`ConditionValue` and runs bookkeeping
-    per child that such callers pay for without using; this helper keeps
-    only the countdown.  Failure semantics match ``AllOf``: the first
-    failed child fails the join immediately.  The join's value is
-    ``None``, so use :class:`AllOf` when child values matter.
+    Every fan-in point of the stack — remote block reads, shuffle
+    fetches, write replication, a workload waiting for its jobs — joins
+    events purely for synchronization and never looks at the result
+    value, so the join is a bare countdown with value ``None``.  The
+    first failed child fails the join immediately; an empty input fires
+    at once.
     """
     join = _Join(env)
     arm = join._arm
@@ -233,8 +231,7 @@ def join_all(env: "Environment", events: Iterable[Event]) -> Event:
     for event in events:
         callbacks = event.callbacks
         if callbacks is None:
-            # Already processed: count it down up front (mirrors the
-            # immediate _check AllOf performs for processed children).
+            # Already processed: count it down up front.
             if not event._ok:
                 join.fail(event._value)
                 return join
@@ -315,115 +312,3 @@ class _ArrivalChain:
     def arrive(self, event: Event) -> None:
         self.queue_next()
         self.on_arrival(event._value)
-
-
-class ConditionValue:
-    """Mapping-like result of a condition event.
-
-    Maps each triggered child event to its value, preserving insertion
-    order so ``AllOf`` results read in the order events were passed.
-    """
-
-    def __init__(self) -> None:
-        self.events: list = []
-
-    def __getitem__(self, key: Event) -> Any:
-        if key not in self.events:
-            raise KeyError(repr(key))
-        return key._value
-
-    def __contains__(self, key: Event) -> bool:
-        return key in self.events
-
-    def __iter__(self):
-        return iter(self.events)
-
-    def __len__(self) -> int:
-        return len(self.events)
-
-    def keys(self):
-        return iter(self.events)
-
-    def values(self):
-        return (event._value for event in self.events)
-
-    def items(self):
-        return ((event, event._value) for event in self.events)
-
-    def todict(self) -> dict:
-        return {event: event._value for event in self.events}
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, ConditionValue):
-            return self.todict() == other.todict()
-        if isinstance(other, dict):
-            return self.todict() == other
-        return NotImplemented
-
-    def __repr__(self) -> str:
-        return f"<ConditionValue {self.todict()!r}>"
-
-
-class Condition(Event):
-    """Waits for a combination of events (see :class:`AllOf`).
-
-    ``evaluate`` receives the list of child events and the count of
-    triggered children and returns ``True`` once the condition holds.
-    """
-
-    __slots__ = ("_evaluate", "_events", "_count")
-
-    def __init__(
-        self,
-        env: "Environment",
-        evaluate: Callable[[list, int], bool],
-        events: Iterable[Event],
-    ):
-        super().__init__(env)
-        self._evaluate = evaluate
-        self._events = list(events)
-        self._count = 0
-
-        for event in self._events:
-            if event.env is not env:
-                raise ValueError("all events must share one environment")
-
-        if not self._events:
-            self.succeed(ConditionValue())
-            return
-
-        for event in self._events:
-            if event._processed:
-                self._check(event)
-            else:
-                event.callbacks.append(self._check)
-
-    def _collect_values(self) -> ConditionValue:
-        value = ConditionValue()
-        for event in self._events:
-            # Only include children whose callbacks have already run;
-            # a pending Timeout is "triggered" from birth but has not
-            # actually happened yet.
-            if event._processed and event._ok:
-                value.events.append(event)
-        return value
-
-    def _check(self, event: Event) -> None:
-        if self._triggered:
-            return
-        self._count += 1
-        if not event._ok:
-            self.fail(event._value)
-        elif self._evaluate(self._events, self._count):
-            self.succeed(self._collect_values())
-
-    @staticmethod
-    def all_events(events: list, count: int) -> bool:
-        return len(events) == count
-
-
-class AllOf(Condition):
-    """Triggers once every child event has triggered."""
-
-    def __init__(self, env: "Environment", events: Iterable[Event]):
-        super().__init__(env, Condition.all_events, events)

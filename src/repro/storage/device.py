@@ -10,12 +10,11 @@ sequential migration stream moves bytes more efficiently than a busy
 mapper wave (paper Section III-A1, Figure 1, and the Ignem+10s result in
 Section IV-F).
 
-Sharing is max-min fair: each transfer may carry a ``rate_cap`` (e.g. the
-mmap/mlock page-in path of Ignem's slaves is self-limited well below raw
-disk bandwidth); capped streams take at most their cap and the slack is
-redistributed to the unconstrained streams.  Whenever the active set
-changes, progress is settled at the old rates and the next completion is
-rescheduled.
+Sharing is fair: the streams split the aggregate budget, and a device
+may carry one per-stream ceiling (``default_rate_cap``: DRAM is a huge
+aggregate whose individual streams still run at memcpy speed) that
+every stream on it shares.  Whenever the active set changes, progress
+is settled at the old rates and the next completion is rescheduled.
 
 A transfer is one object: the :class:`Transfer` record *is* the event
 its waiters yield, and the device wakeup that finishes it processes it
@@ -60,19 +59,12 @@ class Transfer(Event):
         "nbytes",
         "remaining",
         "tag",
-        "rate_cap",
         "rate",
         "submitted_at",
         "started_at",
     )
 
-    def __init__(
-        self,
-        env: Environment,
-        nbytes: float,
-        tag: Any = None,
-        rate_cap: Optional[float] = None,
-    ):
+    def __init__(self, env: Environment, nbytes: float, tag: Any = None):
         # Inlined Event.__init__: one of these is built per device leg.
         self.env = env
         self.callbacks = []
@@ -83,7 +75,6 @@ class Transfer(Event):
         self.nbytes = float(nbytes)
         self.remaining = float(nbytes)
         self.tag = tag
-        self.rate_cap = rate_cap
         #: Current allocated rate (bytes/s); set by the device.
         self.rate = 0.0
         self.submitted_at: float = env.now
@@ -120,8 +111,8 @@ def seek_thrash_penalty(alpha: float) -> Callable[[int], float]:
 
 
 class TransferDevice:
-    """A storage device serving concurrent transfers by max-min fair
-    processor sharing.
+    """A storage device serving concurrent transfers by fair processor
+    sharing.
 
     Parameters
     ----------
@@ -138,9 +129,9 @@ class TransferDevice:
         Aggregate-efficiency curve ``f(n) -> (0, 1]``; the device moves
         at most ``bandwidth * f(n)`` bytes/second across ``n`` streams.
     default_rate_cap:
-        Per-stream ceiling applied to transfers that do not specify their
-        own ``rate_cap``.  Lets DRAM be modeled as a huge aggregate whose
-        individual streams still run at memcpy speed.
+        Per-stream ceiling shared by every transfer on the device.  Lets
+        DRAM be modeled as a huge aggregate whose individual streams
+        still run at memcpy speed.
     """
 
     def __init__(
@@ -201,19 +192,13 @@ class TransferDevice:
         # grants without a reshare.
         self._solo_budget = self._bandwidth * self.penalty(1)
 
-    def transfer(
-        self,
-        nbytes: float,
-        tag: Any = None,
-        rate_cap: Optional[float] = None,
-    ) -> Transfer:
+    def transfer(self, nbytes: float, tag: Any = None) -> Transfer:
         """Start moving ``nbytes``; returns the :class:`Transfer`, which is
         the event that fires when the bytes have moved.
 
-        ``rate_cap`` bounds this transfer's share (bytes/s) — the slack is
-        redistributed to unconstrained streams.  The event's value is
-        ``None``; the ``on_complete`` hook receives the record.  Zero-byte
-        transfers complete after just the device latency.
+        The event's value is ``None``; the ``on_complete`` hook receives
+        the record.  Zero-byte transfers complete after just the device
+        latency.
 
         The latency wait is a pooled wakeup carrying the record, so a
         transfer allocates nothing but itself.  The record refers to
@@ -223,11 +208,7 @@ class TransferDevice:
         """
         if nbytes < 0:
             raise ValueError(f"nbytes must be non-negative, got {nbytes}")
-        if rate_cap is not None and rate_cap <= 0:
-            raise ValueError(f"rate_cap must be positive, got {rate_cap}")
-        record = Transfer(
-            self.env, nbytes, tag, rate_cap or self.default_rate_cap
-        )
+        record = Transfer(self.env, nbytes, tag)
         if self.latency > 0:
             wakeup = self.env.pooled_timeout(self.latency, record)
             wakeup.callbacks.append(self._arrive)
@@ -301,29 +282,6 @@ class TransferDevice:
         self._settle()
         return self._bytes_moved
 
-    def current_rate(self) -> float:
-        """Bytes/second of the slowest active stream (0 when idle)."""
-        if not self._active:
-            return 0.0
-        granted = self._recompute_rates()
-        return min(record.rate for record in granted)
-
-    def aggregate_rate(self) -> float:
-        """Total bytes/second across all active streams right now."""
-        if not self._active:
-            return 0.0
-        return sum(record.rate for record in self._recompute_rates())
-
-    def estimate_time(self, nbytes: float, extra_streams: int = 0) -> float:
-        """Rough time to move ``nbytes`` at the current concurrency level.
-
-        A planning helper, not a guarantee: assumes the active set stays
-        as it is plus ``extra_streams`` additional streams.
-        """
-        streams = len(self._active) + max(1, extra_streams)
-        rate = self._bandwidth * self.penalty(streams) / streams
-        return self.latency + nbytes / rate
-
     # -- internals -------------------------------------------------------------
 
     def _arrive(self, event: PooledTimeout) -> None:
@@ -351,11 +309,11 @@ class TransferDevice:
         active.append(record)
         if idle:
             # The one-stream reshare: the lone stream takes the solo
-            # budget clipped by its cap (``_recompute_rates``' one-stream
+            # budget clipped by the cap (``_recompute_rates``' one-stream
             # branch), it is the next finisher, and an idle device has no
             # wakeup to retract.  ``remaining / rate`` is positive, so it
             # needs no clamp.
-            cap = record.rate_cap
+            cap = self.default_rate_cap
             budget = self._solo_budget
             rate = budget if cap is None else min(cap, budget)
             record.rate = rate
@@ -366,69 +324,31 @@ class TransferDevice:
         else:
             self._reschedule()
 
-    def _recompute_rates(self) -> List[Transfer]:
-        """Set max-min fair rates on the active set (water-filling).
+    def _recompute_rates(self) -> None:
+        """Set fair rates on the active set, writing each record's
+        ``rate`` in place.
 
-        Writes each record's ``rate`` in place and returns the records in
-        grant order.  Grants ascend by cap so slack from tightly-capped
-        streams flows to the unconstrained ones.  When no stream is capped
-        the sort is skipped: a stable sort on all-equal keys is the
-        original order, so the arithmetic sequence is unchanged.
+        Shares are granted in ``active`` order from a running budget, so
+        slack under the cap (when the cap binds) flows to the later
+        streams.
         """
         active = self._active
+        cap = self.default_rate_cap
         streams = len(active)
         if streams == 1:
-            # Lone stream: the whole budget, clipped by its cap.  Matches
+            # Lone stream: the whole budget, clipped by the cap.  Matches
             # the general path bit for bit (``budget / 1`` is exact).
-            record = active[0]
-            cap = record.rate_cap
             budget = self._solo_budget
-            record.rate = budget if cap is None else min(cap, budget)
-            return active
+            active[0].rate = budget if cap is None else min(cap, budget)
+            return
         budget = self._bandwidth * self.penalty(streams)
-        # Classify the cap layout in one pass; the full sort is needed
-        # only for >=2 capped streams out of grant order.  Every fast
-        # path reproduces the stable-sort order exactly: an ascending
-        # key sequence is already sorted, and with one capped stream the
-        # sorted order is that stream first, the rest in list order.
-        inf = float("inf")
-        capped_count = 0
-        first_capped = None
-        ascending = True
-        prev_key = -1.0
-        for record in active:
-            cap = record.rate_cap
-            if cap is None:
-                key = inf
-            else:
-                key = cap
-                capped_count += 1
-                if first_capped is None:
-                    first_capped = record
-            if key < prev_key:
-                ascending = False
-            prev_key = key
-        if ascending or capped_count == 0:
-            pending = active
-        elif capped_count == 1:
-            pending = [first_capped]
-            for record in active:
-                if record is not first_capped:
-                    pending.append(record)
-        else:
-            pending = sorted(
-                active,
-                key=lambda t: t.rate_cap if t.rate_cap is not None else inf,
-            )
         count = streams
-        for record in pending:
+        for record in active:
             fair = budget / count
-            cap = record.rate_cap
             rate = fair if cap is None else min(cap, fair)
             record.rate = rate
             budget -= rate
             count -= 1
-        return pending
 
     def _settle(self) -> None:
         """Account progress for all active transfers up to ``env.now``
@@ -472,7 +392,7 @@ class TransferDevice:
                     best = finish
                     projected = record
         if projected is None:
-            return  # everything is stalled (all caps zero — impossible)
+            return  # everything is stalled (a zero cap — impossible)
         # Remember who this wakeup is for.  Every change to the active set
         # or the rates retracts the pending wakeup, so one that fires
         # finds them unchanged: the projected transfer has truly finished

@@ -411,20 +411,16 @@ class AsyncioTransport(Transport):
     async def request(self, endpoint: str, message):
         envelope, blobs = await self._roundtrip(endpoint, message, rsvp=True)
         if envelope.get("kind") is None:
-            reply = None
-        else:
-            try:
-                reply = decode_obj(envelope, blobs)
-            except CodecError as exc:
-                raise NetworkError(
-                    f"malformed reply from {endpoint!r}: {exc}"
-                ) from exc
-        self._note(endpoint, message, reply)
-        return reply
+            return None
+        try:
+            return decode_obj(envelope, blobs)
+        except CodecError as exc:
+            raise NetworkError(
+                f"malformed reply from {endpoint!r}: {exc}"
+            ) from exc
 
     async def send(self, endpoint: str, message) -> None:
         await self._roundtrip(endpoint, message, rsvp=False)
-        self._note(endpoint, message)
 
     async def _roundtrip(self, endpoint: str, message, rsvp: bool):
         peer = await self._peer(endpoint)

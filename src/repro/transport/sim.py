@@ -28,12 +28,7 @@ class SimTransport(Transport):
     """Synchronous in-process transport (the default backend)."""
 
     def request(self, endpoint: str, message):
-        handler = self._handler(endpoint)
-        reply = handler(message)
-        self._note(endpoint, message, reply)
-        return reply
+        return self._handler(endpoint)(message)
 
     def send(self, endpoint: str, message) -> None:
-        handler = self._handler(endpoint)
-        handler(message)
-        self._note(endpoint, message)
+        self._handler(endpoint)(message)

@@ -62,6 +62,13 @@ def object_path(index: int) -> str:
     return f"/serve/obj-{index:04d}"
 
 
+#: Seconds one flash crowd lasts.
+FLASH_CROWD_DURATION = 20.0
+#: Probability a request inside a flash window redirects to the crowd's
+#: object.
+FLASH_CROWD_BOOST = 0.35
+
+
 @dataclass(frozen=True)
 class ServeConfig:
     """Shape of one serving run (defaults: the paper-testbed cluster
@@ -85,11 +92,8 @@ class ServeConfig:
     #: Diurnal load curve: rate(t) = base * (1 + A * sin(2*pi*t/period)).
     diurnal_amplitude: float = 0.5
     diurnal_period: float = 240.0
+    #: Flash crowds, each :data:`FLASH_CROWD_DURATION` seconds long.
     flash_crowds: int = 1
-    flash_crowd_duration: float = 20.0
-    #: Probability a request inside a flash window redirects to the
-    #: crowd's object.
-    flash_crowd_boost: float = 0.35
     policy: str = "heat"
     #: Objects the oracle hint pins (``policy="hint"``).
     hint_objects: int = 8
@@ -122,10 +126,6 @@ class ServeConfig:
             raise ValueError("diurnal_period must be positive")
         if self.flash_crowds < 0:
             raise ValueError("flash_crowds must be >= 0")
-        if self.flash_crowd_duration <= 0:
-            raise ValueError("flash_crowd_duration must be positive")
-        if not 0 <= self.flash_crowd_boost <= 1:
-            raise ValueError("flash_crowd_boost must be in [0, 1]")
         if self.policy not in ("none", "hint", "heat"):
             raise ValueError(
                 f"policy must be 'none', 'hint', or 'heat', got {self.policy!r}"
@@ -231,7 +231,7 @@ def generate_requests(
         low = config.num_objects // 4
         high = max(low, (3 * config.num_objects) // 4)
         windows.append(
-            (start, start + config.flash_crowd_duration, rng.randint(low, high))
+            (start, start + FLASH_CROWD_DURATION, rng.randint(low, high))
         )
 
     requests: List[ServeRequest] = []
@@ -250,7 +250,7 @@ def generate_requests(
         obj = permutations[tenant_index][rank]
         flash = False
         for start, end, flash_obj in windows:
-            if start <= t < end and rng.uniform(0.0, 1.0) < config.flash_crowd_boost:
+            if start <= t < end and rng.uniform(0.0, 1.0) < FLASH_CROWD_BOOST:
                 obj = flash_obj
                 flash = True
                 break

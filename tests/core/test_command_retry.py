@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.config import COMMAND_BACKOFF, COMMAND_BACKOFF_FACTOR, COMMAND_TIMEOUT
 from repro.storage import MB
 from tests.fixtures import make_ignem_cluster
 
@@ -46,11 +47,7 @@ class TestRetry:
         )
 
     def test_retry_backoff_is_paid(self):
-        cluster = make_cluster(
-            command_timeout=0.5,
-            command_backoff=0.25,
-            command_backoff_factor=2.0,
-        )
+        cluster = make_cluster()
         master = cluster.ignem_master
         master.rpc_fault = DropFirst(2)
         cluster.rm.register_job("j1")
@@ -70,10 +67,14 @@ class TestRetry:
         master.request_migration(["/f"], "j1")
         cluster.run()
 
-        # Two lost sends: latency + (timeout + 0.25) + (timeout + 0.5)
-        # before the third attempt's latency delivers.
+        # Two lost sends: latency + (timeout + backoff) + (timeout +
+        # backoff * factor) before the third attempt's latency delivers.
         assert delivered
-        assert delivered[0] == pytest.approx(3 * 0.002 + 0.75 + 1.0)
+        assert delivered[0] == pytest.approx(
+            3 * 0.002
+            + (COMMAND_TIMEOUT + COMMAND_BACKOFF)
+            + (COMMAND_TIMEOUT + COMMAND_BACKOFF * COMMAND_BACKOFF_FACTOR)
+        )
         assert master.metrics.value("ignem.master.command_retries") == 2
 
 

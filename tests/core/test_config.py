@@ -1,16 +1,105 @@
-"""Every ``IgnemConfig`` validation check rejects its bad value."""
+"""The config dataclasses: their field names are pinned, and every
+validation check rejects its bad value.
 
+A knob that only a test sets is a module constant, not a field; pinning
+the names here makes any new field a visible diff.
+"""
+
+import dataclasses
 import re
 
 import pytest
 
-from repro.core import IgnemConfig
+from repro import ClusterConfig
+from repro.core import HeatConfig, IgnemConfig
+from repro.mapreduce import EngineConfig
+from repro.obs import ObservabilityConfig
 from repro.storage import GB
+from repro.workloads.scale import ScaleConfig
+from repro.workloads.serve import ServeConfig
 
-#: One case per ``__post_init__`` check: (overrides, error message).
+#: Every field of the seven config dataclasses, in declaration order.
+FIELDS = {
+    IgnemConfig: (
+        "buffer_capacity",
+        "rpc_latency",
+        "policy",
+        "migration_concurrency",
+        "do_not_harm",
+        "reverse_within_job",
+        "replicas_to_migrate",
+        "busy_threshold",
+        "migration_tier",
+        "tier_buffer_capacities",
+    ),
+    HeatConfig: ("half_life", "tick_interval", "tenant_tick_bytes"),
+    EngineConfig: (
+        "task_startup_overhead",
+        "job_submit_overhead",
+        "job_commit_overhead",
+        "output_replication",
+        "speculative_execution",
+        "speculative_slowdown",
+    ),
+    ClusterConfig: (
+        "num_nodes",
+        "slots_per_node",
+        "disk_capacity",
+        "ram_capacity",
+        "tier_preset",
+        "heartbeat_interval",
+        "block_size",
+        "replication",
+        "network_bandwidth",
+        "seed",
+        "engine",
+        "observability",
+    ),
+    ServeConfig: (
+        "num_nodes",
+        "num_objects",
+        "object_bytes",
+        "replication",
+        "num_requests",
+        "base_rps",
+        "zipf_s",
+        "num_tenants",
+        "diurnal_amplitude",
+        "diurnal_period",
+        "flash_crowds",
+        "policy",
+        "hint_objects",
+        "buffer_capacity",
+        "batch_jobs",
+        "seed",
+        "heat",
+    ),
+    ObservabilityConfig: ("enabled", "categories", "trace_path", "metrics_path"),
+    ScaleConfig: (
+        "num_nodes",
+        "num_jobs",
+        "seed",
+        "mean_interarrival",
+        "max_blocks_per_job",
+        "ignem",
+    ),
+}
+
+
+@pytest.mark.parametrize("config", FIELDS, ids=lambda config: config.__name__)
+def test_config_fields_are_pinned(config):
+    names = tuple(field.name for field in dataclasses.fields(config))
+    assert names == FIELDS[config]
+
+
+def test_config_field_total():
+    assert sum(len(names) for names in FIELDS.values()) == 58
+
+
+#: One case per ``IgnemConfig.__post_init__`` check: (overrides, error
+#: message).
 INVALID = [
     (dict(buffer_capacity=0), "buffer_capacity must be positive"),
-    (dict(cleanup_threshold=0), "cleanup_threshold must be in (0, 1]"),
     (dict(rpc_latency=-0.001), "rpc_latency must be non-negative"),
     (dict(policy="lifo"), "unknown policy 'lifo'"),
     (dict(migration_tier=""), "migration_tier must be non-empty"),
@@ -37,15 +126,6 @@ INVALID = [
     (dict(migration_concurrency=0), "migration_concurrency must be >= 1"),
     (dict(replicas_to_migrate=0), "replicas_to_migrate must be >= 1"),
     (dict(busy_threshold=0), "busy_threshold must be >= 1 or None"),
-    (dict(busy_poll_interval=0), "busy_poll_interval must be positive"),
-    (
-        dict(migration_read_rate=0),
-        "migration_read_rate must be positive or None",
-    ),
-    (dict(command_timeout=0), "command_timeout must be positive"),
-    (dict(command_max_retries=-1), "command_max_retries must be >= 0"),
-    (dict(command_backoff=-0.1), "command_backoff must be non-negative"),
-    (dict(command_backoff_factor=0.5), "command_backoff_factor must be >= 1"),
 ]
 
 
@@ -60,11 +140,49 @@ def test_invalid_field_is_rejected(overrides, message):
 def test_defaults_and_boundaries_are_accepted():
     IgnemConfig()
     IgnemConfig(
-        cleanup_threshold=1.0,
         rpc_latency=0.0,
-        command_max_retries=0,
-        command_backoff=0.0,
-        command_backoff_factor=1.0,
         busy_threshold=1,
         tier_buffer_capacities=(("mem", GB), ("ssd", 2 * GB)),
     )
+
+
+#: One case per validated field of the other config dataclasses
+#: (``ObservabilityConfig`` and ``ScaleConfig`` validate nothing).
+OTHER_INVALID = [
+    (HeatConfig, dict(half_life=0.0), "half_life must be positive"),
+    (HeatConfig, dict(tick_interval=0.0), "tick_interval must be positive"),
+    (HeatConfig, dict(tenant_tick_bytes=0.0), "tenant_tick_bytes must be positive"),
+    (EngineConfig, dict(task_startup_overhead=-1.0), "overheads must be non-negative"),
+    (EngineConfig, dict(job_submit_overhead=-1.0), "overheads must be non-negative"),
+    (EngineConfig, dict(job_commit_overhead=-1.0), "overheads must be non-negative"),
+    (EngineConfig, dict(output_replication=0), "output replication must be >= 1"),
+    (EngineConfig, dict(speculative_slowdown=1.0), "speculative_slowdown must be > 1"),
+    (ClusterConfig, dict(num_nodes=0), "num_nodes must be >= 1"),
+    (ClusterConfig, dict(tier_preset="tape"), "unknown tier_preset 'tape'"),
+    (ServeConfig, dict(num_nodes=0), "num_nodes must be >= 1"),
+    (ServeConfig, dict(num_objects=0), "num_objects must be >= 1"),
+    (ServeConfig, dict(object_bytes=0.0), "object_bytes must be positive"),
+    (ServeConfig, dict(num_requests=0), "num_requests must be >= 1"),
+    (ServeConfig, dict(base_rps=0.0), "base_rps must be positive"),
+    (ServeConfig, dict(zipf_s=0.0), "zipf_s must be positive"),
+    (ServeConfig, dict(num_tenants=0), "num_tenants must be >= 1"),
+    (ServeConfig, dict(diurnal_amplitude=1.5), "diurnal_amplitude must be in [0, 1]"),
+    (ServeConfig, dict(diurnal_period=0.0), "diurnal_period must be positive"),
+    (ServeConfig, dict(flash_crowds=-1), "flash_crowds must be >= 0"),
+    (ServeConfig, dict(policy="oracle"), "policy must be 'none', 'hint', or 'heat'"),
+    (ServeConfig, dict(hint_objects=0), "hint_objects must be >= 1"),
+    (ServeConfig, dict(batch_jobs=-1), "batch_jobs must be >= 0"),
+]
+
+
+@pytest.mark.parametrize(
+    "config, overrides, message",
+    OTHER_INVALID,
+    ids=[
+        f"{config.__name__}.{next(iter(overrides))}"
+        for config, overrides, _ in OTHER_INVALID
+    ],
+)
+def test_other_invalid_field_is_rejected(config, overrides, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
+        config(**overrides)

@@ -206,5 +206,3 @@ class TestBusyThrottle:
     def test_validation(self):
         with pytest.raises(ValueError):
             IgnemConfig(busy_threshold=0)
-        with pytest.raises(ValueError):
-            IgnemConfig(busy_poll_interval=0)

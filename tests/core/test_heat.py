@@ -3,6 +3,8 @@
 import pytest
 
 from repro.core.heat import (
+    MAX_TRACKED,
+    OWNER,
     HeatConfig,
     HeatEstimator,
     PromotionCandidate,
@@ -29,15 +31,10 @@ class TestHeatConfig:
         [
             {"half_life": 0.0},
             {"tick_interval": -1.0},
-            {"promote_threshold": 0.0},
-            {"demote_threshold": 5.0},  # >= promote_threshold
-            {"demote_threshold": -0.1},
             {"tenant_tick_bytes": 0.0},
-            {"max_outstanding_bytes": 0.0},
-            {"overload": "panic"},
-            {"request_ttl_ticks": 0},
-            {"owner": ""},
-            {"max_tracked": 0},
+            {"half_life": -1.0},
+            {"tick_interval": 0.0},
+            {"tenant_tick_bytes": -1.0},
         ],
     )
     def test_rejects_bad_knobs(self, kwargs):
@@ -108,15 +105,18 @@ class TestHeatEstimator:
         assert HeatEstimator().heats(0.0) == {}
 
     def test_max_tracked_drops_coldest(self):
-        estimator = HeatEstimator(half_life=1000.0, max_tracked=10)
-        for index in range(10):
-            for _ in range(index + 1):  # block i gets i+1 reads
-                estimator.record(_block(index), "a", now=0.0)
-        estimator.record(_block(10), "a", now=0.0)  # 11th block: overflow
-        assert estimator.tracked() == 10
-        # The single-read coldest block was evicted, the hottest kept.
+        estimator = HeatEstimator(half_life=1000.0)
+        # Blocks 0..MAX_TRACKED-1 get one read each, block 1 a second.
+        for index in range(MAX_TRACKED):
+            estimator.record(_block(index), "a", now=0.0)
+        estimator.record(_block(1), "a", now=0.0)
+        assert estimator.tracked() == MAX_TRACKED
+        estimator.record(_block(MAX_TRACKED), "a", now=0.0)  # overflow
+        # The coldest tenth went (single-read ties fall by block id); the
+        # twice-read block stayed.
+        assert estimator.tracked() == MAX_TRACKED - MAX_TRACKED // 10 + 1
         assert estimator.heat(_block(0).block_id, 0.0) == 0.0
-        assert estimator.heat(_block(9).block_id, 0.0) > 9.0
+        assert estimator.heat(_block(1).block_id, 0.0) == 2.0
 
     def test_forget_clears_all_state(self):
         estimator = HeatEstimator()
@@ -231,7 +231,7 @@ class TestPopularityMigrator:
             slave.cleanup_dead_jobs(force=True)
             assert slave.migrated_bytes == pytest.approx(0.0)
             assert not slave.referenced_blocks()
-        assert not cluster.rm.job_active(migrator.config.owner)
+        assert not cluster.rm.job_active(OWNER)
 
     def test_no_reads_means_no_ticks_and_clean_termination(self):
         cluster, _migrator = self._cluster()

@@ -82,7 +82,7 @@ class TestSweepUnderPressure:
         cluster.run()
         cluster.rm.unregister_job("j1")
 
-        # Occupancy is far below cleanup_threshold: the gated sweep
+        # Occupancy is far below CLEANUP_THRESHOLD: the gated sweep
         # stays parked, but force=True (the post-run invariant sweep)
         # collects the leak anyway.
         slave.cleanup_dead_jobs()

@@ -34,11 +34,10 @@ class TestMigrationBasics:
     def test_one_block_at_a_time(self):
         """With a 10-block file assigned to one slave, migrations are
         serialized: total time ~= sum of sequential block reads at the
-        mmap/mlock-limited migration rate."""
+        disk's full sequential bandwidth."""
         cluster = make_cluster(num_nodes=1, replication=1)
         cluster.client.create_file("/f", 640 * MB)
-        config = cluster.ignem_slaves["node0"].config
-        rate = config.migration_read_rate or cluster.datanodes["node0"].disk.bandwidth
+        rate = cluster.datanodes["node0"].disk.bandwidth
         start = cluster.env.now
         migrate_and_run(cluster, ["/f"], "j1")
         elapsed = cluster.env.now - start
@@ -252,9 +251,9 @@ class TestDoNotHarm:
 
 class TestLivenessCleanup:
     def test_dead_job_refs_purged_under_pressure(self):
-        config = IgnemConfig(
-            buffer_capacity=128 * MB, cleanup_threshold=0.5, rpc_latency=0.0
-        )
+        # /dead fills the whole buffer: occupancy 1.0, past the cleanup
+        # threshold.
+        config = IgnemConfig(buffer_capacity=128 * MB, rpc_latency=0.0)
         cluster = make_cluster(ignem_config=config, num_nodes=1, replication=1)
         cluster.client.create_file("/dead", 128 * MB)
         cluster.client.create_file("/live", 64 * MB)

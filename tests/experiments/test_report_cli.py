@@ -96,23 +96,12 @@ class TestCli:
         with pytest.raises(SystemExit):
             build_parser().parse_args([])
 
-    def test_profile_command_prints_hot_functions(self, capsys):
-        from repro.experiments.swim_runs import clear_cache
-
-        code = main(["profile", "--num-jobs", "5", "--top", "5"])
-        clear_cache()  # drop the 5-job entry so other tests never see it
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "function calls" in out
-        assert "tottime" in out
-
     def test_shared_parent_parser_covers_out_and_seed(self):
         parser = build_parser()
         for argv in (
             ["run", "fig3", "--out", "o", "--seed", "7"],
             ["all", "--out", "o", "--seed", "7"],
             ["trace", "swim-ignem", "--out", "o", "--seed", "7"],
-            ["profile", "--out", "o", "--seed", "7"],
             ["chaos", "--out", "o", "--seed", "7"],
         ):
             args = parser.parse_args(argv)

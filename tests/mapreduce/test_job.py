@@ -32,8 +32,6 @@ class TestJobSpecValidation:
         with pytest.raises(ValueError):
             EngineConfig(task_startup_overhead=-1)
         with pytest.raises(ValueError):
-            EngineConfig(map_cpu_bytes_per_sec=0)
-        with pytest.raises(ValueError):
             EngineConfig(output_replication=0)
 
 

@@ -1,9 +1,10 @@
-"""Tests for speculative execution and delay scheduling."""
+"""Tests for speculative execution."""
 
 import pytest
 
 from repro import JobSpec, build_paper_testbed
 from repro.mapreduce import EngineConfig
+from repro.mapreduce.spec import SPECULATIVE_MAX_FRACTION
 from repro.storage import GB, MB
 
 
@@ -34,10 +35,6 @@ class TestSpeculativeExecution:
     def test_config_validation(self):
         with pytest.raises(ValueError):
             EngineConfig(speculative_slowdown=1.0)
-        with pytest.raises(ValueError):
-            EngineConfig(speculative_min_completed=1.5)
-        with pytest.raises(ValueError):
-            EngineConfig(speculative_poll_interval=0)
 
     def test_no_speculation_without_stragglers(self):
         """A uniform job on pinned inputs has no stragglers to speculate."""
@@ -96,64 +93,22 @@ class TestSpeculativeExecution:
         assert total_shuffle == pytest.approx(160 * MB, rel=1e-6)
 
 
-class TestDelayScheduling:
-    def test_negative_wait_rejected(self):
-        from repro.scheduler import ResourceManager
-        from repro.sim import Environment
-
-        with pytest.raises(ValueError):
-            ResourceManager(Environment(), locality_wait=-1)
-
-    def test_patient_scheduler_achieves_more_locality(self):
-        def local_fraction(locality_wait):
-            cluster = build_paper_testbed(
-                num_nodes=8, replication=1, seed=2, locality_wait=locality_wait
-            )
-            cluster.client.create_file("/in", 2 * GB)
-            job = cluster.engine.submit_job(JobSpec("j", ("/in",)))
-            cluster.run()
-            reads = cluster.collector.block_reads_for_job(job.job_id)
-            tasks = {
-                t.task_id: t.node
-                for t in cluster.collector.tasks_for_job(job.job_id, "map")
-            }
-            local = sum(1 for r in reads if tasks.get(r.task_id) == r.node)
-            return local / len(reads)
-
-        # With replication 1, non-local placement is common when impatient;
-        # waiting must not reduce locality.
-        assert local_fraction(6.0) >= local_fraction(0.0)
-
-    def test_tasks_eventually_run_despite_waiting(self):
-        cluster = build_paper_testbed(
-            num_nodes=4, replication=1, seed=2, locality_wait=2.0
-        )
-        cluster.client.create_file("/in", 512 * MB)
-        job = cluster.engine.submit_job(JobSpec("j", ("/in",)))
-        cluster.run()
-        assert job.finished_at is not None
-        assert len(cluster.collector.tasks_for_job(job.job_id, "map")) == 8
-
-
 class TestSpeculationBudget:
     def test_max_fraction_caps_duplicates(self):
         engine = EngineConfig(
-            speculative_execution=True,
-            speculative_slowdown=1.1,
-            speculative_max_fraction=0.1,
+            speculative_execution=True, speculative_slowdown=1.1
         )
         cluster = build_paper_testbed(
             num_nodes=4, replication=2, seed=11, engine_config=engine
         )
         cluster.client.create_file("/in", 2 * GB, replication=2)
-        slow = cluster.datanodes["node0"].disk
-        slow.bandwidth = slow.bandwidth / 100
+        # Two crippled disks straggle 14 of the 32 maps: more than the
+        # budget allows, so the cap binds.
+        for name in ("node0", "node1"):
+            slow = cluster.datanodes[name].disk
+            slow.bandwidth = slow.bandwidth / 100
         job = cluster.engine.submit_job(JobSpec("j", ("/in",)))
         cluster.run()
-        assert job.speculative_attempts <= max(1, int(0.1 * job.num_maps))
-
-    def test_invalid_fraction_rejected(self):
-        with pytest.raises(ValueError):
-            EngineConfig(speculative_max_fraction=0)
-        with pytest.raises(ValueError):
-            EngineConfig(speculative_max_fraction=1.5)
+        assert job.speculative_attempts == max(
+            1, int(SPECULATIVE_MAX_FRACTION * job.num_maps)
+        )

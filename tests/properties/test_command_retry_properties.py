@@ -4,12 +4,19 @@ One migrate command goes to the only holder of a single-block file.  A
 drawn loss pattern decides, attempt by attempt, whether the send is
 lost.  The command must land (or be abandoned) at exactly the instant
 the retry loop defines: each attempt waits ``rpc_latency``, and a lost
-attempt waits ``command_timeout + command_backoff *
-command_backoff_factor ** attempt`` before the next one.
+attempt waits ``COMMAND_TIMEOUT + COMMAND_BACKOFF *
+COMMAND_BACKOFF_FACTOR ** attempt`` before the next one, and after
+``COMMAND_MAX_RETRIES`` retries the command is abandoned.
 """
 
 from hypothesis import given, settings, strategies as st
 
+from repro.core.config import (
+    COMMAND_BACKOFF,
+    COMMAND_BACKOFF_FACTOR,
+    COMMAND_MAX_RETRIES,
+    COMMAND_TIMEOUT,
+)
 from repro.sim.process import Process
 from repro.storage import MB
 from tests.fixtures import make_ignem_cluster
@@ -59,10 +66,8 @@ class _LossPattern:
 
 @st.composite
 def retry_plans(draw):
-    retries = draw(st.integers(min_value=0, max_value=4))
-    losses = draw(
-        st.lists(st.booleans(), min_size=retries + 1, max_size=retries + 1)
-    )
+    attempts = COMMAND_MAX_RETRIES + 1
+    losses = draw(st.lists(st.booleans(), min_size=attempts, max_size=attempts))
     return {
         "start": draw(st.sampled_from([0.0, 0.1, 3.7])),
         "losses": losses,
@@ -71,10 +76,6 @@ def retry_plans(draw):
             st.sampled_from([0.0, 0.002])
             | st.floats(min_value=1e-4, max_value=0.05)
         ),
-        "timeout": draw(st.floats(min_value=1e-3, max_value=2.0)),
-        "backoff": draw(st.floats(min_value=0.0, max_value=1.0)),
-        "factor": draw(st.floats(min_value=1.0, max_value=4.0)),
-        "retries": retries,
     }
 
 
@@ -85,10 +86,6 @@ def test_retry_machine_matches_the_closed_form(plan):
         num_nodes=2,
         replication=1,
         rpc_latency=plan["latency"],
-        command_timeout=plan["timeout"],
-        command_backoff=plan["backoff"],
-        command_backoff_factor=plan["factor"],
-        command_max_retries=plan["retries"],
     )
     env = cluster.env
     master = cluster.ignem_master
@@ -133,10 +130,10 @@ def test_retry_machine_matches_the_closed_form(plan):
         plan["start"],
         plan["losses"],
         plan["latency"],
-        plan["timeout"],
-        plan["backoff"],
-        plan["factor"],
-        plan["retries"],
+        COMMAND_TIMEOUT,
+        COMMAND_BACKOFF,
+        COMMAND_BACKOFF_FACTOR,
+        COMMAND_MAX_RETRIES,
     )
     assert processes == []
     if plan["latency"] <= 0 and not plan["hooked"]:

@@ -42,9 +42,12 @@ class ReferenceDevice:
     """The device before transfers became their own events: every admit
     and every wakeup takes the general settle/reshare path."""
 
-    def __init__(self, env, name, bandwidth, latency=0.0, penalty=None):
+    def __init__(
+        self, env, name, bandwidth, latency=0.0, penalty=None, default_rate_cap=None
+    ):
         self.env = env
         self.bandwidth = float(bandwidth)
+        self.rate_cap = default_rate_cap
         self.latency = float(latency)
         self.penalty = penalty
         self._active = []
@@ -55,9 +58,9 @@ class ReferenceDevice:
         self._busy_time = 0.0
         self._bytes_moved = 0.0
 
-    def transfer(self, nbytes, rate_cap=None):
+    def transfer(self, nbytes):
         done = Event(self.env)
-        record = ReferenceTransfer(nbytes, done, rate_cap)
+        record = ReferenceTransfer(nbytes, done, self.rate_cap)
         if self.latency > 0:
             delay = self.env.timeout(self.latency)
             delay.callbacks.append(lambda _event, rec=record: self._admit(rec))
@@ -160,8 +163,8 @@ class ReferenceDevice:
             record.done = None
 
 
-def run_plan(device_class, plan, latency, alpha, bandwidth_change):
-    """Replay ``plan`` on a fresh device.
+def run_plan(device_class, plan, latency, alpha, bandwidth_change, cap=None):
+    """Replay ``plan`` on a fresh device whose streams share ``cap``.
 
     Returns the completion log ``[(index, time)]`` in completion order,
     the device integrals, and the number of kernel events dispatched.
@@ -179,20 +182,21 @@ def run_plan(device_class, plan, latency, alpha, bandwidth_change):
         bandwidth=BANDWIDTH,
         latency=latency,
         penalty=seek_thrash_penalty(alpha),
+        default_rate_cap=cap,
     )
     completions = []
 
-    def issuer(env, index, delay, nbytes, cap):
+    def issuer(env, index, delay, nbytes):
         yield env.timeout(delay)
-        yield device.transfer(nbytes, rate_cap=cap)
+        yield device.transfer(nbytes)
         completions.append((index, env.now))
 
     def throttle(env, at, factor):
         yield env.timeout(at)
         device.set_bandwidth(BANDWIDTH * factor)
 
-    for index, (delay, nbytes, cap) in enumerate(plan):
-        env.process(issuer(env, index, delay, nbytes, cap))
+    for index, (delay, nbytes) in enumerate(plan):
+        env.process(issuer(env, index, delay, nbytes))
     if bandwidth_change is not None:
         env.process(throttle(env, *bandwidth_change))
     env.run()
@@ -211,8 +215,10 @@ sizes = st.one_of(
     st.sampled_from([0.0, EPSILON_BYTES / 2, EPSILON_BYTES, 64 * MB]),
     st.floats(min_value=0.1 * MB, max_value=128 * MB),
 )
+#: The device's per-stream cap: absent, or binding anywhere from far
+#: below to above the device bandwidth.
 caps = st.one_of(st.none(), st.floats(min_value=0.5 * MB, max_value=200 * MB))
-plans = st.lists(st.tuples(delays, sizes, caps), min_size=1, max_size=12)
+plans = st.lists(st.tuples(delays, sizes), min_size=1, max_size=12)
 latencies = st.sampled_from([0.0, 0.0001, 0.008, 0.25])
 alphas = st.sampled_from([0.0, 0.1, 0.5, 2.0])
 bandwidth_changes = st.one_of(
@@ -225,24 +231,26 @@ bandwidth_changes = st.one_of(
 
 
 class TestMatchesReference:
-    @given(plans, latencies, alphas, bandwidth_changes)
+    @given(plans, latencies, alphas, bandwidth_changes, caps)
     @settings(max_examples=250, deadline=None)
     # A wakeup-completed transfer (index 10) finishing at the instant of
     # a zero-byte one queued just before the wakeup (index 9): the
     # in-place completion runs first.
     @example(
-        plan=[(0.0, 0.0, None)] * 9
-        + [(1.0, 0.0, None), (0.0, 512 * 1024.0, 512 * 1024.0)],
+        plan=[(0.0, 0.0)] * 9 + [(1.0, 0.0), (0.0, 512 * 1024.0)],
         latency=0.0,
         alpha=0.0,
         bandwidth_change=None,
+        cap=512 * 1024.0,
     )
     def test_trajectories_are_identical(
-        self, plan, latency, alpha, bandwidth_change
+        self, plan, latency, alpha, bandwidth_change, cap
     ):
-        ours = run_plan(TransferDevice, plan, latency, alpha, bandwidth_change)
+        ours = run_plan(
+            TransferDevice, plan, latency, alpha, bandwidth_change, cap
+        )
         reference = run_plan(
-            ReferenceDevice, plan, latency, alpha, bandwidth_change
+            ReferenceDevice, plan, latency, alpha, bandwidth_change, cap
         )
         completions, busy, moved, events = ours
         ref_completions, ref_busy, ref_moved, ref_events = reference
@@ -257,7 +265,7 @@ class TestMatchesReference:
     @settings(max_examples=40, deadline=None)
     def test_back_to_back_lone_streams(self, latency, alpha, count):
         """The common case: each stream lands on an idle device."""
-        plan = [(float(index), 32 * MB, None) for index in range(count)]
+        plan = [(float(index), 32 * MB) for index in range(count)]
         assert run_plan(TransferDevice, plan, latency, alpha, None) == (
             run_plan(ReferenceDevice, plan, latency, alpha, None)
         )

@@ -8,22 +8,25 @@ from repro.storage import MB, TransferDevice, seek_thrash_penalty
 from tests.strategies import transfer_plans
 
 
-def run_plan(plan, bandwidth=100 * MB, alpha=0.0, caps=None):
+def run_plan(plan, bandwidth=100 * MB, alpha=0.0, cap=None):
     env = Environment()
     device = TransferDevice(
-        env, "d", bandwidth=bandwidth, penalty=seek_thrash_penalty(alpha)
+        env,
+        "d",
+        bandwidth=bandwidth,
+        penalty=seek_thrash_penalty(alpha),
+        default_rate_cap=cap,
     )
     completions = {}
 
-    def issuer(env, index, delay, nbytes, cap):
+    def issuer(env, index, delay, nbytes):
         yield env.timeout(delay)
         start = env.now
-        yield device.transfer(nbytes, rate_cap=cap)
+        yield device.transfer(nbytes)
         completions[index] = (start, env.now, nbytes)
 
     for index, (delay, nbytes) in enumerate(plan):
-        cap = caps[index] if caps else None
-        env.process(issuer(env, index, delay, nbytes, cap))
+        env.process(issuer(env, index, delay, nbytes))
     env.run()
     return env, device, completions
 
@@ -69,8 +72,7 @@ class TestTimingBounds:
     @settings(max_examples=40, deadline=None)
     def test_rate_caps_only_slow_things_down(self, plan):
         _, _, uncapped = run_plan(plan)
-        caps = [10 * MB] * len(plan)
-        _, _, capped = run_plan(plan, caps=caps)
+        _, _, capped = run_plan(plan, cap=10 * MB)
         for index in uncapped:
             assert capped[index][1] >= uncapped[index][1] - 1e-6
 

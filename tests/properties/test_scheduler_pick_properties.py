@@ -4,8 +4,7 @@ The RM answers "which pending task runs on this node?" from per-node
 candidate buckets kept in sync with task enqueue/dequeue and with the
 memory-locality index's residency deltas.  Its docstring claims this
 reproduces the pick order of the plain three-pass scan over the FIFO
-queue: memory-local first, then disk-local, then the oldest task (held
-back by delay scheduling while it has locality elsewhere).  Here both
+queue: memory-local first, then disk-local, then the oldest task.  Here both
 run the same generated scenario through real heartbeats, and every
 launch — task, node, time, attempt — must match.
 """
@@ -40,13 +39,7 @@ class ScanResourceManager(ResourceManager):
         for task in queue:
             if node_name in task.disk_nodes:
                 return task
-        now = self.env.now
-        for task in queue:
-            has_locality = bool(task.disk_nodes) or bool(memory_nodes(task))
-            if has_locality and now - task.submitted_at < self.locality_wait:
-                continue
-            return task
-        return None
+        return queue[0] if queue else None
 
 
 def run_scenario(rm_class, scenario):
@@ -54,9 +47,7 @@ def run_scenario(rm_class, scenario):
     task outcomes."""
     env = Environment()
     index = LocalityIndex()
-    rm = rm_class(
-        env, locality_wait=scenario["locality_wait"], locality_index=index
-    )
+    rm = rm_class(env, locality_index=index)
     for position, name in enumerate(scenario["nodes"]):
         rm.register_node(
             NodeManager(

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.sim import Environment, SimulationError
-from repro.sim.events import ConditionValue
 
 
 class TestEventStates:
@@ -39,33 +38,6 @@ class TestEventStates:
         assert "triggered" in repr(event)
         env.run()
         assert "processed" in repr(event)
-
-
-class TestConditionValueSemantics:
-    def test_equality_with_dict(self):
-        env = Environment()
-        a = env.event().succeed(1)
-        env.run()
-        value = ConditionValue()
-        value.events.append(a)
-        assert value == {a: 1}
-        assert value == value
-        assert (value == 42) is False or True  # NotImplemented path
-
-    def test_iteration_order_matches_event_order(self):
-        env = Environment()
-        log = {}
-
-        def proc(env):
-            t1 = env.timeout(2, value="slow")
-            t2 = env.timeout(1, value="fast")
-            results = yield env.all_of([t1, t2])
-            log["order"] = list(results.values())
-
-        env.process(proc(env))
-        env.run()
-        # AllOf preserves the order events were passed, not firing order.
-        assert log["order"] == ["slow", "fast"]
 
 
 class TestProcessReturnedEventChaining:

@@ -1,15 +1,42 @@
-"""Tests for ``join_all``, the value-less countdown ``AllOf``.
+"""Tests for ``join_all``, the kernel's one join.
 
-``join_all`` must be a drop-in for ``AllOf`` wherever the caller only
-synchronizes: it fires at the same instant *and* at the same position in
-the dispatch order, and it fails the way ``AllOf`` fails.
+``join_all`` fires at the same instant *and* at the same position in the
+dispatch order as a general all-of condition would (the reference
+:class:`AllOf` below, which checks every child from its callback), and
+it fails the way that condition fails.
 """
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.sim import Environment, join_all
-from repro.sim.events import AllOf
+from repro.sim import Environment, Event, join_all
+
+
+class AllOf(Event):
+    """Reference all-of condition: a check armed on every child that
+    counts them and succeeds with their values once all have fired."""
+
+    def __init__(self, env, events):
+        super().__init__(env)
+        self._events = list(events)
+        self._count = 0
+        if not self._events:
+            self.succeed({})
+            return
+        for event in self._events:
+            if event.processed:
+                self._check(event)
+            else:
+                event.callbacks.append(self._check)
+
+    def _check(self, event):
+        if self.triggered:
+            return
+        self._count += 1
+        if not event.ok:
+            self.fail(event.value)
+        elif self._count == len(self._events):
+            self.succeed({child: child.value for child in self._events})
 
 
 class Boom(Exception):

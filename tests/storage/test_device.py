@@ -214,28 +214,15 @@ class TestInstrumentation:
         observed = {}
 
         def reader(env):
-            device.transfer(1000 * MB)
-            device.transfer(1000 * MB)
+            streams = [device.transfer(1000 * MB), device.transfer(1000 * MB)]
             yield env.timeout(0.1)
-            observed["per_stream"] = device.current_rate()
-            observed["aggregate"] = device.aggregate_rate()
+            observed["rates"] = [record.rate for record in streams]
 
         env.process(reader(env))
         env.run(until=0.2)
         # n=2, penalty 1/2 -> aggregate 50MB/s, 25MB/s per stream.
-        assert observed["aggregate"] == pytest.approx(50 * MB)
-        assert observed["per_stream"] == pytest.approx(25 * MB)
-
-    def test_idle_rates_are_zero(self):
-        env = Environment()
-        device = TransferDevice(env, "d", bandwidth=100 * MB)
-        assert device.current_rate() == 0.0
-        assert device.aggregate_rate() == 0.0
-
-    def test_estimate_time_includes_latency(self):
-        env = Environment()
-        device = TransferDevice(env, "d", bandwidth=100 * MB, latency=0.5)
-        assert device.estimate_time(100 * MB) == pytest.approx(1.5)
+        assert sum(observed["rates"]) == pytest.approx(50 * MB)
+        assert observed["rates"] == [pytest.approx(25 * MB)] * 2
 
 
 class TestInPlaceCompletion:

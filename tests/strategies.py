@@ -184,7 +184,6 @@ def locality_scenarios(draw):
     return {
         "nodes": nodes,
         "slots": draw(st.integers(min_value=1, max_value=2)),
-        "locality_wait": draw(st.sampled_from((0.0, 0.0, 2.0, 5.0))),
         "tasks": tasks,
         "deltas": deltas,
     }
