@@ -24,7 +24,7 @@ simulation outcomes)::
     from repro import ObservabilityConfig, TraceReader, build_paper_testbed, JobSpec
 
     observability = ObservabilityConfig(
-        enabled=True, trace_path="run.jsonl", metrics_path="metrics.json"
+        trace_path="run.jsonl", metrics_path="metrics.json"
     )
     cluster = build_paper_testbed(ignem=True, observability=observability)
     cluster.client.create_file("/data/logs", 640 * MB)

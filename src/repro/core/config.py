@@ -26,18 +26,22 @@ COMMAND_TIMEOUT = 0.5
 COMMAND_MAX_RETRIES = 3
 COMMAND_BACKOFF = 0.25
 COMMAND_BACKOFF_FACTOR = 2.0
+#: Simulated latency (seconds) of one batched master→slave command
+#: (III-A6 batches commands to amortize this).
+RPC_LATENCY = 0.002
 
 
 @dataclass(frozen=True)
 class IgnemConfig:
     """Tunables for the Ignem master and slaves.
 
+    The command channel's timing (``RPC_LATENCY`` and the ``COMMAND_*``
+    retry schedule) and ``CLEANUP_THRESHOLD`` are module constants.
+
     * ``buffer_capacity`` — per-slave cap on migrated bytes (paper
       Section III-B2: "Ignem limits the amount of migrated data to a
       configurable maximum threshold").  The paper's worst-case analysis
       (II-C2) shows 12.5GB suffices; we default to 16GB headroom.
-    * ``rpc_latency`` — simulated latency of one batched master<->slave or
-      client->master RPC (III-A6 batches commands to amortize this).
     * ``policy`` — migration-queue ordering: ``"smallest-job-first"``
       (the paper's choice, III-A1), ``"fifo"`` (the IV-C5 ablation), or
       ``"benefit-aware"`` (the Section IV-E extension: prioritize jobs
@@ -72,7 +76,6 @@ class IgnemConfig:
     """
 
     buffer_capacity: float = 16 * GB
-    rpc_latency: float = 0.002
     policy: str = "smallest-job-first"
     migration_concurrency: int = 1
     do_not_harm: bool = True
@@ -100,10 +103,8 @@ class IgnemConfig:
         raise ValueError(f"{tier!r} is not a migration destination")
 
     def __post_init__(self) -> None:
-        if self.buffer_capacity <= 0:
+        if not self.buffer_capacity > 0:
             raise ValueError("buffer_capacity must be positive")
-        if self.rpc_latency < 0:
-            raise ValueError("rpc_latency must be non-negative")
         if self.policy not in POLICIES:
             raise ValueError(f"unknown policy {self.policy!r}")
         if not self.migration_tier:
@@ -121,7 +122,7 @@ class IgnemConfig:
             for tier, cap in self.tier_buffer_capacities:
                 if not tier:
                     raise ValueError("tier names must be non-empty")
-                if cap <= 0:
+                if not cap > 0:
                     raise ValueError(f"tier {tier!r}: capacity must be positive")
         if self.migration_concurrency < 1:
             raise ValueError("migration_concurrency must be >= 1")

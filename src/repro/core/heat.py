@@ -86,11 +86,11 @@ class HeatConfig:
     tenant_tick_bytes: float = 512 * MB
 
     def __post_init__(self) -> None:
-        if self.half_life <= 0:
+        if not self.half_life > 0:
             raise ValueError("half_life must be positive")
-        if self.tick_interval <= 0:
+        if not self.tick_interval > 0:
             raise ValueError("tick_interval must be positive")
-        if self.tenant_tick_bytes <= 0:
+        if not self.tenant_tick_bytes > 0:
             raise ValueError("tenant_tick_bytes must be positive")
 
 

@@ -21,6 +21,11 @@ from typing import Dict, Tuple, Type
 from ..storage.device import MB
 from .commands import MigrationWorkItem
 
+#: Input bytes :class:`BenefitAware` expects a job's lead-time to
+#: migrate: a job this size or smaller gets the full speed-up.
+EXPECTED_LEAD_BYTES = 512 * MB
+
+
 class MigrationPolicy:
     """Orders the per-slave migration queue; lower keys migrate first."""
 
@@ -75,29 +80,19 @@ class BenefitAware(MigrationPolicy):
     that the marginal benefit of each migrated byte decays as it becomes
     a smaller fraction of the input.  This policy scores each block by
     the fraction of its job's input that is expected to migrate in time
-    (``expected_lead_bytes / job_input_bytes``, saturated at 1) and
+    (``EXPECTED_LEAD_BYTES / job_input_bytes``, saturated at 1) and
     migrates higher-benefit jobs first.
 
-    With ``expected_lead_bytes`` well below every job size this decays to
-    smallest-job-first; with it very large, to submission-order FIFO.
+    Among jobs larger than :data:`EXPECTED_LEAD_BYTES` this orders like
+    smallest-job-first; among smaller ones, like submission-order FIFO.
     """
 
     name = "benefit-aware"
 
-    def __init__(
-        self,
-        reverse_within_job: bool = True,
-        expected_lead_bytes: float = 512 * MB,
-    ):
-        super().__init__(reverse_within_job)
-        if expected_lead_bytes <= 0:
-            raise ValueError("expected_lead_bytes must be positive")
-        self.expected_lead_bytes = float(expected_lead_bytes)
-
     def benefit(self, item: MigrationWorkItem) -> float:
         if item.job_input_bytes <= 0:
             return 1.0
-        return min(1.0, self.expected_lead_bytes / item.job_input_bytes)
+        return min(1.0, EXPECTED_LEAD_BYTES / item.job_input_bytes)
 
     def priority(self, item: MigrationWorkItem) -> Tuple:
         return (

@@ -181,10 +181,6 @@ class IgnemSlave:
         :attr:`migrated_bytes` up to float noise (accounting invariant)."""
         return sum(self._migrated.values())
 
-    def migrated_tier(self, block_id: str):
-        """The destination tier a migrated block resides in (or None)."""
-        return self._migrated_tier.get(block_id)
-
     @property
     def pending_migrations(self) -> int:
         return sum(len(queue) for queue in self.tier_queues.values())

@@ -88,13 +88,12 @@ class DstRunner:
         self,
         seed: int = 0,
         sabotage: Optional[str] = None,
-        registry: Optional[MetricsRegistry] = None,
         elasticity: bool = False,
         interactive: bool = False,
     ):
         self.seed = seed
         self.sabotage = sabotage
-        self.registry = registry or MetricsRegistry()
+        self.registry = MetricsRegistry()
         #: Generate kill/join/decommission faults in fuzzed scenarios.
         self.elasticity = elasticity
         #: Mix interactive serve traffic (+ heat policy) into fuzzed

@@ -90,7 +90,6 @@ def run_traced(
         trace_path = out_path / f"{experiment}_{mode}.trace.jsonl"
         metrics_path = out_path / f"{experiment}_{mode}.metrics.json"
         config = ObservabilityConfig(
-            enabled=True,
             categories=categories,
             trace_path=str(trace_path),
             metrics_path=str(metrics_path),

@@ -32,12 +32,11 @@ class FaultInjector:
         self,
         cluster: "Cluster",
         schedule: FaultSchedule,
-        rng: Optional[RandomSource] = None,
     ):
         self.cluster = cluster
         self.schedule = schedule
         seed = schedule.seed if schedule.seed is not None else 0
-        self.rng = rng or RandomSource(seed).spawn("fault-injector")
+        self.rng = RandomSource(seed).spawn("fault-injector")
         #: Events actually applied, with their application times.
         self.applied: List[Tuple[float, FaultEvent]] = []
         #: Data-loss violations observed at crash instants (a block with

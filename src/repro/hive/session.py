@@ -27,6 +27,9 @@ TEZ_SESSION_ENGINE = EngineConfig(
     job_submit_overhead=2.0,
     job_commit_overhead=0.5,
 )
+#: Seconds Hive spends compiling a query before its first stage job is
+#: submitted; the compile hook fires at its end.
+COMPILE_TIME = 2.0
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..cluster import Cluster
@@ -68,13 +71,9 @@ class HiveSession:
     def __init__(
         self,
         cluster: "Cluster",
-        compile_time: float = 2.0,
         hook: Optional[CompileHook] = None,
     ):
-        if compile_time < 0:
-            raise ValueError("compile_time must be non-negative")
         self.cluster = cluster
-        self.compile_time = float(compile_time)
         self.hook = hook
         self.results: List[QueryResult] = []
 
@@ -106,7 +105,7 @@ class HiveSession:
         # Compile, then fire the post-compile hook (the Ignem integration
         # point): lead-time starts here, well before the first stage's
         # tasks can possibly run.
-        yield env.timeout(self.compile_time)
+        yield env.timeout(COMPILE_TIME)
         self.cluster.rm.register_job(execution_id)
         if self.hook is not None:
             self.hook(self, query, execution_id, input_paths)

@@ -84,13 +84,13 @@ class EngineConfig:
     speculative_slowdown: float = 1.5
 
     def __post_init__(self) -> None:
-        if (
-            self.task_startup_overhead < 0
-            or self.job_submit_overhead < 0
-            or self.job_commit_overhead < 0
+        if not (
+            self.task_startup_overhead >= 0
+            and self.job_submit_overhead >= 0
+            and self.job_commit_overhead >= 0
         ):
             raise ValueError("overheads must be non-negative")
         if self.output_replication < 1:
             raise ValueError("output replication must be >= 1")
-        if self.speculative_slowdown <= 1.0:
+        if not self.speculative_slowdown > 1.0:
             raise ValueError("speculative_slowdown must be > 1")

@@ -100,11 +100,10 @@ class Observability:
         self,
         env,
         config: Optional[ObservabilityConfig] = None,
-        registry: Optional[MetricsRegistry] = None,
     ):
         self.env = env
         self.config = config or ObservabilityConfig()
-        self.registry = registry or MetricsRegistry()
+        self.registry = MetricsRegistry()
         self.tracer: Optional[Tracer] = None
         self._attached = False
         # Instruments bound lazily at activate()/attach() time.

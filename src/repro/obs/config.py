@@ -12,18 +12,16 @@ from .trace import DEFAULT_CATEGORIES
 class ObservabilityConfig:
     """How (and whether) a cluster run is instrumented.
 
-    Disabled by default: the clean path takes no tracer allocations, no
-    per-event callbacks, and produces bit-identical outputs to a build
-    without the observability layer.  The shared
+    Tracing is on exactly when ``trace_path`` is set.  Off by default:
+    the clean path takes no tracer allocations, no per-event callbacks,
+    and produces bit-identical outputs to a build without the
+    observability layer.  The shared
     :class:`~repro.obs.registry.MetricsRegistry` always exists (counter
     bumps are a few nanoseconds and never touch simulation time), but
     tracing, span callbacks, and snapshot/trace files are all opt-in.
 
     Parameters
     ----------
-    enabled:
-        Master switch for tracing instrumentation (a ``trace_path``
-        switches it on too).
     categories:
         Trace categories to record (see
         :data:`~repro.obs.trace.ALL_CATEGORIES`).  The default set covers
@@ -32,15 +30,13 @@ class ObservabilityConfig:
         scales with raw event-dispatch volume, so it is opt-in and meant
         for debugging the simulator itself.
     trace_path:
-        When set, tracing is on whatever ``enabled`` says, and
-        :meth:`repro.cluster.Cluster.run` writes the JSONL trace here
-        after the run.
+        When set, tracing is on, and :meth:`repro.cluster.Cluster.run`
+        writes the JSONL trace here after the run.
     metrics_path:
         When set, :meth:`repro.cluster.Cluster.run` writes the metrics
         snapshot (JSON) here after the run.
     """
 
-    enabled: bool = False
     categories: FrozenSet[str] = DEFAULT_CATEGORIES
     trace_path: Optional[str] = None
     metrics_path: Optional[str] = None

@@ -10,6 +10,10 @@ from ..sim.engine import Environment
 from .containers import TaskRequest
 from .node_manager import NodeManager
 
+#: Attempts a task gets (the first plus retries on other nodes) before
+#: the RM abandons it and fails its ``completed`` event.
+MAX_TASK_ATTEMPTS = 3
+
 
 class _NodeBucket:
     """Per-node scheduling candidates, ordered by queue position.
@@ -67,13 +71,9 @@ class ResourceManager:
     def __init__(
         self,
         env: Environment,
-        max_task_attempts: int = 3,
         locality_index: Optional[LocalityIndex] = None,
     ):
-        if max_task_attempts < 1:
-            raise ValueError("max_task_attempts must be >= 1")
         self.env = env
-        self.max_task_attempts = max_task_attempts
         self._nodes: Dict[str, NodeManager] = {}
         #: Registration index per node name, fixing the wake order.
         self._node_index: Dict[str, int] = {}
@@ -258,13 +258,13 @@ class ResourceManager:
         self, task: TaskRequest, node: NodeManager, error: BaseException
     ) -> None:
         """A container died (task crash or node failure): retry the task
-        on a different node, up to ``max_task_attempts`` total attempts."""
+        on a different node, up to ``MAX_TASK_ATTEMPTS`` total attempts."""
         task.excluded_nodes.add(node.name)
         if not self.job_active(task.job_id):
             return  # the job was torn down; nothing to retry for
         live_nodes = {n.name for n in self._nodes.values() if n.alive}
         no_home_left = live_nodes <= task.excluded_nodes
-        if task.attempts >= self.max_task_attempts or no_home_left:
+        if task.attempts >= MAX_TASK_ATTEMPTS or no_home_left:
             self.tasks_abandoned += 1
             if not task.completed.triggered:
                 task.completed.fail(error)

@@ -21,6 +21,9 @@ from typing import Callable, Dict, Hashable, Optional, Set
 from ..sim.engine import Environment
 from .device import MB, TransferDevice
 
+#: Granularity of background write-back transfers, in bytes.
+FLUSH_CHUNK = 64 * MB
+
 
 class CacheEntry:
     """One resident object in the buffer cache."""
@@ -46,8 +49,6 @@ class BufferCache:
     flush_device:
         Backing device that absorbs write-back traffic.  ``None`` disables
         write-back modeling (writes still count as cached bytes).
-    flush_chunk:
-        Granularity of background flush transfers, in bytes.
     """
 
     def __init__(
@@ -55,14 +56,12 @@ class BufferCache:
         env: Environment,
         capacity: float,
         flush_device: Optional[TransferDevice] = None,
-        flush_chunk: float = 64 * MB,
     ):
         if capacity <= 0:
             raise ValueError(f"capacity must be positive, got {capacity}")
         self.env = env
         self.capacity = float(capacity)
         self.flush_device = flush_device
-        self.flush_chunk = float(flush_chunk)
 
         self._entries: "OrderedDict[Hashable, CacheEntry]" = OrderedDict()
         self._used = 0.0
@@ -236,7 +235,7 @@ class BufferCache:
 
     def _flush_loop(self):
         while self._dirty_bytes > 0:
-            chunk = min(self.flush_chunk, self._dirty_bytes)
+            chunk = min(FLUSH_CHUNK, self._dirty_bytes)
             try:
                 yield self.flush_device.transfer(chunk, tag="write-back")
             except Exception:

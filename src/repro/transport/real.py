@@ -173,13 +173,11 @@ class NameNodeService:
         transport: AsyncioTransport,
         datanodes: Tuple[str, ...],
         replication: int = 2,
-        block_size: int = BLOCK_SIZE,
         seed: int = 0,
     ):
         self.transport = transport
         self.datanodes = tuple(datanodes)
         self.replication = replication
-        self.block_size = block_size
         self.rng = RandomSource(seed)
         self.files: Dict[str, Tuple[BlockPlacement, ...]] = {}
         self.holders: Dict[str, Tuple[str, ...]] = {}
@@ -199,7 +197,7 @@ class NameNodeService:
             remaining = int(msg.nbytes)
             index = 0
             while remaining > 0:
-                nbytes = min(self.block_size, remaining)
+                nbytes = min(BLOCK_SIZE, remaining)
                 block_id = f"{msg.path}#blk{index}"
                 nodes = tuple(
                     self.rng.sample(sorted(self.datanodes), replication)

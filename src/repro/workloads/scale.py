@@ -47,6 +47,10 @@ class ScaleConfig:
     #: False replays the plain-HDFS baseline: reads only.
     ignem: bool = True
 
+    def __post_init__(self) -> None:
+        if not self.mean_interarrival > 0:
+            raise ValueError("mean_interarrival must be positive")
+
 
 @dataclass
 class ScaleResult:

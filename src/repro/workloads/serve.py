@@ -30,12 +30,11 @@ from __future__ import annotations
 import math
 import time
 from bisect import bisect_left
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from ..cluster import Cluster, ClusterConfig
 from ..core.config import IgnemConfig
-from ..core.heat import HeatConfig
 from ..sim.events import chain_arrivals, join_all
 from ..sim.rand import RandomSource
 from ..storage.device import GB, MB
@@ -67,18 +66,28 @@ FLASH_CROWD_DURATION = 20.0
 #: Probability a request inside a flash window redirects to the crowd's
 #: object.
 FLASH_CROWD_BOOST = 0.35
+#: Bytes per serving object (one DFS block), and its replica count
+#: (capped at the cluster size).
+OBJECT_BYTES = 64 * MB
+REPLICATION = 3
+#: Per-slave cap on migrated bytes under the ``hint`` and ``heat``
+#: policies.
+BUFFER_CAPACITY = 2 * GB
 
 
 @dataclass(frozen=True)
 class ServeConfig:
     """Shape of one serving run (defaults: the paper-testbed cluster
-    under a load its disks cannot absorb but its RAM can)."""
+    under a load its disks cannot absorb but its RAM can).
+
+    Object size, replication and the migration buffer are the module
+    constants :data:`OBJECT_BYTES`, :data:`REPLICATION` and
+    :data:`BUFFER_CAPACITY`; the ``heat`` policy runs with the default
+    :class:`~repro.core.heat.HeatConfig`.
+    """
 
     num_nodes: int = 8
     num_objects: int = 48
-    #: Bytes per object (one DFS block by default).
-    object_bytes: float = 64 * MB
-    replication: int = 3
     num_requests: int = 1200
     #: Mean arrival rate (requests/second) before the diurnal curve.
     #: 3 req/s of 64MB objects keeps the aggregate demand under the
@@ -97,32 +106,27 @@ class ServeConfig:
     policy: str = "heat"
     #: Objects the oracle hint pins (``policy="hint"``).
     hint_objects: int = 8
-    buffer_capacity: float = 2 * GB
     #: SWIM batch jobs to run alongside the request stream (0 = pure
     #: interactive; >0 reproduces the paper's mixed cluster).
     batch_jobs: int = 0
     seed: int = 0
-    #: Heat-policy knobs (``policy="heat"``).
-    heat: HeatConfig = field(default_factory=HeatConfig)
 
     def __post_init__(self) -> None:
         if self.num_nodes < 1:
             raise ValueError("num_nodes must be >= 1")
         if self.num_objects < 1:
             raise ValueError("num_objects must be >= 1")
-        if self.object_bytes <= 0:
-            raise ValueError("object_bytes must be positive")
         if self.num_requests < 1:
             raise ValueError("num_requests must be >= 1")
-        if self.base_rps <= 0:
+        if not self.base_rps > 0:
             raise ValueError("base_rps must be positive")
-        if self.zipf_s <= 0:
+        if not self.zipf_s > 0:
             raise ValueError("zipf_s must be positive")
         if self.num_tenants < 1:
             raise ValueError("num_tenants must be >= 1")
         if not 0 <= self.diurnal_amplitude <= 1:
             raise ValueError("diurnal_amplitude must be in [0, 1]")
-        if self.diurnal_period <= 0:
+        if not self.diurnal_period > 0:
             raise ValueError("diurnal_period must be positive")
         if self.flash_crowds < 0:
             raise ValueError("flash_crowds must be >= 0")
@@ -366,7 +370,7 @@ def run_serve(config: Optional[ServeConfig] = None) -> ServeResult:
     cluster = Cluster(
         ClusterConfig(
             num_nodes=config.num_nodes,
-            replication=min(config.replication, config.num_nodes),
+            replication=min(REPLICATION, config.num_nodes),
             seed=config.seed,
         )
     )
@@ -374,14 +378,12 @@ def run_serve(config: Optional[ServeConfig] = None) -> ServeResult:
     registry = cluster.metrics
 
     for index in range(config.num_objects):
-        cluster.client.create_file(object_path(index), config.object_bytes)
+        cluster.client.create_file(object_path(index), OBJECT_BYTES)
 
     if config.policy in ("hint", "heat"):
-        cluster.enable_ignem(
-            IgnemConfig(buffer_capacity=config.buffer_capacity)
-        )
+        cluster.enable_ignem(IgnemConfig(buffer_capacity=BUFFER_CAPACITY))
     if config.policy == "heat":
-        cluster.enable_heat_migration(config.heat)
+        cluster.enable_heat_migration()
 
     rng = RandomSource(config.seed).spawn("serve")
     requests = generate_requests(config, rng)

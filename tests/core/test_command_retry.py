@@ -8,9 +8,6 @@ from tests.fixtures import make_ignem_cluster
 
 
 def make_cluster(num_nodes=4, replication=2, **config_kwargs):
-    # This suite times the retry/backoff loop, so commands keep the
-    # production 2 ms RPC latency instead of the test default of zero.
-    config_kwargs.setdefault("rpc_latency", 0.002)
     return make_ignem_cluster(
         num_nodes=num_nodes, replication=replication, **config_kwargs
     )

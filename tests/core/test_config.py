@@ -6,6 +6,7 @@ the names here makes any new field a visible diff.
 """
 
 import dataclasses
+import math
 import re
 
 import pytest
@@ -22,7 +23,6 @@ from repro.workloads.serve import ServeConfig
 FIELDS = {
     IgnemConfig: (
         "buffer_capacity",
-        "rpc_latency",
         "policy",
         "migration_concurrency",
         "do_not_harm",
@@ -45,12 +45,9 @@ FIELDS = {
         "num_nodes",
         "slots_per_node",
         "disk_capacity",
-        "ram_capacity",
         "tier_preset",
-        "heartbeat_interval",
         "block_size",
         "replication",
-        "network_bandwidth",
         "seed",
         "engine",
         "observability",
@@ -58,8 +55,6 @@ FIELDS = {
     ServeConfig: (
         "num_nodes",
         "num_objects",
-        "object_bytes",
-        "replication",
         "num_requests",
         "base_rps",
         "zipf_s",
@@ -69,12 +64,10 @@ FIELDS = {
         "flash_crowds",
         "policy",
         "hint_objects",
-        "buffer_capacity",
         "batch_jobs",
         "seed",
-        "heat",
     ),
-    ObservabilityConfig: ("enabled", "categories", "trace_path", "metrics_path"),
+    ObservabilityConfig: ("categories", "trace_path", "metrics_path"),
     ScaleConfig: (
         "num_nodes",
         "num_jobs",
@@ -93,14 +86,13 @@ def test_config_fields_are_pinned(config):
 
 
 def test_config_field_total():
-    assert sum(len(names) for names in FIELDS.values()) == 58
+    assert sum(len(names) for names in FIELDS.values()) == 49
 
 
 #: One case per ``IgnemConfig.__post_init__`` check: (overrides, error
 #: message).
 INVALID = [
     (dict(buffer_capacity=0), "buffer_capacity must be positive"),
-    (dict(rpc_latency=-0.001), "rpc_latency must be non-negative"),
     (dict(policy="lifo"), "unknown policy 'lifo'"),
     (dict(migration_tier=""), "migration_tier must be non-empty"),
     (
@@ -140,14 +132,13 @@ def test_invalid_field_is_rejected(overrides, message):
 def test_defaults_and_boundaries_are_accepted():
     IgnemConfig()
     IgnemConfig(
-        rpc_latency=0.0,
         busy_threshold=1,
         tier_buffer_capacities=(("mem", GB), ("ssd", 2 * GB)),
     )
 
 
 #: One case per validated field of the other config dataclasses
-#: (``ObservabilityConfig`` and ``ScaleConfig`` validate nothing).
+#: (``ObservabilityConfig`` validates nothing).
 OTHER_INVALID = [
     (HeatConfig, dict(half_life=0.0), "half_life must be positive"),
     (HeatConfig, dict(tick_interval=0.0), "tick_interval must be positive"),
@@ -158,10 +149,11 @@ OTHER_INVALID = [
     (EngineConfig, dict(output_replication=0), "output replication must be >= 1"),
     (EngineConfig, dict(speculative_slowdown=1.0), "speculative_slowdown must be > 1"),
     (ClusterConfig, dict(num_nodes=0), "num_nodes must be >= 1"),
+    (ClusterConfig, dict(disk_capacity=0.0), "disk_capacity must be positive"),
+    (ClusterConfig, dict(block_size=0.0), "block_size must be positive"),
     (ClusterConfig, dict(tier_preset="tape"), "unknown tier_preset 'tape'"),
     (ServeConfig, dict(num_nodes=0), "num_nodes must be >= 1"),
     (ServeConfig, dict(num_objects=0), "num_objects must be >= 1"),
-    (ServeConfig, dict(object_bytes=0.0), "object_bytes must be positive"),
     (ServeConfig, dict(num_requests=0), "num_requests must be >= 1"),
     (ServeConfig, dict(base_rps=0.0), "base_rps must be positive"),
     (ServeConfig, dict(zipf_s=0.0), "zipf_s must be positive"),
@@ -172,6 +164,7 @@ OTHER_INVALID = [
     (ServeConfig, dict(policy="oracle"), "policy must be 'none', 'hint', or 'heat'"),
     (ServeConfig, dict(hint_objects=0), "hint_objects must be >= 1"),
     (ServeConfig, dict(batch_jobs=-1), "batch_jobs must be >= 0"),
+    (ScaleConfig, dict(mean_interarrival=0.0), "mean_interarrival must be positive"),
 ]
 
 
@@ -185,4 +178,37 @@ OTHER_INVALID = [
 )
 def test_other_invalid_field_is_rejected(config, overrides, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
+        config(**overrides)
+
+
+#: Every float a config ``__post_init__`` range-checks, set to NaN.  NaN
+#: fails every comparison, so a check written ``x <= 0`` lets it through.
+NAN = math.nan
+NAN_CASES = [
+    (IgnemConfig, dict(buffer_capacity=NAN)),
+    (IgnemConfig, dict(tier_buffer_capacities=(("mem", NAN),))),
+    (HeatConfig, dict(half_life=NAN)),
+    (HeatConfig, dict(tick_interval=NAN)),
+    (HeatConfig, dict(tenant_tick_bytes=NAN)),
+    (EngineConfig, dict(task_startup_overhead=NAN)),
+    (EngineConfig, dict(job_submit_overhead=NAN)),
+    (EngineConfig, dict(job_commit_overhead=NAN)),
+    (EngineConfig, dict(speculative_slowdown=NAN)),
+    (ClusterConfig, dict(disk_capacity=NAN)),
+    (ClusterConfig, dict(block_size=NAN)),
+    (ServeConfig, dict(base_rps=NAN)),
+    (ServeConfig, dict(zipf_s=NAN)),
+    (ServeConfig, dict(diurnal_amplitude=NAN)),
+    (ServeConfig, dict(diurnal_period=NAN)),
+    (ScaleConfig, dict(mean_interarrival=NAN)),
+]
+
+
+@pytest.mark.parametrize(
+    "config, overrides",
+    NAN_CASES,
+    ids=[f"{config.__name__}.{next(iter(overrides))}" for config, overrides in NAN_CASES],
+)
+def test_nan_is_rejected(config, overrides):
+    with pytest.raises(ValueError):
         config(**overrides)

@@ -5,6 +5,7 @@ import pytest
 
 from repro import IgnemConfig, JobSpec, build_paper_testbed
 from repro.core import BenefitAware, HighAvailabilityMaster, make_policy
+from repro.core.policy import EXPECTED_LEAD_BYTES
 from repro.core.commands import MigrationWorkItem
 from repro.dfs import Block
 from repro.storage import GB, MB
@@ -24,22 +25,23 @@ def item(job_id="j", input_bytes=100 * MB, submitted_at=0.0):
 
 class TestBenefitAwarePolicy:
     def test_small_jobs_saturate_benefit(self):
-        policy = BenefitAware(expected_lead_bytes=512 * MB)
-        assert policy.benefit(item(input_bytes=64 * MB)) == 1.0
-        assert policy.benefit(item(input_bytes=512 * MB)) == 1.0
+        policy = BenefitAware()
+        assert policy.benefit(item(input_bytes=EXPECTED_LEAD_BYTES / 8)) == 1.0
+        assert policy.benefit(item(input_bytes=EXPECTED_LEAD_BYTES)) == 1.0
 
     def test_large_jobs_get_partial_benefit(self):
-        policy = BenefitAware(expected_lead_bytes=512 * MB)
-        assert policy.benefit(item(input_bytes=2 * GB)) == pytest.approx(0.25)
+        policy = BenefitAware()
+        benefit = policy.benefit(item(input_bytes=4 * EXPECTED_LEAD_BYTES))
+        assert benefit == pytest.approx(0.25)
 
     def test_higher_benefit_migrates_first(self):
-        policy = BenefitAware(expected_lead_bytes=512 * MB)
+        policy = BenefitAware()
         small = item("small", input_bytes=128 * MB)
         huge = item("huge", input_bytes=10 * GB)
         assert policy.priority(small) < policy.priority(huge)
 
     def test_saturated_jobs_tie_break_by_submission(self):
-        policy = BenefitAware(expected_lead_bytes=512 * MB)
+        policy = BenefitAware()
         early = item("early", input_bytes=64 * MB, submitted_at=1.0)
         late_but_smaller = item("late", input_bytes=1 * MB, submitted_at=2.0)
         # Both fully migrable: FIFO between them, unlike smallest-first.
@@ -47,12 +49,14 @@ class TestBenefitAwarePolicy:
 
     def test_factory_and_validation(self):
         assert isinstance(make_policy("benefit-aware"), BenefitAware)
-        with pytest.raises(ValueError):
+        # The lead is the constant EXPECTED_LEAD_BYTES, not a parameter:
+        # passing one is rejected outright.
+        with pytest.raises(TypeError):
             BenefitAware(expected_lead_bytes=0)
 
     def test_end_to_end_with_benefit_aware_config(self):
         cluster = make_cluster(
-            ignem_config=IgnemConfig(policy="benefit-aware", rpc_latency=0.0)
+            ignem_config=IgnemConfig(policy="benefit-aware")
         )
         cluster.client.create_file("/f", 256 * MB)
         cluster.rm.register_job("j1")
@@ -65,7 +69,7 @@ class TestBenefitAwarePolicy:
 class TestHighAvailabilityMaster:
     def build(self):
         cluster = build_paper_testbed(num_nodes=4, replication=2, seed=13)
-        ha = cluster.enable_ignem(IgnemConfig(rpc_latency=0.0), ha=True)
+        ha = cluster.enable_ignem(IgnemConfig(), ha=True)
         assert isinstance(ha, HighAvailabilityMaster)
         return cluster, ha
 
@@ -152,7 +156,7 @@ class TestHighAvailabilityMaster:
 
 class TestBusyThrottle:
     def test_throttle_defers_migration_under_load(self):
-        config = IgnemConfig(rpc_latency=0.0, busy_threshold=1)
+        config = IgnemConfig(busy_threshold=1)
         cluster = make_cluster(ignem_config=config, num_nodes=1, replication=1)
         cluster.client.create_file("/f", 64 * MB)
         cluster.rm.register_job("j1")
@@ -174,7 +178,7 @@ class TestBusyThrottle:
         assert slave.migrated_bytes == 64 * MB
 
     def test_throttle_skips_if_job_reads_while_waiting(self):
-        config = IgnemConfig(rpc_latency=0.0, busy_threshold=1)
+        config = IgnemConfig(busy_threshold=1)
         cluster = make_cluster(ignem_config=config, num_nodes=1, replication=1)
         cluster.client.create_file("/f", 64 * MB)
         cluster.rm.register_job("j1")

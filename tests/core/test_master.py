@@ -2,8 +2,8 @@
 
 import pytest
 
-from repro import IgnemConfig
 from repro.core import IgnemMaster, IgnemSlave
+from repro.core.config import RPC_LATENCY
 from repro.storage import GB, MB
 
 from .conftest import make_cluster
@@ -45,11 +45,11 @@ class TestMigrationFanout:
         assert master.metrics.value("ignem.master.migration_requests") == 2
 
     def test_rpc_latency_delays_delivery(self):
-        c = make_cluster(ignem_config=IgnemConfig(rpc_latency=0.5))
+        c = make_cluster()
         c.client.create_file("/f", 64 * MB)
         c.ignem_master.request_migration(["/f"], "j1")
         # Before the RPC lands, no slave has queued work.
-        c.env.run(until=0.1)
+        c.env.run(until=RPC_LATENCY / 2)
         assert all(s.pending_migrations == 0 for s in c.ignem_master.slaves())
         c.run()
         migrated = [

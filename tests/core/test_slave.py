@@ -172,7 +172,7 @@ class TestReferenceLists:
 
 class TestDoNotHarm:
     def test_buffer_full_makes_new_blocks_wait(self):
-        config = IgnemConfig(buffer_capacity=128 * MB, rpc_latency=0.0)
+        config = IgnemConfig(buffer_capacity=128 * MB)
         cluster = make_cluster(ignem_config=config, num_nodes=1, replication=1)
         cluster.client.create_file("/a", 128 * MB)
         cluster.client.create_file("/b", 64 * MB)
@@ -198,7 +198,7 @@ class TestDoNotHarm:
         assert not cluster.collector.evictions
 
     def test_waiting_block_migrates_once_space_frees(self):
-        config = IgnemConfig(buffer_capacity=128 * MB, rpc_latency=0.0)
+        config = IgnemConfig(buffer_capacity=128 * MB)
         cluster = make_cluster(ignem_config=config, num_nodes=1, replication=1)
         cluster.client.create_file("/a", 128 * MB)
         cluster.client.create_file("/b", 64 * MB)
@@ -215,7 +215,7 @@ class TestDoNotHarm:
 
     def test_ablation_evicts_larger_jobs_block(self):
         config = IgnemConfig(
-            buffer_capacity=128 * MB, rpc_latency=0.0, do_not_harm=False
+            buffer_capacity=128 * MB, do_not_harm=False
         )
         cluster = make_cluster(ignem_config=config, num_nodes=1, replication=1)
         cluster.client.create_file("/big", 128 * MB)
@@ -233,7 +233,7 @@ class TestDoNotHarm:
 
     def test_ablation_never_evicts_smaller_jobs(self):
         config = IgnemConfig(
-            buffer_capacity=64 * MB, rpc_latency=0.0, do_not_harm=False
+            buffer_capacity=64 * MB, do_not_harm=False
         )
         cluster = make_cluster(ignem_config=config, num_nodes=1, replication=1)
         cluster.client.create_file("/small", 64 * MB)
@@ -253,7 +253,7 @@ class TestLivenessCleanup:
     def test_dead_job_refs_purged_under_pressure(self):
         # /dead fills the whole buffer: occupancy 1.0, past the cleanup
         # threshold.
-        config = IgnemConfig(buffer_capacity=128 * MB, rpc_latency=0.0)
+        config = IgnemConfig(buffer_capacity=128 * MB)
         cluster = make_cluster(ignem_config=config, num_nodes=1, replication=1)
         cluster.client.create_file("/dead", 128 * MB)
         cluster.client.create_file("/live", 64 * MB)

@@ -4,6 +4,7 @@ implicit set handling, and migration records' fields."""
 import pytest
 
 from repro import IgnemConfig
+from repro.core.config import RPC_LATENCY
 from repro.storage import GB, MB
 
 from .conftest import make_cluster
@@ -11,16 +12,26 @@ from .conftest import make_cluster
 
 class TestQueueIntrospection:
     def test_pending_migrations_counts_queued_work(self):
-        # Huge rpc latency keeps the commands in flight; zero here means
-        # everything is queued at once and drains in order.
         cluster = make_cluster(num_nodes=1, replication=1)
         cluster.client.create_file("/f", 640 * MB)
         cluster.rm.register_job("j1")
-        cluster.ignem_master.request_migration(["/f"], "j1")
         slave = cluster.ignem_slaves["node0"]
-        # Before any simulation time passes, all ten blocks are queued.
-        assert slave.pending_migrations == 10
+        landed = []
+        receive = slave.receive_migrate
+
+        def spy(command):
+            accepted = receive(command)
+            landed.append((cluster.env.now, slave.pending_migrations))
+            return accepted
+
+        slave.receive_migrate = spy
+        cluster.ignem_master.request_migration(["/f"], "j1")
+        # The command is in flight for one RPC latency.
+        assert slave.pending_migrations == 0
         cluster.run()
+        # It lands all ten blocks at once: the idle worker takes the
+        # first straight away, the other nine queue, and they drain.
+        assert landed == [(RPC_LATENCY, 9)]
         assert slave.pending_migrations == 0
 
     def test_repr_mentions_state(self):
@@ -31,7 +42,7 @@ class TestQueueIntrospection:
 
 class TestPurgeDuringCapacityWait:
     def test_purge_while_block_waits_for_space(self):
-        config = IgnemConfig(buffer_capacity=64 * MB, rpc_latency=0.0)
+        config = IgnemConfig(buffer_capacity=64 * MB)
         cluster = make_cluster(ignem_config=config, num_nodes=1, replication=1)
         cluster.client.create_file("/a", 64 * MB)
         cluster.client.create_file("/b", 64 * MB)

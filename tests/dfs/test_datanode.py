@@ -17,13 +17,13 @@ from repro.storage import (
 )
 
 
-def make_node(env, cache_reads=False):
+def make_node(env):
     disk = TransferDevice(env, "hdd-test", bandwidth=100 * MB)
     ram = TransferDevice(env, "ram-test", bandwidth=1000 * MB)
     tiers = NodeTierSet(
         [NodeTier(MEM_TIER, ram, 1 * GB), NodeTier(HDD_TIER, disk, 1024 * GB)]
     )
-    return DataNode(env, "n0", cache_reads=cache_reads, tiers=tiers)
+    return DataNode(env, "n0", tiers=tiers)
 
 
 def block(nbytes=64 * MB, index=0):
@@ -101,21 +101,6 @@ class TestReadPath:
         env.run()
         assert handle.done.processed
         assert calls == []
-
-    def test_cache_reads_flag_populates_cache(self):
-        env = Environment()
-        node = make_node(env, cache_reads=True)
-        blk = block()
-        node.store_block(blk)
-
-        def proc(env):
-            yield node.read_block(blk).done
-            handle = node.read_block(blk)
-            yield handle.done
-            assert handle.source == "ram"
-
-        env.process(proc(env))
-        env.run()
 
     def test_ssd_disk_reports_ssd_source(self):
         env = Environment()

@@ -9,10 +9,6 @@ every test module:
   (no Ignem);
 * :func:`oracle_context` — a DST oracle context over a hand-built
   cluster.
-
-Test-suite defaults differ from production on purpose: ``rpc_latency=0``
-so unit tests can step the clock without 2 ms command skew.  Pass a full
-``config`` (or ``rpc_latency=...``) to override.
 """
 
 from types import SimpleNamespace
@@ -42,7 +38,6 @@ def make_ignem_cluster(
     if rereplication:
         cluster.enable_rereplication()
     if config is None:
-        config_kwargs.setdefault("rpc_latency", 0.0)
         config = IgnemConfig(**config_kwargs)
     elif config_kwargs:
         raise TypeError("pass either config or config kwargs, not both")

@@ -13,6 +13,7 @@ from repro.hive import (
     ignem_migration_hook,
     query_input_bytes,
 )
+from repro.hive.session import COMPILE_TIME
 from repro.storage import GB
 
 
@@ -87,16 +88,19 @@ class TestSession:
 
     def test_compile_time_counted(self):
         cluster = build_paper_testbed()
-        session = HiveSession(cluster, compile_time=5.0)
+        session = HiveSession(cluster)
         query = get_query("q3")
         session.create_tables(query.tables)
         done = session.run_query(query)
         result = cluster.run(until=done)
-        assert result.duration >= 5.0
+        assert result.duration >= COMPILE_TIME
+        assert cluster.engine.jobs[0].submitted_at >= COMPILE_TIME
 
     def test_negative_compile_time_rejected(self):
+        # The compile time is the constant COMPILE_TIME, not a
+        # parameter: passing one is rejected outright.
         cluster = build_paper_testbed()
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError):
             HiveSession(cluster, compile_time=-1)
 
     def test_results_accumulate(self):

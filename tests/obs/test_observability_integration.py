@@ -14,7 +14,7 @@ from repro.storage import GB, MB
 def _run_swim_traced(tmp_path, label, num_jobs=6, seed=3):
     """One small traced SWIM run; returns (cluster, trace path)."""
     trace_path = tmp_path / f"{label}.jsonl"
-    config = ObservabilityConfig(enabled=True, trace_path=str(trace_path))
+    config = ObservabilityConfig(trace_path=str(trace_path))
     cluster, _, specs, arrivals = prepare_swim_cluster(
         "ignem", seed=seed, num_jobs=num_jobs, observability=config
     )
@@ -60,7 +60,7 @@ class TestTraceDeterminism:
 class TestZeroOverheadWhenDisabled:
     def test_disabled_by_default_and_writes_nothing(self, tmp_path):
         cluster = build_paper_testbed(seed=3)
-        assert cluster.config.observability.enabled is False
+        assert cluster.config.observability.trace_path is None
         assert cluster.obs.active is False
         cluster.client.create_file("/f", 128 * MB)
         cluster.run()
@@ -92,7 +92,6 @@ class TestRepairTraceSpans:
         cluster = build_paper_testbed(
             seed=3,
             observability=ObservabilityConfig(
-                enabled=True,
                 trace_path=str(trace_path),
                 categories=("repair",),
             ),
@@ -159,7 +158,6 @@ class _DropFirst:
 def _small_ignem_cluster(ha=False, **ignem_kwargs):
     cluster = build_paper_testbed(num_nodes=4, replication=2, seed=13)
     ignem_kwargs.setdefault("buffer_capacity", 1 * GB)
-    ignem_kwargs.setdefault("rpc_latency", 0.002)
     cluster.enable_ignem(IgnemConfig(**ignem_kwargs), ha=ha)
     return cluster
 
@@ -268,7 +266,7 @@ class TestNetTransferSpans:
             seed=3,
             num_nodes=4,
             observability=ObservabilityConfig(
-                enabled=True, trace_path=str(trace_path), categories=("net",)
+                trace_path=str(trace_path), categories=("net",)
             ),
         )
         network = cluster.network

@@ -35,4 +35,4 @@ class TestPackageAll:
     def test_cluster_config_carries_observability(self):
         config = repro.ClusterConfig()
         assert isinstance(config.observability, repro.ObservabilityConfig)
-        assert config.observability.enabled is False
+        assert config.observability.trace_path is None

@@ -122,7 +122,7 @@ def _assert_trace_matches_records(cluster, trace_path):
 
 def _tracing(trace_path):
     """Tracing on from construction, the trace dumped after each run."""
-    return ObservabilityConfig(enabled=True, trace_path=str(trace_path))
+    return ObservabilityConfig(trace_path=str(trace_path))
 
 
 def _three_tier_cluster(**overrides):
@@ -145,9 +145,7 @@ class TestTraceMatchesRecords:
             "ignem",
             seed=3,
             num_jobs=6,
-            observability=ObservabilityConfig(
-                enabled=True, trace_path=str(trace_path)
-            ),
+            observability=ObservabilityConfig(trace_path=str(trace_path)),
         )
         done = cluster.engine.run_workload(specs, arrivals, implicit_eviction=True)
         cluster.run(until=done)

@@ -3,7 +3,7 @@
 One migrate command goes to the only holder of a single-block file.  A
 drawn loss pattern decides, attempt by attempt, whether the send is
 lost.  The command must land (or be abandoned) at exactly the instant
-the retry loop defines: each attempt waits ``rpc_latency``, and a lost
+the retry loop defines: each attempt waits ``RPC_LATENCY``, and a lost
 attempt waits ``COMMAND_TIMEOUT + COMMAND_BACKOFF *
 COMMAND_BACKOFF_FACTOR ** attempt`` before the next one, and after
 ``COMMAND_MAX_RETRIES`` retries the command is abandoned.
@@ -16,6 +16,7 @@ from repro.core.config import (
     COMMAND_BACKOFF_FACTOR,
     COMMAND_MAX_RETRIES,
     COMMAND_TIMEOUT,
+    RPC_LATENCY,
 )
 from repro.sim.process import Process
 from repro.storage import MB
@@ -30,8 +31,7 @@ def expected_outcome(start, losses, latency, timeout, backoff, factor, retries):
     """
     now = start
     for attempt in range(retries + 1):
-        if latency > 0:
-            now = now + latency
+        now = now + latency
         if not losses[attempt]:
             return "delivered", now, attempt, attempt + 1
         if attempt >= retries:
@@ -72,21 +72,13 @@ def retry_plans(draw):
         "start": draw(st.sampled_from([0.0, 0.1, 3.7])),
         "losses": losses,
         "hooked": any(losses) or draw(st.booleans()),
-        "latency": draw(
-            st.sampled_from([0.0, 0.002])
-            | st.floats(min_value=1e-4, max_value=0.05)
-        ),
     }
 
 
 @given(retry_plans())
 @settings(max_examples=80, deadline=None)
 def test_retry_machine_matches_the_closed_form(plan):
-    cluster = make_ignem_cluster(
-        num_nodes=2,
-        replication=1,
-        rpc_latency=plan["latency"],
-    )
+    cluster = make_ignem_cluster(num_nodes=2, replication=1)
     env = cluster.env
     master = cluster.ignem_master
     log = _CommandLog(env)
@@ -129,20 +121,17 @@ def test_retry_machine_matches_the_closed_form(plan):
     outcome, when, retries_paid, attempts = expected_outcome(
         plan["start"],
         plan["losses"],
-        plan["latency"],
+        RPC_LATENCY,
         COMMAND_TIMEOUT,
         COMMAND_BACKOFF,
         COMMAND_BACKOFF_FACTOR,
         COMMAND_MAX_RETRIES,
     )
     assert processes == []
-    if plan["latency"] <= 0 and not plan["hooked"]:
-        # Zero latency and no fault hook: delivered inside the request.
-        assert delivered_inline == [plan["start"]]
-    else:
-        # One timer for the first attempt and nothing else.
-        assert delivered_inline == []
-        assert scheduled == 1
+    # One timer for the first attempt and nothing else; never delivered
+    # inside the request that sent it.
+    assert delivered_inline == []
+    assert scheduled == 1
     assert master.metrics.value("ignem.master.command_retries") == retries_paid
     if plan["hooked"]:
         assert pattern.calls == attempts

@@ -4,6 +4,7 @@ import pytest
 
 from repro.dfs import LocalityIndex
 from repro.scheduler import NodeManager, ResourceManager, TaskRequest
+from repro.scheduler.resource_manager import MAX_TASK_ATTEMPTS
 from repro.sim import Environment
 
 
@@ -281,9 +282,13 @@ class TestTaskRetry:
 
     def test_task_abandoned_after_max_attempts(self):
         env = Environment()
-        rm = ResourceManager(env, max_task_attempts=2)
-        rm.register_node(NodeManager(env, "n0", slots=1, heartbeat_interval=1.0))
-        rm.register_node(NodeManager(env, "n1", slots=1, heartbeat_interval=1.0))
+        rm = ResourceManager(env)
+        # One node more than the attempt cap, so the cap (not running
+        # out of untried nodes) is what abandons the task.
+        for index in range(MAX_TASK_ATTEMPTS + 1):
+            rm.register_node(
+                NodeManager(env, f"n{index}", slots=1, heartbeat_interval=1.0)
+            )
         rm.register_job("j1")
 
         def execute(node):
@@ -302,7 +307,7 @@ class TestTaskRetry:
         rm.submit(task)
         env.process(waiter(env))
         env.run()
-        assert task.attempts == 2
+        assert task.attempts == MAX_TASK_ATTEMPTS
         assert rm.tasks_abandoned == 1
         assert failures == ["always broken"]
 
@@ -349,6 +354,8 @@ class TestTaskRetry:
         assert task.attempts == 1
 
     def test_invalid_max_attempts_rejected(self):
+        # The attempt cap is the constant MAX_TASK_ATTEMPTS, not a
+        # parameter: passing one is rejected outright.
         env = Environment()
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError):
             ResourceManager(env, max_task_attempts=0)

@@ -9,6 +9,7 @@ metric appears.
 """
 
 from repro import IgnemConfig, build_paper_testbed
+from repro.core.config import RPC_LATENCY
 from repro.storage import MB
 from repro.transport.messages import EvictFilesRequest, MigrateFilesRequest
 
@@ -121,6 +122,8 @@ class TestDeliveryIdentity:
         cluster.client.create_file("/f", 128 * MB)
         cluster.rm.register_job("j1")
         cluster.client.migrate(["/f"], "j1")
+        # Step past the command's RPC latency, not past a migration.
+        cluster.env.run(until=2 * RPC_LATENCY)
         assert tapped and all(kind == "migrate" for kind, _ in tapped)
         queued = [
             queue.get().value
@@ -141,7 +144,7 @@ class TestTransportMetrics:
         """The sim transport delivers without counting: a run's registry
         holds no ``transport.*`` metric."""
         cluster = build_paper_testbed(num_nodes=3, seed=0)
-        cluster.enable_ignem(IgnemConfig(rpc_latency=0.0))
+        cluster.enable_ignem(IgnemConfig())
         cluster.client.create_file("/f", 128 * MB)
         cluster.rm.register_job("j1")
         cluster.client.migrate(["/f"], "j1")

@@ -12,7 +12,6 @@ import pytest
 
 from repro.sim.engine import Environment
 from repro.sim.rand import RandomSource
-from repro.storage import MB
 from repro.workloads import scale, serve
 from repro.workloads.google_trace import GoogleTraceGenerator
 from repro.workloads.scale import ScaleConfig, run_scale_replay
@@ -21,8 +20,6 @@ from repro.workloads.serve import ServeConfig, generate_requests, run_serve
 SERVE_SMALL = dict(
     num_nodes=4,
     num_objects=12,
-    object_bytes=32 * MB,
-    replication=2,
     base_rps=6.0,
     num_tenants=2,
 )

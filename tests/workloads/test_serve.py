@@ -7,7 +7,6 @@ import sys
 import pytest
 
 from repro.sim.rand import RandomSource
-from repro.storage import MB
 from repro.workloads.serve import (
     ServeConfig,
     ZipfSampler,
@@ -21,8 +20,6 @@ from repro.workloads.serve import (
 SMALL = dict(
     num_nodes=4,
     num_objects=12,
-    object_bytes=32 * MB,
-    replication=2,
     num_requests=200,
     base_rps=6.0,
     num_tenants=2,
