@@ -13,6 +13,10 @@ if TYPE_CHECKING:  # pragma: no cover
     from .resource_manager import ResourceManager
 
 
+#: Heartbeat period of the paper's testbed NodeManagers (Section IV-A).
+HEARTBEAT_INTERVAL = 3.0
+
+
 class NodeManager:
     """Runs task containers on one server and heartbeats to the RM.
 
@@ -29,7 +33,7 @@ class NodeManager:
         env: Environment,
         name: str,
         slots: int,
-        heartbeat_interval: float = 3.0,
+        heartbeat_interval: float = HEARTBEAT_INTERVAL,
         heartbeat_offset: float = 0.0,
     ):
         if slots < 1:
