@@ -84,18 +84,18 @@ class Cluster:
         self.collector = MetricsCollector()
 
         self.network = Network(self.env)
-        #: The control-plane message transport.  Every cross-node
-        #: interaction (master↔slave commands, client→master requests,
-        #: pipeline notices) is a protocol message through here; the sim
-        #: backend delivers synchronously in direct-call order, so the
-        #: default configuration stays byte-identical.
+        #: The control-plane message transport: client and heat-policy
+        #: requests to ``"master"`` and the master's commands and
+        #: failover notices to ``"slave/<n>"`` are protocol messages
+        #: through here; the sim backend delivers synchronously in
+        #: direct-call order, so the default configuration stays
+        #: byte-identical.
         self.transport = SimTransport()
         self.namenode = NameNode(
             rng=self.rng.spawn("placement"),
             block_size=cfg.block_size,
             replication=cfg.replication,
         )
-        self.transport.register("namenode", self.namenode.handle_message)
 
         # Local import to avoid a cycle (scheduler has no deps on cluster).
         from .scheduler.node_manager import HEARTBEAT_INTERVAL, NodeManager
@@ -115,7 +115,6 @@ class Cluster:
             datanode = self._build_datanode(name)
             self.namenode.register_datanode(datanode)
             self.datanodes[name] = datanode
-            self.transport.register(f"datanode/{name}", datanode.handle_message)
             self.rm.register_node(
                 NodeManager(
                     self.env,
@@ -293,7 +292,6 @@ class Cluster:
                 self.network,
                 rng=self.rng.spawn("re-replication"),
                 registry=self.obs.registry,
-                transport=self.transport,
             )
             monitor = self.replication_monitor
             self.obs.registry.register_pull(
@@ -328,7 +326,6 @@ class Cluster:
         datanode = self._build_datanode(name)
         self.namenode.register_datanode(datanode)
         self.datanodes[name] = datanode
-        self.transport.register(f"datanode/{name}", datanode.handle_message)
         stagger = HEARTBEAT_INTERVAL / max(1, cfg.num_nodes)
         self.rm.register_node(
             NodeManager(

@@ -111,10 +111,9 @@ class HighAvailabilityMaster:
         paths: Sequence[str],
         job_id: str,
         implicit_eviction: bool = False,
-        dst_tier: Optional[str] = None,
     ) -> None:
         self.active.request_migration(
-            paths, job_id, implicit_eviction=implicit_eviction, dst_tier=dst_tier
+            paths, job_id, implicit_eviction=implicit_eviction
         )
 
     def request_eviction(self, paths: Sequence[str], job_id: str) -> None:

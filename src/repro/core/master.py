@@ -46,10 +46,7 @@ def dispatch_master_message(master, msg):
     to its active member)."""
     if isinstance(msg, MigrateFilesRequest):
         master.request_migration(
-            msg.paths,
-            msg.job_id,
-            implicit_eviction=msg.implicit_eviction,
-            dst_tier=msg.dst_tier,
+            msg.paths, msg.job_id, implicit_eviction=msg.implicit_eviction
         )
         return Ack(True)
     if isinstance(msg, EvictFilesRequest):

@@ -106,41 +106,6 @@ class DataNode:
         #: Liveness hook: called with no arguments whenever ``alive``
         #: flips (the NameNode uses it to invalidate its live-node cache).
         self.on_liveness_change: Optional[Callable[[], None]] = None
-        #: Replica-pipeline notices received over the transport (the
-        #: repair coordinator announces each chain copy routed through
-        #: this node; pure bookkeeping, no simulated work).
-        self.pipeline_notices = 0
-
-    # -- transport endpoint ---------------------------------------------------
-
-    def handle_message(self, msg):
-        """The ``datanode/<name>`` transport endpoint.
-
-        The simulator's *data plane* (timed reads/writes against device
-        models) stays on direct calls — a byte payload has no meaning
-        here.  The endpoint answers the control-plane surface: residency
-        probes and pipeline notices.
-        """
-        from ..transport.messages import (
-            Ack,
-            BlockReadReply,
-            BlockReadRequest,
-            ReplicaPipelineMsg,
-        )
-
-        if isinstance(msg, BlockReadRequest):
-            if not self.alive or not self.has_block(msg.block_id):
-                return BlockReadReply(ok=False)
-            block = self._blocks[msg.block_id]
-            return BlockReadReply(
-                ok=True,
-                tier=self.block_tier(msg.block_id) or self.tiers.bottom.spec.name,
-                nbytes=block.nbytes,
-            )
-        if isinstance(msg, ReplicaPipelineMsg):
-            self.pipeline_notices += 1
-            return Ack(True)
-        raise TypeError(f"datanode cannot handle {type(msg).__name__}")
 
     # -- residency delta publication -----------------------------------------
 

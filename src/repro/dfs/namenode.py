@@ -55,63 +55,6 @@ class NameNode:
         #: is public so the client can skip the publish call entirely
         #: when nobody subscribed — the zero-overhead clean path.
         self.read_listeners: List[Callable[[Block, Optional[str]], None]] = []
-        #: Last heartbeat sequence number per node (transport endpoint
-        #: bookkeeping; the sim's residency index is push-maintained, so
-        #: heartbeats carry liveness only).
-        self.heartbeats: Dict[str, int] = {}
-
-    # -- transport endpoint ------------------------------------------------------
-
-    def handle_message(self, msg):
-        """The ``"namenode"`` transport endpoint: namespace lookups,
-        file creation, and heartbeat intake as protocol messages."""
-        from ..transport.messages import (
-            Ack,
-            BlockPlacement,
-            CreateFileReply,
-            CreateFileRequest,
-            FileInfoReply,
-            FileInfoRequest,
-            HeartbeatMsg,
-            LocationsReply,
-            LocationsRequest,
-        )
-
-        if isinstance(msg, LocationsRequest):
-            nodes = tuple(self.get_block_locations(msg.block_id))
-            resident = self.memory_nodes(msg.block_id)
-            return LocationsReply(
-                nodes=nodes,
-                memory_nodes=tuple(n for n in nodes if n in resident),
-            )
-        if isinstance(msg, FileInfoRequest):
-            if not self.exists(msg.path):
-                return FileInfoReply(exists=False)
-            return FileInfoReply(
-                exists=True, blocks=self._placements(msg.path, BlockPlacement)
-            )
-        if isinstance(msg, CreateFileRequest):
-            if self.exists(msg.path):
-                return CreateFileReply(ok=False)
-            self.create_file(msg.path, msg.nbytes, replication=msg.replication)
-            return CreateFileReply(
-                ok=True, blocks=self._placements(msg.path, BlockPlacement)
-            )
-        if isinstance(msg, HeartbeatMsg):
-            self.heartbeats[msg.node] = msg.seq
-            return Ack(True)
-        raise TypeError(f"namenode cannot handle {type(msg).__name__}")
-
-    def _placements(self, path: str, placement_cls) -> tuple:
-        return tuple(
-            placement_cls(
-                block_id=block.block_id,
-                index=block.index,
-                nbytes=block.nbytes,
-                nodes=tuple(self.get_block_locations(block.block_id)),
-            )
-            for block in self.get_file(path).blocks
-        )
 
     # -- cluster membership ----------------------------------------------------
 

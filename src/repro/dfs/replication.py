@@ -78,16 +78,11 @@ class ReplicationMonitor:
         network: Network,
         registry: "MetricsRegistry",
         rng: Optional[RandomSource] = None,
-        transport=None,
     ):
         self.env = env
         self.namenode = namenode
         self.network = network
         self.rng = rng or RandomSource(0)
-        #: Control-plane transport; when set, each chain copy announces
-        #: itself to the pipeline targets with a one-way
-        #: :class:`~repro.transport.messages.ReplicaPipelineMsg`.
-        self.transport = transport
         self.registry = registry
         #: Tracing hooks (attached by ``Observability.attach``).
         self.obs: Optional["Observability"] = None
@@ -277,22 +272,6 @@ class ReplicationMonitor:
         if not targets:
             return False
         yield from self._acquire(source, targets)
-        if self.transport is not None:
-            # Announce the pipeline to its targets (one-way bookkeeping;
-            # delivery is synchronous and touches no simulated clocks).
-            from ..transport.messages import ReplicaPipelineMsg
-
-            notice = ReplicaPipelineMsg(
-                block_id=block.block_id,
-                source=source,
-                targets=tuple(targets),
-                reason=reason,
-            )
-            for tgt in targets:
-                try:
-                    self.transport.send(f"datanode/{tgt}", notice)
-                except NetworkError:
-                    pass  # unregistered endpoint: the copy itself decides
         start = self.env.now
         committed = 0
         ok = True

@@ -54,12 +54,9 @@ class SizeRoutingMaster:
         paths: Sequence[str],
         job_id: str,
         implicit_eviction: bool = False,
-        dst_tier: Optional[str] = None,
     ) -> None:
-        tier = dst_tier
-        if tier is None:
-            nbytes = self.master.namenode.total_bytes(paths)
-            tier = "ssd" if nbytes > self.threshold else "mem"
+        nbytes = self.master.namenode.total_bytes(paths)
+        tier = "ssd" if nbytes > self.threshold else "mem"
         self.routed[tier] = self.routed.get(tier, 0) + 1
         self.master.request_migration(
             paths, job_id, implicit_eviction=implicit_eviction, dst_tier=tier

@@ -13,7 +13,7 @@ import pathlib
 from dataclasses import dataclass
 from typing import Dict, List, Tuple, Union
 
-from ..obs import DEFAULT_CATEGORIES, ObservabilityConfig, validate_trace
+from ..obs import ObservabilityConfig, validate_trace
 from .swim_runs import run_swim
 
 PathLike = Union[str, pathlib.Path]
@@ -82,15 +82,12 @@ def run_traced(
     out_path = pathlib.Path(out_dir)
     out_path.mkdir(parents=True, exist_ok=True)
 
-    categories = DEFAULT_CATEGORIES
-    if sim_events:
-        categories = categories | {"sim"}
     results: List[TracedRun] = []
     for mode in TRACEABLE[experiment]:
         trace_path = out_path / f"{experiment}_{mode}.trace.jsonl"
         metrics_path = out_path / f"{experiment}_{mode}.metrics.json"
         config = ObservabilityConfig(
-            categories=categories,
+            sim_events=sim_events,
             trace_path=str(trace_path),
             metrics_path=str(metrics_path),
         )

@@ -18,13 +18,12 @@ from .registry import (
     Histogram,
     MetricsRegistry,
 )
-from .schema import KNOWN_EVENTS, validate_trace
-from .trace import ALL_CATEGORIES, DEFAULT_CATEGORIES, Tracer, TraceReader
+from .schema import ALL_CATEGORIES, KNOWN_EVENTS, validate_trace
+from .trace import Tracer, TraceReader
 
 __all__ = [
     "ALL_CATEGORIES",
     "DEFAULT_BUCKETS",
-    "DEFAULT_CATEGORIES",
     "KNOWN_EVENTS",
     "Counter",
     "Gauge",

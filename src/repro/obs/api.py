@@ -6,8 +6,8 @@ is pure bookkeeping).  Tracing is opt-in: :meth:`Observability.activate`
 builds the :class:`~repro.obs.trace.Tracer` and :meth:`attach` threads
 span/instant emission hooks through the cluster's layers — storage
 devices, buffer caches, network, DFS client, scheduler, Ignem
-master/slaves, and (when the "sim" category is enabled) the
-event-dispatch kernel itself.  Job, task, migration and eviction events
+master/slaves, and (when ``ObservabilityConfig.sim_events`` is set)
+the event-dispatch kernel itself.  Job, task, migration and eviction events
 are derived from the cluster's :class:`~repro.metrics.MetricsCollector`
 records through one subscribed listener.
 
@@ -46,12 +46,12 @@ def _fmt_tag(tag) -> str:
 
 
 class _KernelMonitor:
-    """Per-dispatch hook installed on the Environment (sim category only).
+    """Per-dispatch hook installed on the Environment (``sim_events`` only).
 
     Counts every dispatched event and every process wakeup; optionally
     emits an instant trace event per dispatch.  This is the one piece of
     instrumentation that scales with raw kernel event volume, which is
-    why it is off unless ``ObservabilityConfig.categories`` names "sim".
+    why it is off unless ``ObservabilityConfig.sim_events`` is set.
     """
 
     __slots__ = ("_dispatches", "_wakeups", "_tracer")
@@ -122,7 +122,7 @@ class Observability:
     def activate(self) -> Tracer:
         """Build the tracer (idempotent); returns it."""
         if self.tracer is None:
-            self.tracer = Tracer(self.env, self.config.categories)
+            self.tracer = Tracer(self.env)
         return self.tracer
 
     # -- wiring ------------------------------------------------------------------
@@ -133,8 +133,8 @@ class Observability:
         Requires :meth:`activate` first; idempotent.  Components touched:
         every DataNode's disk/ram devices, buffer caches and NIC, the
         network, DFS client, ResourceManager, the metrics collector, the
-        Ignem master/slaves when enabled, and the sim kernel when the
-        "sim" category is on.
+        Ignem master/slaves when enabled, and the sim kernel when
+        ``sim_events`` is set.
         """
         if self.tracer is None:
             raise RuntimeError("call activate() before attach()")
@@ -151,7 +151,7 @@ class Observability:
         self._h_map = registry.histogram("mapreduce.map_seconds")
         self._h_reduce = registry.histogram("mapreduce.reduce_seconds")
 
-        if tracer.enabled("sim"):
+        if self.config.sim_events:
             cluster.env.monitor = _KernelMonitor(registry, tracer)
 
         for name in sorted(cluster.datanodes):
@@ -173,26 +173,25 @@ class Observability:
         attached."""
         if self.tracer is None or not self._attached:
             return
-        if self.tracer.enabled("storage"):
-            datanode = cluster.datanodes[name]
-            tiers = datanode.tiers
-            # Device lanes keep their historical labels on the default
-            # hierarchy: the bottom tier is "disk", the top "ram"; middle
-            # tiers (3-tier presets) are labelled by their tier name.
-            for tier in tiers:
-                if tier is tiers.bottom:
-                    label = "disk"
-                elif tier is tiers.top:
-                    label = "ram"
-                else:
-                    label = tier.spec.name
-                self._attach_device(tier.device, label, name)
-            for tier in tiers.upper:
-                suffix = "" if tier is tiers.top else f"-{tier.spec.name}"
-                self._attach_cache(tier.cache, name, suffix)
-            nic = cluster.network._nics.get(name)
-            if nic is not None:
-                self._attach_device(nic.device, "nic", name)
+        datanode = cluster.datanodes[name]
+        tiers = datanode.tiers
+        # Device lanes keep their historical labels on the default
+        # hierarchy: the bottom tier is "disk", the top "ram"; middle
+        # tiers (3-tier presets) are labelled by their tier name.
+        for tier in tiers:
+            if tier is tiers.bottom:
+                label = "disk"
+            elif tier is tiers.top:
+                label = "ram"
+            else:
+                label = tier.spec.name
+            self._attach_device(tier.device, label, name)
+        for tier in tiers.upper:
+            suffix = "" if tier is tiers.top else f"-{tier.spec.name}"
+            self._attach_cache(tier.cache, name, suffix)
+        nic = cluster.network._nics.get(name)
+        if nic is not None:
+            self._attach_device(nic.device, "nic", name)
 
     def attach_ignem(self, master, slaves) -> None:
         """Wire the Ignem master (or HA pair) and slaves for tracing."""
@@ -323,7 +322,7 @@ class Observability:
         """Network.transfer_legs hook: span from issue until the last leg
         completes or the first one fails."""
         tracer = self.tracer
-        if tracer is None or not tracer.enabled("net"):
+        if tracer is None:
             return
         start = self.env.now
         hist = self._h_net
@@ -366,7 +365,7 @@ class Observability:
     ) -> None:
         """DFSClient.read_block hook: classify + span the read."""
         tracer = self.tracer
-        if tracer is None or not tracer.enabled("dfs"):
+        if tracer is None:
             return
         medium = "memory" if source == "ram" else "disk"
         where = "local" if serving == reader else "remote"
@@ -403,18 +402,17 @@ class Observability:
         waited = 0.0 if submitted is None else self.env.now - submitted
         if self._h_sched_wait is not None:
             self._h_sched_wait.observe(waited)
-        if tracer.enabled("scheduler"):
-            tracer.instant(
-                "scheduler.launch",
-                "scheduler",
-                lane=node,
-                args={
-                    "task": task.task_id,
-                    "job": task.job_id,
-                    "kind": task.kind,
-                    "wait": round(waited, 6),
-                },
-            )
+        tracer.instant(
+            "scheduler.launch",
+            "scheduler",
+            lane=node,
+            args={
+                "task": task.task_id,
+                "job": task.job_id,
+                "kind": task.kind,
+                "wait": round(waited, 6),
+            },
+        )
 
     def _on_record(self, record) -> None:
         """Collector listener: trace one job, task, migration or eviction
@@ -425,37 +423,33 @@ class Observability:
             self.registry.counter("mapreduce.tasks_completed").inc()
             hist = self._h_map if record.kind == "map" else self._h_reduce
             hist.observe(record.duration)
-            if tracer.enabled("job"):
-                tracer.complete(
-                    "mapreduce.task",
-                    "job",
-                    record.start,
-                    end=record.end,
-                    lane=record.node,
-                    args={"task": record.task_id, "job": record.job_id, "kind": record.kind},
-                )
+            tracer.complete(
+                "mapreduce.task",
+                "job",
+                record.start,
+                end=record.end,
+                lane=record.node,
+                args={"task": record.task_id, "job": record.job_id, "kind": record.kind},
+            )
         elif kind is JobRecord:
             self.registry.counter("mapreduce.jobs_completed").inc()
             self._h_job.observe(record.duration)
-            if tracer.enabled("job"):
-                tracer.complete(
-                    "mapreduce.job",
-                    "job",
-                    record.submitted_at,
-                    end=record.end,
-                    lane="jobs",
-                    args={
-                        "job": record.job_id,
-                        "name": record.name,
-                        "maps": record.num_maps,
-                        "reduces": record.num_reduces,
-                        "input_bytes": round(record.input_bytes),
-                        "failed": record.failed,
-                    },
-                )
+            tracer.complete(
+                "mapreduce.job",
+                "job",
+                record.submitted_at,
+                end=record.end,
+                lane="jobs",
+                args={
+                    "job": record.job_id,
+                    "name": record.name,
+                    "maps": record.num_maps,
+                    "reduces": record.num_reduces,
+                    "input_bytes": round(record.input_bytes),
+                    "failed": record.failed,
+                },
+            )
         elif kind is MigrationRecord:
-            if not tracer.enabled("ignem"):
-                return
             args = {
                 "block": record.block_id,
                 "job": record.job_id,
@@ -482,19 +476,18 @@ class Observability:
                     ts=record.end,
                 )
         elif kind is EvictionRecord:
-            if tracer.enabled("ignem"):
-                tracer.instant(
-                    "ignem.eviction",
-                    "ignem",
-                    lane=record.node,
-                    args={
-                        "block": record.block_id,
-                        "bytes": round(record.nbytes),
-                        "reason": record.reason,
-                        "tier": record.tier,
-                    },
-                    ts=record.time,
-                )
+            tracer.instant(
+                "ignem.eviction",
+                "ignem",
+                lane=record.node,
+                args={
+                    "block": record.block_id,
+                    "bytes": round(record.nbytes),
+                    "reason": record.reason,
+                    "tier": record.tier,
+                },
+                ts=record.time,
+            )
 
     # -- self-healing replication hooks ------------------------------------------------
 
@@ -510,7 +503,7 @@ class Observability:
     ) -> None:
         """ReplicationMonitor chain-copy hook: span per pipelined copy."""
         tracer = self.tracer
-        if tracer is None or not tracer.enabled("repair"):
+        if tracer is None:
             return
         tracer.complete(
             "dfs.repair.copy",
@@ -530,7 +523,7 @@ class Observability:
     def on_repair_drop(self, block_id: str, node: str, reason: str) -> None:
         """Excess-thinning / rebalance-retirement hook."""
         tracer = self.tracer
-        if tracer is None or not tracer.enabled("repair"):
+        if tracer is None:
             return
         tracer.instant(
             "dfs.repair.drop",
@@ -544,7 +537,7 @@ class Observability:
     ) -> None:
         """Decommission-drain hook: span from request to full drain."""
         tracer = self.tracer
-        if tracer is None or not tracer.enabled("repair"):
+        if tracer is None:
             return
         tracer.complete(
             "dfs.repair.decommission",
@@ -559,7 +552,7 @@ class Observability:
     def on_master_command(self, what: str, node: str, kind: str, job_id: str) -> None:
         """IgnemMaster RPC hook: sent/retry/rerouted/abandoned instants."""
         tracer = self.tracer
-        if tracer is None or not tracer.enabled("ignem"):
+        if tracer is None:
             return
         tracer.instant(
             f"ignem.command.{what}",
@@ -573,7 +566,7 @@ class Observability:
     ) -> None:
         """IgnemSlave capacity-gate hook: span covering the stall."""
         tracer = self.tracer
-        if tracer is None or not tracer.enabled("ignem"):
+        if tracer is None:
             return
         tracer.complete(
             "ignem.do_not_harm_wait",

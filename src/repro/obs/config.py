@@ -3,9 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import FrozenSet, Optional
-
-from .trace import DEFAULT_CATEGORIES
+from typing import Optional
 
 
 @dataclass(frozen=True)
@@ -22,13 +20,11 @@ class ObservabilityConfig:
 
     Parameters
     ----------
-    categories:
-        Trace categories to record (see
-        :data:`~repro.obs.trace.ALL_CATEGORIES`).  The default set covers
-        every application layer.  Add ``"sim"`` to also trace the
-        simulation kernel (event dispatches and process wakeups): it
-        scales with raw event-dispatch volume, so it is opt-in and meant
-        for debugging the simulator itself.
+    sim_events:
+        Also trace the simulation kernel (event dispatches and process
+        wakeups, the "sim" category).  Every application layer is always
+        traced; the kernel scales with raw event-dispatch volume, so it
+        is opt-in and meant for debugging the simulator itself.
     trace_path:
         When set, tracing is on, and :meth:`repro.cluster.Cluster.run`
         writes the JSONL trace here after the run.
@@ -37,6 +33,6 @@ class ObservabilityConfig:
         snapshot (JSON) here after the run.
     """
 
-    categories: FrozenSet[str] = DEFAULT_CATEGORIES
+    sim_events: bool = False
     trace_path: Optional[str] = None
     metrics_path: Optional[str] = None

@@ -16,15 +16,13 @@ from __future__ import annotations
 
 import json
 import sys
-from typing import Dict, Iterable, List, Union
-
-from .trace import ALL_CATEGORIES
+from typing import Dict, FrozenSet, Iterable, List, Union
 
 #: Every event name the instrumentation may emit, with its category.
 #: The checker fails on names outside this registry, so adding an event
 #: to the code without registering it here is caught by CI.
 KNOWN_EVENTS: Dict[str, str] = {
-    # sim kernel (opt-in category)
+    # sim kernel (opt-in: ObservabilityConfig.sim_events)
     "sim.dispatch": "sim",
     # storage layer
     "storage.transfer": "storage",
@@ -52,6 +50,12 @@ KNOWN_EVENTS: Dict[str, str] = {
     "mapreduce.job": "job",
     "mapreduce.task": "job",
 }
+
+#: Trace categories, one per instrumented layer.  Every category but
+#: "sim" is always traced; "sim" (the event-dispatch kernel) is opt-in
+#: through ``ObservabilityConfig.sim_events``, because it multiplies
+#: event volume by the dispatch count.
+ALL_CATEGORIES: FrozenSet[str] = frozenset(KNOWN_EVENTS.values())
 
 #: Metadata events (thread-name declarations) allowed alongside data.
 _METADATA_NAMES = {"thread_name"}

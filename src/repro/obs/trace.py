@@ -19,25 +19,7 @@ from __future__ import annotations
 import json
 import pathlib
 from operator import itemgetter
-from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
-
-#: Trace categories, enabling instrumentation per layer.  "sim" (the
-#: event-dispatch kernel) is deliberately absent from the default set:
-#: kernel-level tracing multiplies event volume by the dispatch count and
-#: is only worth paying for when debugging the simulator itself.
-ALL_CATEGORIES: FrozenSet[str] = frozenset(
-    {
-        "sim",
-        "storage",
-        "net",
-        "dfs",
-        "repair",
-        "ignem",
-        "scheduler",
-        "job",
-    }
-)
-DEFAULT_CATEGORIES: FrozenSet[str] = ALL_CATEGORIES - {"sim"}
+from typing import Dict, List, Optional, Tuple
 
 #: Conversion from sim-time seconds to trace microseconds.
 _US = 1e6
@@ -51,20 +33,10 @@ class Tracer:
     env:
         Anything with a ``now`` attribute in seconds (the simulation
         :class:`~repro.sim.engine.Environment`).
-    categories:
-        Enabled trace categories; emissions for other categories are
-        dropped at the call site (callers check :meth:`enabled`).
     """
 
-    def __init__(self, env, categories: Iterable[str] = DEFAULT_CATEGORIES):
+    def __init__(self, env):
         self.env = env
-        unknown = set(categories) - ALL_CATEGORIES
-        if unknown:
-            raise ValueError(
-                f"unknown trace categories {sorted(unknown)}; "
-                f"choose from {sorted(ALL_CATEGORIES)}"
-            )
-        self.categories: FrozenSet[str] = frozenset(categories)
         #: Event tuples ``(ts_us, dur_us|None, ph, name, cat, tid, args)``.
         self._events: List[Tuple] = []
         #: Thread-name registry: chrome wants integer tids; we map stable
@@ -73,9 +45,6 @@ class Tracer:
         self._tids: Dict[str, int] = {}
 
     # -- emission --------------------------------------------------------------
-
-    def enabled(self, category: str) -> bool:
-        return category in self.categories
 
     def _tid(self, lane: str) -> int:
         tid = self._tids.get(lane)
@@ -179,10 +148,7 @@ class Tracer:
         return target
 
     def __repr__(self) -> str:
-        return (
-            f"<Tracer events={len(self._events)} "
-            f"categories={sorted(self.categories)}>"
-        )
+        return f"<Tracer events={len(self._events)}>"
 
 
 class TraceReader:

@@ -58,7 +58,7 @@ class Environment:
         #: Optional kernel monitor ``(when, event, callbacks) -> None``,
         #: called once per dispatched event.  ``None`` keeps the run loop
         #: on the untouched fast path; the observability layer installs
-        #: one only when the "sim" trace category is enabled.
+        #: one only when ``ObservabilityConfig.sim_events`` is set.
         self.monitor: Optional[Any] = None
 
     @property

@@ -1,15 +1,15 @@
 """The Transport interface: named endpoints exchanging typed messages.
 
 A transport carries :mod:`~repro.transport.messages` between *endpoints*
-— string-named message handlers ("master", "namenode",
-"datanode/node3", "slave/node0").  Two verbs cover every interaction in
-the system:
+— string-named message handlers ("master", "slave/node0", and on the
+real backend also "namenode" and "datanode/node3").  Two verbs cover
+every interaction in the system:
 
 * :meth:`Transport.request` — request/reply: deliver a message, return
   the handler's reply (RPC semantics; commands, namespace lookups,
   block reads/writes);
-* :meth:`Transport.send` — one-way: deliver and forget (heartbeats,
-  pipeline notices, failover announcements).
+* :meth:`Transport.send` — one-way: deliver and forget (failover
+  announcements).
 
 Delivery to an unknown or dead endpoint raises
 :class:`~repro.net.network.NetworkError` — the same exception the data

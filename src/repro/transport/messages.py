@@ -1,16 +1,16 @@
 """Typed protocol messages and the versioned wire codec.
 
 Every cross-node interaction in the system — migrate/evict commands,
-file-level migration requests, heartbeats, block reads and writes,
-replica-pipeline notices, and failover announcements — is expressed as
-one of the dataclasses below.  The message set is derived from
-``core/commands.py`` (the Ignem master→slave command surface) and the
-NameNode/DataNode call surface; a message is the unit a
+file-level migration requests, heartbeats, block reads and writes, and
+failover announcements — is expressed as one of the dataclasses below,
+and each one has a sender: the simulated cluster's client, heat policy
+and Ignem master, or the real backend's services
+(:mod:`~repro.transport.real`).  A message is the unit a
 :class:`~repro.transport.base.Transport` carries.
 
 The codec serialises any message to a binary *frame*: a 4-byte
 big-endian envelope length, a self-describing JSON envelope
-``{"v": 2, "kind": "<ClassName>", "body": {...}, "blobs": [n, ...]}``,
+``{"v": 3, "kind": "<ClassName>", "body": {...}, "blobs": [n, ...]}``,
 then the raw ``bytes`` payloads ("blobs") back to back.  A ``bytes``
 field travels as a reference ``{"__b__": i}`` into the blob section and
 ``"blobs"`` lists each blob's length (the key is omitted when there
@@ -43,7 +43,7 @@ from ..core.commands import EvictCommand, MigrateCommand, MigrationWorkItem
 from ..dfs.blocks import Block
 
 #: Bumped on any incompatible change to the message set or encoding.
-PROTOCOL_VERSION = 2
+PROTOCOL_VERSION = 3
 
 _ENVELOPE_LEN = struct.Struct(">I")
 
@@ -86,7 +86,6 @@ class MigrateFilesRequest:
     paths: Tuple[str, ...]
     job_id: str
     implicit_eviction: bool = False
-    dst_tier: Optional[str] = None
 
 
 @dataclass(frozen=True, slots=True)
@@ -125,10 +124,9 @@ class HeartbeatMsg:
 
 @dataclass(frozen=True, slots=True)
 class BlockReadRequest:
-    """Reader → DataNode: serve one block (or probe its residency)."""
+    """Reader → DataNode: serve one block from its fastest tier."""
 
     block_id: str
-    prefer_tier: Optional[str] = None
 
 
 @dataclass(frozen=True, slots=True)
@@ -158,17 +156,6 @@ class BlockWriteReply:
 
 
 @dataclass(frozen=True, slots=True)
-class ReplicaPipelineMsg:
-    """Repair coordinator → DataNode: a re-replication chain copy is
-    pipelining this block through you (one-way bookkeeping notice)."""
-
-    block_id: str
-    source: str
-    targets: Tuple[str, ...]
-    reason: str
-
-
-@dataclass(frozen=True, slots=True)
 class FailoverMsg:
     """HA pair → slaves: the active master changed; purge reference
     state to stay consistent with the new master (paper III-A5)."""
@@ -183,7 +170,6 @@ class CreateFileRequest:
 
     path: str
     nbytes: float
-    replication: Optional[int] = None
 
 
 @dataclass(frozen=True, slots=True)
@@ -242,7 +228,6 @@ _WIRE_TYPES = (
     BlockReadReply,
     BlockWriteRequest,
     BlockWriteReply,
-    ReplicaPipelineMsg,
     FailoverMsg,
     CreateFileRequest,
     BlockPlacement,

@@ -24,7 +24,7 @@ import hashlib
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from ..core.commands import EvictCommand, MigrateCommand, MigrationWorkItem
+from ..core.commands import MigrateCommand, MigrationWorkItem
 from ..dfs.blocks import Block
 from ..sim.rand import RandomSource
 from .aio import AsyncioTransport
@@ -38,9 +38,6 @@ from .messages import (
     BlockWriteRequest,
     CreateFileReply,
     CreateFileRequest,
-    DemoteBlocksRequest,
-    EvictFilesRequest,
-    EvictMsg,
     FileInfoReply,
     FileInfoRequest,
     HeartbeatMsg,
@@ -48,8 +45,6 @@ from .messages import (
     LocationsRequest,
     MigrateFilesRequest,
     MigrateMsg,
-    PromoteBlocksRequest,
-    ReplicaPipelineMsg,
 )
 
 #: Real-mode block size: small enough that a demo writes in milliseconds,
@@ -70,7 +65,7 @@ class DataNodeService:
         self.name = name
         self.transport = transport
         self.tiers: Dict[str, Dict[str, bytes]] = {"mem": {}, "disk": {}}
-        self.pipeline_notices = 0
+        self.pipeline_forwards = 0
         self._heartbeat_seq = 0
         self._heartbeat_task: Optional[asyncio.Task] = None
 
@@ -98,7 +93,7 @@ class DataNodeService:
             if msg.pipeline:
                 # Store-and-forward: pass the remaining pipeline on to
                 # the next replica holder (ClusterDFS's fwdlist scheme).
-                self.pipeline_notices += 1
+                self.pipeline_forwards += 1
                 reply = await self.transport.request(
                     f"datanode/{msg.pipeline[0]}",
                     BlockWriteRequest(
@@ -113,8 +108,6 @@ class DataNodeService:
             return BlockWriteReply(ok=True, stored=stored)
         if isinstance(msg, BlockReadRequest):
             for tier in ("mem", "disk"):
-                if msg.prefer_tier is not None and tier != msg.prefer_tier:
-                    continue
                 data = self.tiers[tier].get(msg.block_id)
                 if data is not None:
                     return BlockReadReply(
@@ -129,14 +122,6 @@ class DataNodeService:
             # Publish the new residency before acking so the master's
             # request sees a consistent memory-locality index.
             await self.heartbeat()
-            return Ack(True)
-        if isinstance(msg, EvictMsg):
-            for block_id in msg.command.block_ids:
-                self.tiers["mem"].pop(block_id, None)
-            await self.heartbeat()
-            return Ack(True)
-        if isinstance(msg, ReplicaPipelineMsg):
-            self.pipeline_notices += 1
             return Ack(True)
         raise TypeError(f"datanode cannot handle {type(msg).__name__}")
 
@@ -191,8 +176,7 @@ class NameNodeService:
         if isinstance(msg, CreateFileRequest):
             if msg.path in self.files:
                 return CreateFileReply(ok=False)
-            replication = msg.replication or self.replication
-            replication = min(replication, len(self.datanodes))
+            replication = min(self.replication, len(self.datanodes))
             placements: List[BlockPlacement] = []
             remaining = int(msg.nbytes)
             index = 0
@@ -242,12 +226,11 @@ class NameNodeService:
 
 class MasterService:
     """The Ignem master as a real service: file→block fan-out of
-    migrate/evict commands, with per-(owner, block) eviction routing."""
+    migrate commands, one randomly chosen replica holder per block."""
 
     def __init__(self, transport: AsyncioTransport, seed: int = 0):
         self.transport = transport
         self.rng = RandomSource(seed)
-        self.assignments: Dict[Tuple[str, str], Tuple[str, ...]] = {}
 
     async def start(self) -> None:
         await self.transport.serve("master", self.handle_message)
@@ -268,60 +251,28 @@ class MasterService:
                     )
                     if not locations.nodes:
                         continue
-                    key = (msg.job_id, placement.block_id)
-                    chosen = self.assignments.get(key)
-                    if chosen is None:
-                        chosen = (self.rng.choice(sorted(locations.nodes)),)
-                        self.assignments[key] = chosen
-                    for node in chosen:
-                        items_by_node.setdefault(node, []).append(
-                            MigrationWorkItem(
-                                block=Block(
-                                    block_id=placement.block_id,
-                                    path=path,
-                                    index=placement.index,
-                                    nbytes=placement.nbytes,
-                                ),
-                                job_id=msg.job_id,
-                                job_input_bytes=placement.nbytes,
-                                job_submitted_at=0.0,
-                                implicit_eviction=msg.implicit_eviction,
-                                order_hint=order_hint,
-                                dst_tier=msg.dst_tier or "mem",
-                            )
+                    node = self.rng.choice(sorted(locations.nodes))
+                    items_by_node.setdefault(node, []).append(
+                        MigrationWorkItem(
+                            block=Block(
+                                block_id=placement.block_id,
+                                path=path,
+                                index=placement.index,
+                                nbytes=placement.nbytes,
+                            ),
+                            job_id=msg.job_id,
+                            job_input_bytes=placement.nbytes,
+                            job_submitted_at=0.0,
+                            implicit_eviction=msg.implicit_eviction,
+                            order_hint=order_hint,
                         )
+                    )
                     order_hint += 1
             for node, items in items_by_node.items():
                 await self.transport.request(
                     f"datanode/{node}",
                     MigrateMsg(MigrateCommand(msg.job_id, tuple(items))),
                 )
-            return Ack(True)
-        if isinstance(msg, (EvictFilesRequest, DemoteBlocksRequest)):
-            if isinstance(msg, EvictFilesRequest):
-                owner = msg.job_id
-                block_ids = []
-                for path in msg.paths:
-                    info = await self.transport.request(
-                        "namenode", FileInfoRequest(path)
-                    )
-                    block_ids.extend(p.block_id for p in info.blocks)
-            else:
-                owner = msg.owner
-                block_ids = list(msg.block_ids)
-            by_node: Dict[str, List[str]] = {}
-            for block_id in block_ids:
-                for node in self.assignments.pop((owner, block_id), ()):
-                    by_node.setdefault(node, []).append(block_id)
-            for node, ids in by_node.items():
-                await self.transport.request(
-                    f"datanode/{node}",
-                    EvictMsg(EvictCommand(owner, tuple(ids))),
-                )
-            return Ack(True)
-        if isinstance(msg, PromoteBlocksRequest):
-            # The real demo promotes whole files; block-level promotion
-            # reuses the file machinery once the heat policy runs real.
             return Ack(True)
         raise TypeError(f"master cannot handle {type(msg).__name__}")
 
@@ -528,7 +479,7 @@ async def _run_demo(
             phase1_ram_reads=ram1,
             phase2_ram_reads=ram2,
             blocks_lost=blocks_lost,
-            pipeline_depth=tuple(dn.pipeline_notices for dn in datanodes),
+            pipeline_depth=tuple(dn.pipeline_forwards for dn in datanodes),
             errors=errors,
         )
     finally:

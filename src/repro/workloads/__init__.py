@@ -22,12 +22,6 @@ from .serve import (
 )
 from .sort import SORT_INPUT_BYTES, SORT_INPUT_PATH, make_sort_spec
 from .swim import SwimGenerator, SwimJob, size_bin, to_specs
-from .trace_io import (
-    load_google_jobs,
-    load_swim_trace,
-    save_google_jobs,
-    save_swim_trace,
-)
 from .wordcount import DEFAULT_SIZES_GB, make_wordcount_spec, wordcount_path
 
 __all__ = [
@@ -50,8 +44,6 @@ __all__ = [
     "format_scale_result",
     "format_serve_result",
     "generate_requests",
-    "load_google_jobs",
-    "load_swim_trace",
     "make_sort_spec",
     "make_wordcount_spec",
     "run_scale_replay",

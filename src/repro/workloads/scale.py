@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 from ..cluster import Cluster, ClusterConfig
 from ..core.config import IgnemConfig
@@ -50,6 +50,8 @@ class ScaleConfig:
     def __post_init__(self) -> None:
         if not self.mean_interarrival > 0:
             raise ValueError("mean_interarrival must be positive")
+        if self.max_blocks_per_job < 1:
+            raise ValueError("max_blocks_per_job must be >= 1")
 
 
 @dataclass

@@ -67,7 +67,7 @@ FIELDS = {
         "batch_jobs",
         "seed",
     ),
-    ObservabilityConfig: ("categories", "trace_path", "metrics_path"),
+    ObservabilityConfig: ("sim_events", "trace_path", "metrics_path"),
     ScaleConfig: (
         "num_nodes",
         "num_jobs",

@@ -91,10 +91,7 @@ class TestRepairTraceSpans:
         trace_path = tmp_path / f"{label}.jsonl"
         cluster = build_paper_testbed(
             seed=3,
-            observability=ObservabilityConfig(
-                trace_path=str(trace_path),
-                categories=("repair",),
-            ),
+            observability=ObservabilityConfig(trace_path=str(trace_path)),
         )
         cluster.enable_rereplication()
         cluster.client.create_file("/f", 256 * MB)
@@ -110,7 +107,11 @@ class TestRepairTraceSpans:
 
     def test_repair_copies_and_decommission_emit_spans(self, tmp_path):
         cluster, path = self._repaired_cluster(tmp_path, "repair")
-        events = [json.loads(line) for line in path.read_text().splitlines()]
+        events = [
+            event
+            for event in map(json.loads, path.read_text().splitlines())
+            if event["cat"] == "repair"
+        ]
         copies = [
             e
             for e in events
@@ -265,9 +266,7 @@ class TestNetTransferSpans:
         cluster = build_paper_testbed(
             seed=3,
             num_nodes=4,
-            observability=ObservabilityConfig(
-                trace_path=str(trace_path), categories=("net",)
-            ),
+            observability=ObservabilityConfig(trace_path=str(trace_path)),
         )
         network = cluster.network
         node0, node1, node2, node3 = cluster.node_names()
@@ -282,7 +281,7 @@ class TestNetTransferSpans:
         spans = collections.defaultdict(list)
         for line in trace_path.read_text().splitlines():
             event = json.loads(line)
-            if event.get("name") == "net.transfer":
+            if event["cat"] == "net":
                 spans[event["args"]["tag"]].append(
                     (event["args"]["ok"], event["dur"] / 1e6)
                 )

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from repro.obs import ALL_CATEGORIES, DEFAULT_CATEGORIES, TraceReader, Tracer
+from repro.obs import ALL_CATEGORIES, ObservabilityConfig, TraceReader, Tracer
 from repro.obs.schema import validate_lines, validate_trace
 
 
@@ -14,13 +14,9 @@ class FakeClock:
 
 
 class TestTracer:
-    def test_rejects_unknown_categories(self):
-        with pytest.raises(ValueError):
-            Tracer(FakeClock(), categories={"bogus"})
-
     def test_sim_category_is_opt_in(self):
         assert "sim" in ALL_CATEGORIES
-        assert "sim" not in DEFAULT_CATEGORIES
+        assert ObservabilityConfig().sim_events is False
 
     def test_span_and_instant_emission(self):
         clock = FakeClock()

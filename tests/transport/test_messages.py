@@ -7,13 +7,16 @@ and paths, non-ASCII tenant labels, binary block payloads, empty
 tuples, nested commands carrying explicit ``seq`` values.
 """
 
+import ast
 import dataclasses
 import json
+import pathlib
 import struct
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import repro
 from repro.core.commands import EvictCommand, MigrateCommand, MigrationWorkItem
 from repro.dfs.blocks import Block
 from repro.transport.messages import (
@@ -40,7 +43,6 @@ from repro.transport.messages import (
     MigrateFilesRequest,
     MigrateMsg,
     PromoteBlocksRequest,
-    ReplicaPipelineMsg,
     decode,
     encode,
 )
@@ -143,7 +145,6 @@ MESSAGE_STRATEGIES = {
         paths=_names,
         job_id=_text,
         implicit_eviction=st.booleans(),
-        dst_tier=st.none() | _tiers,
     ),
     EvictFilesRequest: st.builds(
         EvictFilesRequest, paths=_names, job_id=_text
@@ -163,9 +164,7 @@ MESSAGE_STRATEGIES = {
         seq=st.integers(0, 10**9),
         tier_blocks=st.dictionaries(_tiers, _names, max_size=3),
     ),
-    BlockReadRequest: st.builds(
-        BlockReadRequest, block_id=_text, prefer_tier=st.none() | _tiers
-    ),
+    BlockReadRequest: st.builds(BlockReadRequest, block_id=_text),
     BlockReadReply: st.builds(
         BlockReadReply,
         ok=st.booleans(),
@@ -184,22 +183,10 @@ MESSAGE_STRATEGIES = {
     BlockWriteReply: st.builds(
         BlockWriteReply, ok=st.booleans(), stored=_names
     ),
-    ReplicaPipelineMsg: st.builds(
-        ReplicaPipelineMsg,
-        block_id=_text,
-        source=_text,
-        targets=_names,
-        reason=st.sampled_from(["repair", "rebalance", "decommission"]),
-    ),
     FailoverMsg: st.builds(
         FailoverMsg, generation=st.integers(0, 100), active=_text
     ),
-    CreateFileRequest: st.builds(
-        CreateFileRequest,
-        path=_text,
-        nbytes=_sizes,
-        replication=st.none() | st.integers(1, 5),
-    ),
+    CreateFileRequest: st.builds(CreateFileRequest, path=_text, nbytes=_sizes),
     BlockPlacement: _placements(),
     CreateFileReply: st.builds(
         CreateFileReply,
@@ -320,6 +307,25 @@ def test_unknown_kind_rejected():
         decode(frame)
 
 
+def test_replica_pipeline_notice_is_not_a_message():
+    """Protocol 3 dropped the re-replication notice: a well-formed frame
+    of that kind is an unknown kind, not a message."""
+    frame = _frame(
+        {
+            "v": PROTOCOL_VERSION,
+            "kind": "ReplicaPipelineMsg",
+            "body": {
+                "block_id": "b0",
+                "source": "node0",
+                "targets": ["node1"],
+                "reason": "repair",
+            },
+        }
+    )
+    with pytest.raises(CodecError, match="malformed envelope"):
+        decode(frame)
+
+
 def test_malformed_body_rejected():
     frame = _frame(
         {
@@ -371,3 +377,42 @@ def test_unregistered_type_rejected():
 
     with pytest.raises(CodecError, match="unknown message type"):
         encode(Rogue(1))
+
+
+# -- every message and field has a sender ------------------------------------------
+
+
+def _constructions():
+    """``{type name: set of field names}`` over every call of a message
+    type in ``src/`` outside the codec module: positional arguments fill
+    fields in declaration order, keywords name theirs."""
+    by_name = {t.__name__: t for t in MESSAGE_TYPES}
+    set_fields = {}
+    root = pathlib.Path(repro.__file__).parent
+    for path in sorted(root.rglob("*.py")):
+        if path.name == "messages.py" and path.parent.name == "transport":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if name not in by_name:
+                continue
+            fields = [f.name for f in dataclasses.fields(by_name[name])]
+            seen = set_fields.setdefault(name, set())
+            seen.update(fields[: len(node.args)])
+            seen.update(kw.arg for kw in node.keywords)
+    return set_fields
+
+
+def test_every_message_type_and_field_is_sent():
+    constructed = _constructions()
+    assert sorted(constructed) == sorted(t.__name__ for t in MESSAGE_TYPES)
+    unset = {
+        t.__name__: sorted(
+            {f.name for f in dataclasses.fields(t)} - constructed[t.__name__]
+        )
+        for t in MESSAGE_TYPES
+    }
+    assert {name: fields for name, fields in unset.items() if fields} == {}

@@ -2,11 +2,7 @@
 
 import pytest
 
-from repro.workloads.google_trace import (
-    GoogleTraceGenerator,
-    GoogleTraceJob,
-    TaskUsageInterval,
-)
+from repro.workloads.google_trace import GoogleTraceGenerator, TaskUsageInterval
 
 
 @pytest.fixture(scope="module")
@@ -80,40 +76,6 @@ class TestServerUsage:
     def test_zero_servers_rejected(self):
         with pytest.raises(ValueError):
             GoogleTraceGenerator(0).generate_server_usage(num_servers=0)
-
-
-class TestGoogleTraceIO:
-    def test_roundtrip(self, jobs, tmp_path):
-        from repro.workloads import load_google_jobs, save_google_jobs
-
-        sample = jobs[:200]
-        path = tmp_path / "google.csv"
-        save_google_jobs(sample, path)
-        loaded = load_google_jobs(path)
-        assert len(loaded) == len(sample)
-        for original, restored in zip(sample, loaded):
-            assert restored.job_id == original.job_id
-            assert restored.queue_delay == pytest.approx(
-                original.queue_delay, abs=1e-5
-            )
-            assert len(restored.task_io_times) == len(original.task_io_times)
-
-    def test_load_rejects_missing_columns(self, tmp_path):
-        from repro.workloads import load_google_jobs
-
-        path = tmp_path / "bad.csv"
-        path.write_text("job_id,submit_time\n0,1.0\n")
-        with pytest.raises(ValueError):
-            load_google_jobs(path)
-
-    def test_loaded_jobs_feed_the_analysis(self, jobs, tmp_path):
-        from repro.analysis import analyze_lead_time
-        from repro.workloads import load_google_jobs, save_google_jobs
-
-        path = tmp_path / "google.csv"
-        save_google_jobs(jobs[:1000], path)
-        analysis = analyze_lead_time(load_google_jobs(path))
-        assert 0.5 <= analysis.sufficient_fraction <= 1.0
 
 
 class TestWeeklyPattern:

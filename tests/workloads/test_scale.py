@@ -74,6 +74,13 @@ class TestReplay:
         assert capped.dataset_bytes <= 200 * 4 * block_size
         assert capped.capped_jobs > 0
 
+    @pytest.mark.parametrize("max_blocks", [0, -1])
+    def test_block_cap_below_one_is_rejected(self, max_blocks):
+        # A cap of zero blocks would replay every job against an empty
+        # input file and count every job as capped.
+        with pytest.raises(ValueError, match="max_blocks_per_job"):
+            ScaleConfig(max_blocks_per_job=max_blocks)
+
     def test_simulated_outputs_are_pinned(self):
         # The golden diff never reaches the scale-only paths (sampled
         # replica placement, the replay driver), so this pins their

@@ -88,38 +88,3 @@ class TestSizeBin:
         assert size_bin(64 * MB + 1) == "medium"
         assert size_bin(512 * MB) == "medium"
         assert size_bin(512 * MB + 1) == "large"
-
-
-class TestTraceIO:
-    def test_swim_roundtrip(self, jobs, tmp_path):
-        from repro.workloads import load_swim_trace, save_swim_trace
-
-        path = tmp_path / "swim.tsv"
-        save_swim_trace(jobs, path)
-        loaded = load_swim_trace(path)
-        assert len(loaded) == len(jobs)
-        for original, restored in zip(jobs, loaded):
-            assert restored.index == original.index
-            assert restored.arrival_time == pytest.approx(
-                original.arrival_time, abs=1e-5
-            )
-            assert restored.input_bytes == pytest.approx(
-                original.input_bytes, abs=1.0
-            )
-
-    def test_swim_load_skips_comments_and_blanks(self, tmp_path):
-        from repro.workloads import load_swim_trace
-
-        path = tmp_path / "swim.tsv"
-        path.write_text("# header comment\n\n0\t1.0\t100\t10\t5\n")
-        loaded = load_swim_trace(path)
-        assert len(loaded) == 1
-        assert loaded[0].input_bytes == 100
-
-    def test_swim_load_rejects_malformed_lines(self, tmp_path):
-        from repro.workloads import load_swim_trace
-
-        path = tmp_path / "swim.tsv"
-        path.write_text("0\t1.0\t100\n")
-        with pytest.raises(ValueError):
-            load_swim_trace(path)
