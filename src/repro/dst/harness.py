@@ -17,17 +17,16 @@ bug proves nothing.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from ..cluster import Cluster, ClusterConfig
-from ..core.config import IgnemConfig
-from ..core.heat import HeatConfig
+from ..cluster import Cluster
 from ..core.policy import make_policy
 from ..dfs.datanode import DataNodeError
 from ..dfs.namenode import NameNodeError
 from ..faults.injector import FaultInjector
-from ..mapreduce.spec import EngineConfig, JobSpec
+from ..mapreduce.spec import JobSpec
 from ..net.network import NetworkError
 from ..sim.events import chain_arrivals, join_all
 from ..sim.rand import RandomSource, derive_seed
@@ -80,58 +79,34 @@ class ScenarioResult:
 
 def build_cluster(scenario: Scenario) -> Tuple[Cluster, DifferentialChecker]:
     """Assemble the live system a scenario describes (not yet running)."""
-    cluster = Cluster(
-        ClusterConfig(
-            num_nodes=scenario.num_nodes,
-            slots_per_node=scenario.slots_per_node,
-            block_size=scenario.block_size,
-            replication=scenario.replication,
-            seed=scenario.seed,
-            tier_preset=scenario.tier_preset,
-            engine=EngineConfig(output_replication=1),
-        )
-    )
-    cluster.enable_ignem(
-        IgnemConfig(
-            buffer_capacity=scenario.buffer_capacity,
-            policy=scenario.policy,
-            do_not_harm=scenario.do_not_harm,
-            migration_concurrency=1,
-            migration_tier=scenario.migration_tier,
-        ),
-        ha=scenario.ha,
-    )
+    cluster = Cluster(scenario.cluster)
+    cluster.enable_ignem(scenario.ignem, ha=scenario.ha)
     cluster.enable_rereplication()
 
-    checker = DifferentialChecker(scenario.policy, replicas_to_migrate=1)
+    checker = DifferentialChecker(scenario.ignem)
     cluster.ignem_master.command_tap = checker.on_delivery
     cluster.ignem_master.failure_tap = checker.on_slave_failure
 
     for path, nbytes in sorted(scenario.input_files().items()):
         cluster.client.create_file(path, nbytes)
-    if scenario.serve is not None:
-        for index in range(scenario.serve.num_objects):
+    serve = scenario.serve
+    if serve is not None:
+        for index in range(serve.num_objects):
             cluster.client.create_file(
-                _serve_object_path(index), scenario.serve.object_bytes
+                _serve_object_path(index), serve.object_bytes
             )
-        if scenario.serve.heat:
-            cluster.enable_heat_migration(
-                HeatConfig(
-                    half_life=20.0,
-                    tick_interval=2.0,
-                    tenant_tick_bytes=scenario.serve.tenant_tick_bytes,
-                )
-            )
+        if serve.heat:
+            cluster.enable_heat_migration(serve.heat_config)
     return cluster, checker
 
 
 def apply_sabotage(cluster: Cluster, mode: str) -> None:
     """Break the live cluster on purpose (harness self-test).
 
-    * ``evict-to-admit`` — flip the shared (frozen) config's
-      ``do_not_harm`` off, so full buffers evict migrated blocks of
-      larger jobs to admit new ones: the III-A3 violation the oracles
-      must convict from the scenario's declared guarantee.
+    * ``evict-to-admit`` — turn the live config's ``do_not_harm`` off,
+      so full buffers evict migrated blocks of larger jobs to admit new
+      ones: the III-A3 violation the oracles must convict from the
+      scenario's declared guarantee.
     * ``fifo-queue`` — swap every slave's queue policy to FIFO while the
       scenario declares smallest-job-first: an ordering bug for the
       differential model.
@@ -140,23 +115,31 @@ def apply_sabotage(cluster: Cluster, mode: str) -> None:
     * ``disable-repair`` — turn the replication monitor off: a permanent
       node loss leaves blocks under-replicated forever, which the
       replication oracle must convict.
+
+    The first three install a replaced config on every slave and on the
+    cluster (which later-joined slaves read); the scenario's own,
+    declared config is never touched.
     """
     if mode not in SABOTAGE_MODES:
         raise ValueError(
             f"unknown sabotage {mode!r}; choose from {SABOTAGE_MODES}"
         )
-    config = next(iter(cluster.ignem_slaves.values())).config
-    if mode == "evict-to-admit":
-        object.__setattr__(config, "do_not_harm", False)
-    elif mode == "fifo-queue":
-        for slave in cluster.ignem_slaves.values():
-            slave.policy = make_policy("fifo")
-    elif mode == "disable-repair":
+    if mode == "disable-repair":
         cluster.replication_monitor.enabled = False
+        return
+    config = cluster._ignem_config
+    if mode == "evict-to-admit":
+        config = dataclasses.replace(config, do_not_harm=False)
+    elif mode == "fifo-queue":
+        config = dataclasses.replace(config, policy="fifo")
     else:  # overcommit-buffer
-        object.__setattr__(
-            config, "buffer_capacity", config.buffer_capacity * 4
+        config = dataclasses.replace(
+            config, buffer_capacity=config.buffer_capacity * 4
         )
+    cluster._ignem_config = config
+    for slave in cluster.ignem_slaves.values():
+        slave.config = config
+        slave.policy = make_policy(config.policy, config.reverse_within_job)
 
 
 def scenario_specs(scenario: Scenario) -> Tuple[List[JobSpec], List[float]]:
@@ -197,7 +180,7 @@ def serve_requests(
     serve = scenario.serve
     if serve is None:
         return []
-    rng = RandomSource(derive_seed(scenario.seed, "dst-serve")).spawn(
+    rng = RandomSource(derive_seed(scenario.cluster.seed, "dst-serve")).spawn(
         "serve"
     )
     zipf = ZipfSampler(serve.num_objects, serve.zipf_s)
@@ -209,7 +192,7 @@ def serve_requests(
         arrival += rng.expovariate(1.0 / mean_gap)
         path = _serve_object_path(zipf.sample(rng.uniform(0.0, 1.0)))
         tenant = f"tenant{rng.randint(0, serve.num_tenants - 1)}"
-        reader = f"node{rng.randint(0, scenario.num_nodes - 1)}"
+        reader = f"node{rng.randint(0, scenario.cluster.num_nodes - 1)}"
         requests.append((arrival, path, tenant, reader))
     return requests
 
@@ -243,9 +226,7 @@ def _start_serve_traffic(
         try:
             metadata = cluster.namenode.get_file(path)
             reads = [
-                cluster.client.read_block(
-                    block, reader, job_id="dst-serve", tenant=tenant
-                )
+                cluster.client.read_block(block, reader, tenant=tenant)
                 for block in metadata.blocks
             ]
         except _SERVE_ERRORS:

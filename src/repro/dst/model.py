@@ -39,6 +39,7 @@ import heapq
 from dataclasses import dataclass
 from typing import Dict, List, Sequence, Set, Tuple
 
+from ..core.config import IgnemConfig
 from ..metrics.records import EvictionRecord, MigrationRecord
 
 #: Slack for same-instant comparisons between an eviction and a
@@ -88,9 +89,15 @@ class DeliveredItem:
 class DifferentialChecker:
     """Differential harness: online command-boundary checks + replay."""
 
-    def __init__(self, policy: str, replicas_to_migrate: int = 1):
-        self.policy = policy
-        self.replicas_to_migrate = replicas_to_migrate
+    def __init__(self, config: IgnemConfig):
+        # The reference slave has one worker and tail-first job queues.
+        if config.migration_concurrency != 1 or not config.reverse_within_job:
+            raise ValueError(
+                "reference model covers migration_concurrency=1 with "
+                "reverse_within_job only"
+            )
+        self.policy = config.policy
+        self.replicas_to_migrate = config.replicas_to_migrate
         self.violations: List[str] = []
         #: Accepted migrate work, in delivery order.
         self.delivered: List[DeliveredItem] = []

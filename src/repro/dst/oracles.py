@@ -9,10 +9,12 @@ do-not-harm and the buffer cap (III-A3, III-B2), end-state liveness of
 reference lists (III-A4), post-crash silence (III-A5), byte and record
 conservation, locality-index equivalence, replication restored, no
 data loss, and tenant fairness.  Oracles judge against the
-**scenario's declared expectations** (``scenario.do_not_harm``,
-``scenario.buffer_capacity``), never against the live ``IgnemConfig``
-— a sabotaged build that flips a config flag at runtime must still be
-convicted by the spec it shipped with.
+**scenario's declared expectations** — the configs the scenario holds
+(``scenario.ignem.do_not_harm``, ``scenario.ignem.buffer_capacity``,
+``scenario.serve.heat_config.tenant_tick_bytes``), never against the
+configs the live slaves hold — so a sabotaged build that installs a
+different config at runtime is still convicted by the spec it shipped
+with.
 """
 
 from __future__ import annotations
@@ -67,7 +69,7 @@ def oracle_differential(ctx: OracleContext) -> List[str]:
 
 def oracle_do_not_harm(ctx: OracleContext) -> List[str]:
     """III-A3: migrated data is never evicted to admit new blocks."""
-    if not ctx.scenario.do_not_harm:
+    if not ctx.scenario.ignem.do_not_harm:
         return []
     violations = []
     for record in ctx.cluster.collector.evictions:
@@ -91,8 +93,8 @@ def oracle_buffer_cap(ctx: OracleContext) -> List[str]:
     (``migration_tier``); migrated bytes accumulating in any other tier
     are a violation outright.
     """
-    cap = ctx.scenario.buffer_capacity
-    declared = ctx.scenario.migration_tier
+    cap = ctx.scenario.ignem.buffer_capacity
+    declared = ctx.scenario.ignem.migration_tier
     violations = []
     for name in sorted(ctx.cluster.ignem_slaves):
         timelines = ctx.cluster.ignem_slaves[name].tier_usage_timeline
@@ -342,14 +344,14 @@ def oracle_tenant_fairness(ctx: OracleContext) -> List[str]:
     """The heat policy's per-tenant promotion cap holds on every tick.
 
     Judged against the *scenario's* declared ``tenant_tick_bytes`` (not
-    the live config) from the migrator's fairness audit log: no tick may
-    grant a single tenant more promotion bytes than the cap.
+    the live migrator's config) from the migrator's fairness audit log:
+    no tick may grant a single tenant more promotion bytes than the cap.
     """
     serve = ctx.scenario.serve
     migrator = getattr(ctx.cluster, "heat_migrator", None)
     if serve is None or not serve.heat or migrator is None:
         return []
-    cap = serve.tenant_tick_bytes
+    cap = serve.heat_config.tenant_tick_bytes
     violations = []
     for entry in migrator.fairness_log:
         for tenant in sorted(entry["granted"]):

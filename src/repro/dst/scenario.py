@@ -1,10 +1,13 @@
 """Self-describing DST scenarios and their seeded generator.
 
-A :class:`Scenario` is the unit of deterministic simulation testing: one
-plain-data description of a cluster shape, a workload mix, and a fault
-plan.  Scenarios serialize to canonical JSON (sorted keys, exact float
-reprs) so a shrunk failing scenario is byte-identical across machines
-and replays forever from ``tests/dst/corpus/``.
+A :class:`Scenario` is the unit of deterministic simulation testing: the
+shipped :class:`~repro.cluster.ClusterConfig` and
+:class:`~repro.core.config.IgnemConfig` it runs, a workload mix, and a
+fault plan.  Those configs are both what the harness builds and the
+*declaration* the oracles judge against.  Scenarios serialize to
+canonical JSON (flat keys, sorted, exact float reprs) so a shrunk
+failing scenario is byte-identical across machines and replays forever
+from ``tests/dst/corpus/``.
 
 The :class:`ScenarioGenerator` samples random scenarios from a seed:
 cluster configs (node count, replication, buffer capacity, policy, HA)
@@ -21,12 +24,16 @@ each seed of ``python -m repro chaos``.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 import pathlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
+from ..cluster import ClusterConfig
+from ..core.config import IgnemConfig
+from ..core.heat import HeatConfig
 from ..faults.schedule import FaultEvent, FaultSchedule
 from ..sim.rand import RandomSource, derive_seed
 from ..storage.device import GB, MB
@@ -45,8 +52,52 @@ FAULT_HORIZON_SLACK = 90.0
 #: drain would fault an idle cluster.
 SWIM_HORIZON_SLACK = 120.0
 
-#: Node count of the paper testbed that :func:`swim_scenario` runs on.
-SWIM_NODES = 8
+#: The heat policy of DST serve traffic: faster decay and ticks than
+#: the product default, so DST-sized request streams promote and demote
+#: within a run, and a tighter per-tenant cap.
+DST_HEAT = HeatConfig(
+    half_life=20.0, tick_interval=2.0, tenant_tick_bytes=256 * MB
+)
+
+#: Held-config fields every scenario's JSON carries.  Any other field
+#: is written only when it differs from its default, so files written
+#: before that field existed stay byte-canonical.
+_CLUSTER_KEYS = (
+    "seed", "num_nodes", "replication", "slots_per_node", "block_size"
+)
+_IGNEM_KEYS = ("buffer_capacity", "policy", "do_not_harm")
+_HEAT_KEYS = ("tenant_tick_bytes",)
+
+
+def _config_to_dict(config, default, always: Tuple[str, ...]) -> Dict:
+    """``config``'s flat JSON keys: the ``always`` fields plus every
+    field that differs from ``default``.  A differing field JSON cannot
+    carry exactly raises instead of being dropped."""
+    data = {}
+    for spec in dataclasses.fields(config):
+        value = getattr(config, spec.name)
+        if spec.name in always or value != getattr(default, spec.name):
+            if not isinstance(value, (bool, int, float, str, type(None))):
+                raise ValueError(
+                    f"{type(config).__name__}.{spec.name}={value!r} has "
+                    f"no scenario JSON form"
+                )
+            data[spec.name] = value
+    return data
+
+
+def _pop_config(default, data: Dict):
+    """The inverse of :func:`_config_to_dict`: ``default`` with every
+    one of its fields that ``data`` names, popped from ``data`` (so a
+    key left over is one no field reads, and the caller rejects it)."""
+    return dataclasses.replace(
+        default,
+        **{
+            spec.name: data.pop(spec.name)
+            for spec in dataclasses.fields(default)
+            if spec.name in data
+        },
+    )
 
 
 @dataclass(frozen=True)
@@ -70,9 +121,9 @@ class ScenarioJob:
     def __post_init__(self) -> None:
         if self.kind not in JOB_KINDS:
             raise ValueError(f"unknown job kind {self.kind!r}")
-        if self.input_bytes <= 0:
+        if not self.input_bytes > 0:
             raise ValueError("input_bytes must be positive")
-        if self.arrival < 0:
+        if not self.arrival >= 0:
             raise ValueError("arrival must be non-negative")
 
     @property
@@ -84,15 +135,7 @@ class ScenarioJob:
         return self.shuffle_bytes * self.output_fraction
 
     def to_dict(self) -> Dict:
-        return {
-            "name": self.name,
-            "kind": self.kind,
-            "input_path": self.input_path,
-            "input_bytes": self.input_bytes,
-            "arrival": self.arrival,
-            "shuffle_fraction": self.shuffle_fraction,
-            "output_fraction": self.output_fraction,
-        }
+        return dataclasses.asdict(self)
 
     @classmethod
     def from_dict(cls, data: Dict) -> "ScenarioJob":
@@ -106,9 +149,10 @@ class ServeTraffic:
     A seeded Zipfian request stream over a small set of shared objects,
     optionally with the hint-free popularity-driven migrator enabled —
     the serving regime of :mod:`repro.workloads.serve`, scaled down to
-    DST size.  ``tenant_tick_bytes`` is part of the *declared*
-    expectation: the tenant-fairness oracle convicts any tick that
-    grants one tenant more promotion bytes than this cap.
+    DST size.  With ``heat`` on, the migrator runs ``heat_config``,
+    whose ``tenant_tick_bytes`` is part of the *declared* expectation:
+    the tenant-fairness oracle convicts any tick that grants one tenant
+    more promotion bytes than this cap.
     """
 
     num_requests: int
@@ -117,77 +161,60 @@ class ServeTraffic:
     num_tenants: int = 2
     zipf_s: float = 1.1
     heat: bool = True
-    tenant_tick_bytes: float = 256 * MB
+    heat_config: HeatConfig = DST_HEAT
 
     def __post_init__(self) -> None:
         if self.num_requests < 1:
             raise ValueError("num_requests must be >= 1")
         if self.num_objects < 1:
             raise ValueError("num_objects must be >= 1")
-        if self.object_bytes <= 0:
+        if not self.object_bytes > 0:
             raise ValueError("object_bytes must be positive")
         if self.num_tenants < 1:
             raise ValueError("num_tenants must be >= 1")
-        if self.zipf_s <= 0:
+        if not self.zipf_s > 0:
             raise ValueError("zipf_s must be positive")
-        if self.tenant_tick_bytes <= 0:
-            raise ValueError("tenant_tick_bytes must be positive")
 
     def to_dict(self) -> Dict:
-        return {
-            "num_requests": self.num_requests,
-            "num_objects": self.num_objects,
-            "object_bytes": self.object_bytes,
-            "num_tenants": self.num_tenants,
-            "zipf_s": self.zipf_s,
-            "heat": self.heat,
-            "tenant_tick_bytes": self.tenant_tick_bytes,
-        }
+        data = dataclasses.asdict(self)
+        del data["heat_config"]
+        data.update(_config_to_dict(self.heat_config, DST_HEAT, _HEAT_KEYS))
+        return data
 
     @classmethod
     def from_dict(cls, data: Dict) -> "ServeTraffic":
-        return cls(**data)
+        data = dict(data)
+        heat_config = _pop_config(DST_HEAT, data)
+        return cls(heat_config=heat_config, **data)
 
 
 @dataclass(frozen=True)
 class Scenario:
-    """One complete DST input: cluster × workload × faults."""
+    """One complete DST input: cluster × workload × faults.
 
-    seed: int
-    num_nodes: int
-    replication: int
-    slots_per_node: int
-    block_size: float
-    buffer_capacity: float
-    policy: str
+    ``cluster`` and ``ignem`` are the configs the harness runs, and the
+    expectations the oracles check against (the spec is ground truth;
+    the live system may be sabotaged to disagree).
+    """
+
+    cluster: ClusterConfig
+    ignem: IgnemConfig
     ha: bool
     implicit_eviction: bool
     jobs: Tuple[ScenarioJob, ...]
     faults: Tuple[FaultEvent, ...] = ()
-    #: Expectation the oracles check against (the spec is ground truth;
-    #: the system under test may be sabotaged to disagree).
-    do_not_harm: bool = True
-    #: Storage-hierarchy preset (``repro.storage.TIER_PRESETS`` name).
-    #: Serialized only when not ``"mem-hdd"``, so pre-tier corpus files
-    #: stay byte-canonical.
-    tier_preset: str = "mem-hdd"
-    #: Destination tier migrations land in (and the tier the declared
-    #: ``buffer_capacity`` caps).  Serialized only when not ``"mem"``.
-    migration_tier: str = "mem"
     #: Interactive read traffic alongside the batch jobs; ``None`` keeps
     #: the classic batch-only run.  Serialized only when set, so the
     #: pre-serving corpus stays byte-canonical.
     serve: Optional[ServeTraffic] = None
 
     def __post_init__(self) -> None:
-        if self.num_nodes < 1:
-            raise ValueError("num_nodes must be >= 1")
-        if not 1 <= self.replication <= self.num_nodes:
+        # The NameNode clamps replication to the live nodes; a scenario
+        # must declare the factor its replication oracle will judge.
+        if not 1 <= self.cluster.replication <= self.cluster.num_nodes:
             raise ValueError("replication must be in [1, num_nodes]")
         if not self.jobs:
             raise ValueError("a scenario needs at least one job")
-        if not self.migration_tier:
-            raise ValueError("migration_tier must be non-empty")
         object.__setattr__(
             self,
             "faults",
@@ -201,7 +228,7 @@ class Scenario:
     # -- derived views ------------------------------------------------------------
 
     def fault_schedule(self) -> FaultSchedule:
-        return FaultSchedule(self.faults, seed=self.seed)
+        return FaultSchedule(self.faults, seed=self.cluster.seed)
 
     def input_files(self) -> Dict[str, float]:
         """path -> size of every (deduplicated) input file.
@@ -220,15 +247,17 @@ class Scenario:
         for job in self.jobs:
             kinds[job.kind] = kinds.get(job.kind, 0) + 1
         mix = "+".join(f"{n}{k}" for k, n in sorted(kinds.items()))
+        cluster, ignem = self.cluster, self.ignem
         text = (
-            f"seed={self.seed} nodes={self.num_nodes} rep={self.replication} "
-            f"buf={self.buffer_capacity / MB:.0f}MB policy={self.policy} "
+            f"seed={cluster.seed} nodes={cluster.num_nodes} "
+            f"rep={cluster.replication} "
+            f"buf={ignem.buffer_capacity / MB:.0f}MB policy={ignem.policy} "
             f"ha={self.ha} jobs=[{mix}] faults={len(self.faults)}"
         )
-        if self.tier_preset != "mem-hdd":
-            text += f" tiers={self.tier_preset}"
-        if self.migration_tier != "mem":
-            text += f" dst={self.migration_tier}"
+        if cluster.tier_preset != "mem-hdd":
+            text += f" tiers={cluster.tier_preset}"
+        if ignem.migration_tier != "mem":
+            text += f" dst={ignem.migration_tier}"
         if self.serve is not None:
             text += (
                 f" serve={self.serve.num_requests}req/"
@@ -243,34 +272,13 @@ class Scenario:
     def to_dict(self) -> Dict:
         data = {
             "format_version": FORMAT_VERSION,
-            "seed": self.seed,
-            "num_nodes": self.num_nodes,
-            "replication": self.replication,
-            "slots_per_node": self.slots_per_node,
-            "block_size": self.block_size,
-            "buffer_capacity": self.buffer_capacity,
-            "policy": self.policy,
+            **_config_to_dict(self.cluster, ClusterConfig(), _CLUSTER_KEYS),
+            **_config_to_dict(self.ignem, IgnemConfig(), _IGNEM_KEYS),
             "ha": self.ha,
             "implicit_eviction": self.implicit_eviction,
-            "do_not_harm": self.do_not_harm,
             "jobs": [job.to_dict() for job in self.jobs],
-            "faults": [
-                {
-                    "time": event.time,
-                    "kind": event.kind,
-                    "target": event.target,
-                    "param": event.param,
-                }
-                for event in self.faults
-            ],
+            "faults": [dataclasses.asdict(event) for event in self.faults],
         }
-        # Tier fields serialize only when non-default: the 2-tier
-        # corpus written before the tier axis existed must re-serialize
-        # byte-identically (the corpus canonical-form test).
-        if self.tier_preset != "mem-hdd":
-            data["tier_preset"] = self.tier_preset
-        if self.migration_tier != "mem":
-            data["migration_tier"] = self.migration_tier
         if self.serve is not None:
             data["serve"] = self.serve.to_dict()
         return data
@@ -282,40 +290,27 @@ class Scenario:
 
     @classmethod
     def from_dict(cls, data: Dict) -> "Scenario":
-        version = data.get("format_version", FORMAT_VERSION)
+        data = dict(data)
+        version = data.pop("format_version", FORMAT_VERSION)
         if version != FORMAT_VERSION:
             raise ValueError(
                 f"scenario format_version {version} not supported "
                 f"(this build reads {FORMAT_VERSION})"
             )
+        cluster = _pop_config(ClusterConfig(), data)
+        ignem = _pop_config(IgnemConfig(), data)
+        serve = data.pop("serve", None)
+        jobs = tuple(ScenarioJob.from_dict(job) for job in data.pop("jobs"))
+        faults = tuple(FaultEvent(**event) for event in data.pop("faults"))
+        # What is left is ``ha`` and ``implicit_eviction``; any other
+        # key (a misspelt field) is a TypeError, not a silent default.
         return cls(
-            seed=data["seed"],
-            num_nodes=data["num_nodes"],
-            replication=data["replication"],
-            slots_per_node=data["slots_per_node"],
-            block_size=data["block_size"],
-            buffer_capacity=data["buffer_capacity"],
-            policy=data["policy"],
-            ha=data["ha"],
-            implicit_eviction=data["implicit_eviction"],
-            do_not_harm=data.get("do_not_harm", True),
-            tier_preset=data.get("tier_preset", "mem-hdd"),
-            migration_tier=data.get("migration_tier", "mem"),
-            serve=(
-                ServeTraffic.from_dict(data["serve"])
-                if "serve" in data
-                else None
-            ),
-            jobs=tuple(ScenarioJob.from_dict(job) for job in data["jobs"]),
-            faults=tuple(
-                FaultEvent(
-                    time=event["time"],
-                    kind=event["kind"],
-                    target=event["target"],
-                    param=event["param"],
-                )
-                for event in data["faults"]
-            ),
+            cluster=cluster,
+            ignem=ignem,
+            serve=None if serve is None else ServeTraffic.from_dict(serve),
+            jobs=jobs,
+            faults=faults,
+            **data,
         )
 
     @classmethod
@@ -343,8 +338,9 @@ def swim_scenario(
 ) -> Scenario:
     """Chaos seed ``seed`` as a scenario.
 
-    The paper testbed (8 nodes x 8 slots, 64 MB blocks, replication 3,
-    a 16 GB buffer, smallest-job-first, an HA master pair, implicit
+    The paper testbed (the ``ClusterConfig`` and ``IgnemConfig``
+    defaults: 8 nodes x 8 slots, 64 MB blocks, replication 3, a 16 GB
+    buffer, smallest-job-first; plus an HA master pair and implicit
     eviction) runs ``SwimGenerator(seed)``'s first ``num_jobs`` jobs
     while ``FaultSchedule.random(seed, ...)`` crashes, fails over,
     slows and (with ``elasticity``) kills, joins and decommissions.
@@ -362,21 +358,17 @@ def swim_scenario(
         )
         for job in SwimGenerator(seed).generate(num_jobs=num_jobs)
     )
+    cluster = ClusterConfig(seed=seed)
     schedule = FaultSchedule.random(
         seed,
-        [f"node{i}" for i in range(SWIM_NODES)],
+        [f"node{i}" for i in range(cluster.num_nodes)],
         swim_horizon(jobs),
         max_node_crashes=2,
         elasticity=elasticity,
     )
     return Scenario(
-        seed=seed,
-        num_nodes=SWIM_NODES,
-        replication=3,
-        slots_per_node=8,
-        block_size=64 * MB,
-        buffer_capacity=16 * GB,
-        policy="smallest-job-first",
+        cluster=cluster,
+        ignem=IgnemConfig(),
         ha=True,
         implicit_eviction=True,
         jobs=jobs,
@@ -430,13 +422,14 @@ class ScenarioGenerator:
         serve = self._sample_serve(rng) if self.interactive else None
 
         return Scenario(
-            seed=scenario_seed,
-            num_nodes=num_nodes,
-            replication=replication,
-            slots_per_node=slots_per_node,
-            block_size=block_size,
-            buffer_capacity=buffer_capacity,
-            policy=policy,
+            cluster=ClusterConfig(
+                seed=scenario_seed,
+                num_nodes=num_nodes,
+                replication=replication,
+                slots_per_node=slots_per_node,
+                block_size=block_size,
+            ),
+            ignem=IgnemConfig(buffer_capacity=buffer_capacity, policy=policy),
             ha=ha,
             implicit_eviction=implicit_eviction,
             jobs=tuple(jobs),
@@ -458,7 +451,10 @@ class ScenarioGenerator:
             num_tenants=rng.randint(1, 3),
             zipf_s=rng.uniform(0.8, 1.5),
             heat=rng.uniform(0, 1) < 0.75,
-            tenant_tick_bytes=self._log_uniform(rng, 64 * MB, 512 * MB),
+            heat_config=dataclasses.replace(
+                DST_HEAT,
+                tenant_tick_bytes=self._log_uniform(rng, 64 * MB, 512 * MB),
+            ),
         )
 
     def _sample_jobs(self, rng: RandomSource) -> List[ScenarioJob]:

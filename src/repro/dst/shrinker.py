@@ -37,9 +37,10 @@ def _without_fault(scenario: Scenario, index: int) -> Optional[Scenario]:
 
 
 def _with_fewer_nodes(scenario: Scenario) -> Optional[Scenario]:
-    if scenario.num_nodes <= 2:
+    cluster = scenario.cluster
+    if cluster.num_nodes <= 2:
         return None
-    num_nodes = scenario.num_nodes - 1
+    num_nodes = cluster.num_nodes - 1
     # Node names are always node0..nodeN; faults aimed at the removed
     # tail node would be no-ops, so drop them with it.
     surviving = {f"node{i}" for i in range(num_nodes)}
@@ -50,8 +51,11 @@ def _with_fewer_nodes(scenario: Scenario) -> Optional[Scenario]:
     )
     return dataclasses.replace(
         scenario,
-        num_nodes=num_nodes,
-        replication=min(scenario.replication, num_nodes),
+        cluster=dataclasses.replace(
+            cluster,
+            num_nodes=num_nodes,
+            replication=min(cluster.replication, num_nodes),
+        ),
         faults=faults,
     )
 
@@ -98,7 +102,7 @@ def _size(scenario: Scenario) -> Tuple[int, int, int, int, int]:
         int(scenario.serve is not None),
         len(scenario.jobs),
         len(scenario.faults),
-        scenario.num_nodes,
+        scenario.cluster.num_nodes,
         int(scenario.ha),
     )
 
@@ -142,7 +146,7 @@ def describe_shrink(original: Scenario, shrunk: Scenario) -> str:
     for label, before, after in (
         ("jobs", len(original.jobs), len(shrunk.jobs)),
         ("faults", len(original.faults), len(shrunk.faults)),
-        ("nodes", original.num_nodes, shrunk.num_nodes),
+        ("nodes", original.cluster.num_nodes, shrunk.cluster.num_nodes),
     ):
         if before != after:
             parts.append(f"{label} {before}->{after}")

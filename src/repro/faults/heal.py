@@ -34,15 +34,16 @@ def heal_scenario(seed: int = 0, num_jobs: int = 40) -> Scenario:
     kill the first node, join a fresh one, decommission the last."""
     scenario = swim_scenario(seed, num_jobs)
     horizon = swim_horizon(scenario.jobs)
+    num_nodes = scenario.cluster.num_nodes
     return dataclasses.replace(
         scenario,
         faults=(
             FaultEvent(_KILL_AT * horizon, "kill", "node0"),
-            FaultEvent(_JOIN_AT * horizon, "join", f"node{scenario.num_nodes}"),
+            FaultEvent(_JOIN_AT * horizon, "join", f"node{num_nodes}"),
             FaultEvent(
                 _DECOMMISSION_AT * horizon,
                 "decommission",
-                f"node{scenario.num_nodes - 1}",
+                f"node{num_nodes - 1}",
             ),
         ),
     )
@@ -62,7 +63,7 @@ def heal_payload(result: ScenarioResult) -> Dict[str, object]:
     """``heal.json``: the scripted faults, the run's stats, and every
     violation."""
     return {
-        "seed": result.scenario.seed,
+        "seed": result.scenario.cluster.seed,
         "faults": {event.kind: event.target for event in result.scenario.faults},
         **result.stats,
         "violations": [

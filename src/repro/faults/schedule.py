@@ -59,7 +59,7 @@ class FaultEvent:
     param: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.time < 0:
+        if not self.time >= 0:
             raise ValueError(f"fault time must be non-negative, got {self.time}")
         if self.kind not in FAULT_KINDS:
             raise ValueError(f"unknown fault kind {self.kind!r}")

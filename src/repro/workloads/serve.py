@@ -151,7 +151,7 @@ class ZipfSampler:
     def __init__(self, n: int, s: float):
         if n < 1:
             raise ValueError("n must be >= 1")
-        if s <= 0:
+        if not s > 0:
             raise ValueError("s must be positive")
         self.n = n
         self.s = s

@@ -70,3 +70,42 @@ class TestFailoverMidRun:
         ha.fail_primary()  # already failed: swallowed, not double-counted
         assert ha.failovers == 1
         assert ha.alive
+
+
+class TestTapPassThroughs:
+    def test_taps_read_back_through_the_pair_across_a_failover(self):
+        # The DST harness sets these on the pair; each must reach both
+        # masters, so the standby keeps reporting after it takes over.
+        cluster, ha = make_ha_cluster()
+        cluster.client.create_file("/f", 128 * MB)
+        deliveries = []
+        failures = []
+
+        def rpc_fault(node):
+            return None
+
+        def command_tap(node, kind, command, slave):
+            deliveries.append((node, kind))
+
+        ha.rpc_fault = rpc_fault
+        ha.command_tap = command_tap
+        ha.failure_tap = failures.append
+        taps = {
+            "rpc_fault": rpc_fault,
+            "command_tap": command_tap,
+            "failure_tap": failures.append,
+        }
+        for name, tap in taps.items():
+            assert getattr(ha, name) == tap
+            assert getattr(ha.primary, name) == tap
+            assert getattr(ha.standby, name) == tap
+
+        ha.fail_primary()
+        assert ha.active is ha.standby
+        for name, tap in taps.items():
+            assert getattr(ha, name) == tap
+            assert getattr(ha.active, name) == tap
+        ha.request_migration(["/f"], "j1")
+        cluster.run()
+        # The standby's deliveries reach the tap set before the failover.
+        assert deliveries and all(kind == "migrate" for _, kind in deliveries)

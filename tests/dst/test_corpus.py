@@ -88,8 +88,8 @@ class TestThreeTierSeed:
 
     def test_three_tier_preset_survives_slave_crash(self):
         scenario = Scenario.load(CORPUS / "three-tier.json")
-        assert scenario.tier_preset == "mem-ssd-hdd"
-        assert scenario.migration_tier == "ssd"
+        assert scenario.cluster.tier_preset == "mem-ssd-hdd"
+        assert scenario.ignem.migration_tier == "ssd"
         result = run_scenario(scenario)
         assert result.ok, result.format_violations()
         assert result.stats["faults_applied"] == len(scenario.faults)

@@ -10,6 +10,8 @@ import pathlib
 
 import pytest
 
+from repro.cluster import ClusterConfig
+from repro.core.config import IgnemConfig
 from repro.dst import (
     DstRunner,
     Scenario,
@@ -27,13 +29,10 @@ CORPUS = pathlib.Path(__file__).parent / "corpus"
 
 def tiny_scenario():
     return Scenario(
-        seed=11,
-        num_nodes=2,
-        replication=1,
-        slots_per_node=2,
-        block_size=64 * MB,
-        buffer_capacity=1 * GB,
-        policy="smallest-job-first",
+        cluster=ClusterConfig(
+            seed=11, num_nodes=2, replication=1, slots_per_node=2
+        ),
+        ignem=IgnemConfig(buffer_capacity=1 * GB),
         ha=False,
         implicit_eviction=True,
         jobs=(
@@ -70,7 +69,45 @@ class TestCleanRun:
         assert first.violations == second.violations
 
 
+class TestBuildCluster:
+    def test_scenario_configs_are_passed_through(self):
+        scenario = Scenario.load(CORPUS / "mixed-serve.json")
+        cluster, checker = build_cluster(scenario)
+        assert cluster.config is scenario.cluster
+        assert cluster._ignem_config is scenario.ignem
+        assert all(
+            slave.config is scenario.ignem
+            for slave in cluster.ignem_slaves.values()
+        )
+        assert cluster.heat_migrator.config is scenario.serve.heat_config
+        assert (checker.policy, checker.replicas_to_migrate) == (
+            scenario.ignem.policy,
+            scenario.ignem.replicas_to_migrate,
+        )
+
+
 class TestSabotage:
+    @pytest.mark.parametrize(
+        "mode", ["evict-to-admit", "fifo-queue", "overcommit-buffer"]
+    )
+    def test_config_sabotage_leaves_the_declaration_intact(self, mode):
+        # The scenario's IgnemConfig is the oracles' declaration: the
+        # sabotage must install a changed copy, never rewrite it, and a
+        # node that joins later runs the sabotaged copy too.
+        scenario = tiny_scenario()
+        declared = scenario.ignem
+        cluster, _ = build_cluster(scenario)
+        apply_sabotage(cluster, mode)
+        cluster.add_datanode()
+        live = cluster._ignem_config
+        assert scenario.ignem is declared
+        assert scenario.ignem == IgnemConfig(buffer_capacity=1 * GB)
+        assert live != declared
+        slaves = cluster.ignem_slaves.values()
+        assert len(slaves) == 3
+        assert all(slave.config is live for slave in slaves)
+        assert {slave.policy.name for slave in slaves} == {live.policy}
+
     def test_unknown_mode_rejected(self):
         cluster, _ = build_cluster(tiny_scenario())
         with pytest.raises(ValueError):

@@ -6,6 +6,7 @@ collector's migration records — and asserts exactly which violations
 the worker simulation raises.
 """
 
+from repro.core.config import IgnemConfig
 from repro.dst import DifferentialChecker, reference_priority
 from repro.dst.model import DeliveredItem
 from repro.metrics import MigrationRecord
@@ -78,7 +79,7 @@ def instant(t, job, block, queue_wait, outcome):
 
 
 def replay(delivered, migrations, purges=()):
-    checker = DifferentialChecker("smallest-job-first")
+    checker = DifferentialChecker(IgnemConfig())
     checker.delivered.extend(delivered)
     return checker.replay(migrations, [], list(purges))
 
@@ -206,9 +207,7 @@ class TestViolationDetection:
 
 class TestCommandBoundary:
     def test_second_replica_migration_is_flagged(self):
-        checker = DifferentialChecker(
-            "smallest-job-first", replicas_to_migrate=1
-        )
+        checker = DifferentialChecker(IgnemConfig(replicas_to_migrate=1))
         checker._targets[("j1", "blk1")] = {"node0"}
 
         class _Item:
@@ -238,3 +237,25 @@ class TestCommandBoundary:
 
         checker.on_delivery("node1", "migrate", _Command(), _Slave())
         assert any("[one-replica]" in v for v in checker.violations)
+
+
+class TestCheckedConfig:
+    """The checker reads the config the cluster runs, and refuses one
+    its reference slave does not model."""
+
+    def test_reads_policy_and_replica_bound_from_the_config(self):
+        checker = DifferentialChecker(
+            IgnemConfig(policy="fifo", replicas_to_migrate=2)
+        )
+        assert (checker.policy, checker.replicas_to_migrate) == ("fifo", 2)
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            IgnemConfig(migration_concurrency=2),
+            IgnemConfig(reverse_within_job=False),
+        ],
+    )
+    def test_unmodeled_config_rejected(self, config):
+        with pytest.raises(ValueError):
+            DifferentialChecker(config)

@@ -70,8 +70,8 @@ def record_preempted_eviction(ctx):
 
 
 def overfill_declared_tier(ctx):
-    cap = ctx.scenario.buffer_capacity
-    tier = ctx.scenario.migration_tier
+    cap = ctx.scenario.ignem.buffer_capacity
+    tier = ctx.scenario.ignem.migration_tier
     ctx.cluster.collector.memory_samples.append(
         MemorySample("node1", 1.0, 2 * cap, tier, 2 * cap)
     )
@@ -80,7 +80,7 @@ def overfill_declared_tier(ctx):
 
 def fill_undeclared_tier(ctx):
     """Migrated bytes land in a tier the scenario never declared."""
-    assert ctx.scenario.migration_tier != "ssd"
+    assert ctx.scenario.ignem.migration_tier != "ssd"
     ctx.cluster.collector.memory_samples.append(
         MemorySample("node1", 1.0, 64 * MB, "ssd", 64 * MB)
     )
@@ -208,7 +208,7 @@ def lose_replicas_at_a_crash_instant(ctx):
 
 
 def overgrant_a_tenant(ctx):
-    cap = ctx.scenario.serve.tenant_tick_bytes
+    cap = ctx.scenario.serve.heat_config.tenant_tick_bytes
     ctx.cluster.heat_migrator.fairness_log.append(
         {"tick": 999, "time": 1.0, "granted": {"tenant0": 2 * cap}}
     )

@@ -1,26 +1,40 @@
 """Scenario objects: validation, canonical serialization, generation."""
 
+import dataclasses
+import hashlib
+import json
+import pathlib
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.dst import Scenario, ScenarioGenerator, ScenarioJob, swim_scenario
+from repro.cluster import ClusterConfig
+from repro.core.config import IgnemConfig
+from repro.dst import (
+    Scenario,
+    ScenarioGenerator,
+    ScenarioJob,
+    ServeTraffic,
+    swim_scenario,
+)
+from repro.dst.scenario import DST_HEAT
 from repro.faults import FaultEvent, FaultSchedule
 from repro.faults.schedule import FAULT_KINDS
+from repro.mapreduce.spec import EngineConfig
 from repro.storage import GB, MB
 from repro.workloads.swim import SwimGenerator
 from tests.strategies import fault_events
 
+CORPUS = pathlib.Path(__file__).parent / "corpus"
+
 
 def tiny_scenario(**overrides):
     fields = dict(
-        seed=1,
-        num_nodes=2,
-        replication=1,
-        slots_per_node=2,
-        block_size=64 * MB,
-        buffer_capacity=1 * GB,
-        policy="smallest-job-first",
+        cluster=ClusterConfig(
+            seed=1, num_nodes=2, replication=1, slots_per_node=2
+        ),
+        ignem=IgnemConfig(buffer_capacity=1 * GB),
         ha=False,
         implicit_eviction=True,
         jobs=(
@@ -44,11 +58,14 @@ class TestValidation:
 
     def test_replication_bounded_by_nodes(self):
         with pytest.raises(ValueError):
-            tiny_scenario(replication=3)
+            tiny_scenario(
+                cluster=ClusterConfig(num_nodes=2, replication=3)
+            )
 
     def test_num_nodes_positive(self):
+        # ClusterConfig makes this check; the scenario holds that config.
         with pytest.raises(ValueError):
-            tiny_scenario(num_nodes=0)
+            tiny_scenario(cluster=ClusterConfig(num_nodes=0))
 
     def test_job_kind_checked(self):
         with pytest.raises(ValueError):
@@ -104,7 +121,7 @@ class TestSerialization:
     def test_do_not_harm_defaults_true(self):
         data = tiny_scenario().to_dict()
         del data["do_not_harm"]
-        assert Scenario.from_dict(data).do_not_harm is True
+        assert Scenario.from_dict(data).ignem.do_not_harm is True
 
     def test_shared_input_files_keep_largest_size(self):
         job = tiny_scenario().jobs[0]
@@ -144,12 +161,13 @@ class TestGenerator:
         generator = ScenarioGenerator(seed=0)
         for index in range(20):
             scenario = generator.generate(index)
-            assert 2 <= scenario.num_nodes <= 6
-            assert 1 <= scenario.replication <= min(3, scenario.num_nodes)
-            assert 128 * MB <= scenario.buffer_capacity <= 4 * GB
-            assert scenario.policy in ("smallest-job-first", "fifo")
+            cluster, ignem = scenario.cluster, scenario.ignem
+            assert 2 <= cluster.num_nodes <= 6
+            assert 1 <= cluster.replication <= min(3, cluster.num_nodes)
+            assert 128 * MB <= ignem.buffer_capacity <= 4 * GB
+            assert ignem.policy in ("smallest-job-first", "fifo")
             assert scenario.jobs
-            names = {f"node{i}" for i in range(scenario.num_nodes)}
+            names = {f"node{i}" for i in range(cluster.num_nodes)}
             for event in scenario.faults:
                 assert event.kind in FAULT_KINDS
                 assert event.target is None or event.target in names
@@ -246,13 +264,131 @@ class TestSwimScenario:
     def test_paper_testbed_shape(self):
         scenario = swim_scenario(0, 3)
         assert (
-            scenario.num_nodes,
-            scenario.slots_per_node,
-            scenario.block_size,
-            scenario.replication,
-            scenario.buffer_capacity,
-            scenario.policy,
+            scenario.cluster.num_nodes,
+            scenario.cluster.slots_per_node,
+            scenario.cluster.block_size,
+            scenario.cluster.replication,
+            scenario.ignem.buffer_capacity,
+            scenario.ignem.policy,
             scenario.ha,
             scenario.implicit_eviction,
         ) == (8, 8, 64 * MB, 3, 16 * GB, "smallest-job-first", True, True)
         assert {job.kind for job in scenario.jobs} == {"swim"}
+
+
+class TestHeldConfigs:
+    """A scenario holds the shipped configs; JSON keeps today's flat keys
+    and drops no field silently."""
+
+    def test_non_default_field_without_a_key_round_trips(self):
+        scenario = tiny_scenario(
+            cluster=ClusterConfig(
+                num_nodes=2, replication=1, disk_capacity=2 * GB
+            ),
+            ignem=IgnemConfig(replicas_to_migrate=2, busy_threshold=3),
+            serve=ServeTraffic(
+                num_requests=5,
+                heat_config=dataclasses.replace(DST_HEAT, half_life=7.0),
+            ),
+        )
+        data = scenario.to_dict()
+        assert data["disk_capacity"] == 2 * GB
+        assert data["replicas_to_migrate"] == 2
+        assert data["busy_threshold"] == 3
+        assert data["serve"]["half_life"] == 7.0
+        assert Scenario.from_json(scenario.to_json()) == scenario
+
+    @pytest.mark.parametrize("section", [None, "serve"])
+    def test_misspelt_key_rejected(self, section):
+        # Read back as a default, a misspelt field would silently run
+        # (and judge) a different scenario.
+        data = json.loads((CORPUS / "mixed-serve.json").read_text())
+        target = data if section is None else data[section]
+        key = "buffer_capacity" if section is None else "tenant_tick_bytes"
+        target[key + "_typo"] = target.pop(key)
+        with pytest.raises(TypeError):
+            Scenario.from_dict(data)
+
+    def test_default_fields_without_a_key_are_not_written(self):
+        data = tiny_scenario().to_dict()
+        assert "disk_capacity" not in data
+        assert "migration_concurrency" not in data
+        assert "tier_preset" not in data
+        assert "migration_tier" not in data
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {
+                "cluster": ClusterConfig(
+                    num_nodes=2,
+                    replication=1,
+                    engine=EngineConfig(output_replication=2),
+                )
+            },
+            {"ignem": IgnemConfig(tier_buffer_capacities=(("mem", 1 * GB),))},
+        ],
+    )
+    def test_field_json_cannot_carry_raises(self, overrides):
+        with pytest.raises(ValueError, match="no scenario JSON form"):
+            tiny_scenario(**overrides).to_json()
+
+
+class TestNanRejected:
+    """``json.loads`` accepts ``NaN``; a replayed file with one in any
+    numeric field must be refused, not run."""
+
+    @pytest.mark.parametrize(
+        "path",
+        [
+            ("jobs", 0, "input_bytes"),
+            ("jobs", 0, "arrival"),
+            ("faults", 0, "time"),
+            ("serve", "object_bytes"),
+            ("serve", "zipf_s"),
+            ("serve", "tenant_tick_bytes"),
+            ("buffer_capacity",),
+            ("block_size",),
+        ],
+    )
+    def test_nan_field_rejected_on_load(self, tmp_path, path):
+        data = json.loads((CORPUS / "mixed-serve.json").read_text())
+        parent = data
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = float("nan")
+        target = tmp_path / "nan.json"
+        target.write_text(json.dumps(data))
+        assert "NaN" in target.read_text()
+        with pytest.raises(ValueError):
+            Scenario.load(target)
+
+
+def _digest(texts):
+    return hashlib.sha256("".join(texts).encode()).hexdigest()[:16]
+
+
+class TestDrawStreamPinned:
+    """The generators' draw streams, pinned across commits.
+
+    The other generator tests compare a generator with itself; these
+    digests change whenever a draw is added, removed or reordered, so a
+    new draw must come after every existing one (or the corpus and
+    every reported fuzz seed silently change meaning)."""
+
+    @pytest.mark.parametrize(
+        "flags, digest",
+        [
+            ({}, "a52781288d3640af"),
+            ({"elasticity": True}, "a89a88f48479081a"),
+            ({"interactive": True}, "4da27f2669ae7a7c"),
+        ],
+    )
+    def test_generator_stream(self, flags, digest):
+        generator = ScenarioGenerator(seed=0, **flags)
+        texts = (generator.generate(i).to_json() for i in range(25))
+        assert _digest(texts) == digest
+
+    def test_swim_stream(self):
+        texts = (swim_scenario(seed, 40).to_json() for seed in range(10))
+        assert _digest(texts) == "f9ae957489d38d81"

@@ -12,6 +12,7 @@ from repro.dst import (
     run_scenario,
     serve_requests,
 )
+from repro.core.heat import HeatConfig
 from repro.dfs.datanode import DataNodeError
 from repro.dst import harness
 from repro.dst.oracles import oracle_tenant_fairness
@@ -34,7 +35,10 @@ class TestServeTraffic:
             {"num_requests": 10, "object_bytes": 0.0},
             {"num_requests": 10, "num_tenants": 0},
             {"num_requests": 10, "zipf_s": 0.0},
-            {"num_requests": 10, "tenant_tick_bytes": 0.0},
+            # HeatConfig checks tenant_tick_bytes; these are the
+            # traffic's own fields, NaN-safe.
+            {"num_requests": 10, "object_bytes": float("nan")},
+            {"num_requests": 10, "zipf_s": float("nan")},
         ],
     )
     def test_validation(self, kwargs):
@@ -102,7 +106,7 @@ class TestServeRequests:
             assert path.startswith("/dst/serve/obj-")
             assert tenant in {"tenant0", "tenant1"}
             assert reader in {
-                f"node{i}" for i in range(scenario.num_nodes)
+                f"node{i}" for i in range(scenario.cluster.num_nodes)
             }
 
     def test_batch_only_scenario_has_no_requests(self):
@@ -186,14 +190,16 @@ class TestTenantFairnessOracle:
 
     def test_under_cap_passes(self):
         serve = ServeTraffic(
-            num_requests=10, tenant_tick_bytes=100 * MB, heat=True
+            num_requests=10,
+            heat_config=HeatConfig(tenant_tick_bytes=100 * MB),
         )
         log = [{"tick": 1, "time": 5.0, "granted": {"t0": 90 * MB}}]
         assert oracle_tenant_fairness(self._context(serve, log)) == []
 
     def test_over_cap_convicted(self):
         serve = ServeTraffic(
-            num_requests=10, tenant_tick_bytes=100 * MB, heat=True
+            num_requests=10,
+            heat_config=HeatConfig(tenant_tick_bytes=100 * MB),
         )
         log = [
             {"tick": 1, "time": 5.0, "granted": {"t0": 90 * MB}},

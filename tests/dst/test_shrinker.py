@@ -4,6 +4,8 @@ These tests use pure predicates over the scenario structure — no
 simulation — so they pin the shrinking algebra itself.
 """
 
+from repro.cluster import ClusterConfig
+from repro.core.config import IgnemConfig
 from repro.dst import Scenario, ScenarioJob, shrink_scenario
 from repro.dst.shrinker import (
     MAX_ATTEMPTS,
@@ -25,15 +27,12 @@ def job(name, arrival):
     )
 
 
-def big_scenario(**overrides):
+def big_scenario(replication=2, **overrides):
     fields = dict(
-        seed=9,
-        num_nodes=4,
-        replication=2,
-        slots_per_node=2,
-        block_size=64 * MB,
-        buffer_capacity=1 * GB,
-        policy="smallest-job-first",
+        cluster=ClusterConfig(
+            seed=9, num_nodes=4, replication=replication, slots_per_node=2
+        ),
+        ignem=IgnemConfig(buffer_capacity=1 * GB),
         ha=True,
         implicit_eviction=True,
         jobs=(
@@ -65,7 +64,7 @@ class TestShrinking:
         )
         assert [j.name for j in shrunk.jobs] == ["keep"]
         assert [f.kind for f in shrunk.faults] == ["crash"]
-        assert shrunk.num_nodes == 2
+        assert shrunk.cluster.num_nodes == 2
         assert shrunk.ha is False
         assert 0 < attempts <= MAX_ATTEMPTS
 
@@ -88,8 +87,8 @@ class TestShrinking:
         shrunk, _ = shrink_scenario(
             scenario, lambda s: any(j.name == "keep" for j in s.jobs)
         )
-        assert shrunk.num_nodes == 2
-        assert shrunk.replication <= shrunk.num_nodes
+        assert shrunk.cluster.num_nodes == 2
+        assert shrunk.cluster.replication <= shrunk.cluster.num_nodes
 
     def test_faults_on_removed_nodes_are_dropped_with_them(self):
         scenario = big_scenario(
@@ -100,7 +99,7 @@ class TestShrinking:
         )
         candidate = _with_fewer_nodes(scenario)
         # node3 left the cluster, so its crash goes with it; node0's stays.
-        assert candidate.num_nodes == 3
+        assert candidate.cluster.num_nodes == 3
         assert [f.target for f in candidate.faults] == ["node0"]
 
     def test_crashing_candidates_count_as_not_failing(self):

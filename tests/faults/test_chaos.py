@@ -32,7 +32,7 @@ class TestChaosRuns:
 
     def test_sweep_report(self):
         report = sweep(DstRunner(seed=5), seeds=2, base_seed=5, num_jobs=4)
-        assert [r.scenario.seed for r in report.results] == [5, 6]
+        assert [r.scenario.cluster.seed for r in report.results] == [5, 6]
         assert report.ok
         text = report.format()
         assert "PASS" in text

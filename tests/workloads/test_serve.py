@@ -53,6 +53,8 @@ class TestZipfSampler:
             ZipfSampler(0, 1.0)
         with pytest.raises(ValueError):
             ZipfSampler(5, 0.0)
+        with pytest.raises(ValueError):
+            ZipfSampler(3, float("nan"))
 
 
 class TestDiurnalRate:
